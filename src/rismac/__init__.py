@@ -32,7 +32,6 @@ from .config import (
     default_config,
     default_config_path,
     emit_config,
-    mix_seed,
     parse_config,
     parse_config_text,
     replace_config,
@@ -63,16 +62,11 @@ from .solver import (
     attempt_value,
     build_threshold_table,
     effective_probe_snr,
-    erf,
-    erfc,
-    mean_probe_value,
     parse_threshold_table,
     probe_value,
     probe_value_mc,
     probe_worthy_pairs,
     serialize_threshold_table,
-    solve_direct_threshold,
-    solve_giveup_threshold,
     solve_max_throughput,
     solve_max_throughput_bisect,
     throughput_residual,
@@ -86,6 +80,7 @@ from .strategies import (
     decide_level1_threshold,
     decide_level2,
     make_policy,
+    mean_probe_value,
     no_wait_direct_throughput,
     no_wait_ris_throughput,
     policy_from_name,
@@ -101,22 +96,21 @@ __all__ = [
     "linear_budget", "pair_geometry", "rate_direct", "rate_ris",
     "ConfigError", "NetworkConfig", "apply_overrides", "config_hash",
     "db_to_linear", "dbm_to_watt", "default_config", "default_config_path",
-    "emit_config", "mix_seed", "parse_config", "parse_config_text",
-    "replace_config",
+    "emit_config", "parse_config", "parse_config_text", "replace_config",
     "ContentionOutcome", "expected_contention_time", "idle_probability",
     "simulate_contention", "simulate_contention_batch", "success_probability",
     "winner_weights",
     "RoundArrays", "RoundLedger", "SimulationError", "ThroughputEstimate",
     "run_campaign", "run_round", "simulate_rounds",
     "MCEstimate", "SolverError", "ThresholdTable", "admissible_step_band",
-    "attempt_value", "build_threshold_table", "effective_probe_snr", "erf",
-    "erfc", "mean_probe_value", "parse_threshold_table", "probe_value",
-    "probe_value_mc", "probe_worthy_pairs", "serialize_threshold_table",
-    "solve_direct_threshold", "solve_giveup_threshold", "solve_max_throughput",
+    "attempt_value", "build_threshold_table", "effective_probe_snr",
+    "parse_threshold_table", "probe_value", "probe_value_mc",
+    "probe_worthy_pairs", "serialize_threshold_table", "solve_max_throughput",
     "solve_max_throughput_bisect", "throughput_residual",
     "Decision", "Policy", "PolicyKind", "analytic_throughput",
     "decide_level1_reference", "decide_level1_threshold", "decide_level2",
-    "make_policy", "no_wait_direct_throughput", "no_wait_ris_throughput",
-    "policy_from_name", "solve_lambda_b", "threshold_params",
+    "make_policy", "mean_probe_value", "no_wait_direct_throughput",
+    "no_wait_ris_throughput", "policy_from_name", "solve_lambda_b",
+    "threshold_params",
     "__version__",
 ]

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import ConfigError, NetworkConfig
+from .numerics import LN2
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,37 @@ def cascaded_moments(cfg: NetworkConfig, k: int) -> CascadedMoments:
     mu = cfg.M * (math.pi / 4.0) * g.d1 ** (-a / 2) * g.d2 ** (-a / 2)
     var = cfg.M * (1.0 - math.pi**2 / 16.0) * g.d1**-a * g.d2**-a
     return CascadedMoments(mu, math.sqrt(var))
+
+
+class PairTables(NamedTuple):
+    """Link budget and per-pair laws, as read-only arrays indexed by pair - 1."""
+
+    rho: float          # linear_budget
+    v: np.ndarray       # direct mean-square gain d^-alpha1
+    mu: np.ndarray      # cascaded surrogate mean
+    sigma: np.ndarray   # cascaded surrogate standard deviation
+    ms1: np.ndarray     # source->element leg mean-square d1^-alpha2
+    ms2: np.ndarray     # element->destination leg mean-square d2^-alpha2
+
+
+@lru_cache(maxsize=128)
+def pair_tables(cfg: NetworkConfig) -> PairTables:
+    """Every pair's fading laws in one table, computed once per config."""
+    geos = [pair_geometry(cfg, k) for k in range(1, cfg.K + 1)]
+    moms = [cascaded_moments(cfg, k) for k in range(1, cfg.K + 1)]
+    cols = (np.array([g.d ** -cfg.alpha1 for g in geos]),
+            np.array([m.mu for m in moms]),
+            np.array([m.sigma for m in moms]),
+            np.array([g.d1 ** -cfg.alpha2 for g in geos]),
+            np.array([g.d2 ** -cfg.alpha2 for g in geos]))
+    for col in cols:
+        col.flags.writeable = False
+    return PairTables(linear_budget(cfg), *cols)
+
+
+def direct_cross(lam: float, rho_bar: float) -> float:
+    """Direct magnitude whose rate equals lam (inverse of rate_direct)."""
+    return math.sqrt(math.expm1(lam * LN2) / rho_bar)
 
 
 def rate_direct(rho_bar: float, h_mag):

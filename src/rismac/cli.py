@@ -23,12 +23,12 @@ from .config import (
     parse_config,
 )
 from .harness import (
-    CSV_HEADER,
     UsageError,
     cmd_simulate,
     cmd_solve,
     cmd_sweep,
     cmd_validate,
+    relative_gap,
     sweep_rows_to_csv,
 )
 from .solver import SolverError, parse_threshold_table
@@ -153,10 +153,8 @@ def _run_sweep(args) -> int:
     else:
         sys.stdout.write(text)
     if args.strict is not None:
-        worst = max(
-            (abs(r["simulated_mean"] - r["analytic_lambda"])
-             / abs(r["analytic_lambda"]) if r["analytic_lambda"] else 0.0)
-            for r in rows)
+        worst = max(relative_gap(r["simulated_mean"], r["analytic_lambda"])
+                    for r in rows)
         if worst > args.strict:
             print(f"strict check failed: worst gap {worst:.4%} > {args.strict:.4%}",
                   file=sys.stderr)

@@ -325,23 +325,3 @@ def default_config_path():
     """Path to the shipped default config file (same values as default_config)."""
     return resources.files("rismac").joinpath("data/default.cfg")
 
-
-_GOLDEN64 = 0x9E3779B97F4A7C15
-
-
-def mix_seed(seed: int, *indices: int) -> int:
-    """Stable 63-bit stream label from a base seed and integer indices."""
-    x = (seed ^ _GOLDEN64) & 0xFFFFFFFFFFFFFFFF
-    for idx in indices:
-        x ^= (idx + _GOLDEN64 + (x << 6) + (x >> 2)) & 0xFFFFFFFFFFFFFFFF
-        x &= 0xFFFFFFFFFFFFFFFF
-    return x & 0x7FFFFFFFFFFFFFFF
-
-
-def si(x: float, unit: str = "") -> str:
-    """Engineering-notation scalar for log lines (1.5e-04 -> '150 us')."""
-    if x == 0:
-        return f"0 {unit}".strip()
-    exp = min(max(int(math.floor(math.log10(abs(x)) / 3) * 3), -12), 12)
-    pref = {-12: "p", -9: "n", -6: "u", -3: "m", 0: "", 3: "k", 6: "M", 9: "G", 12: "T"}
-    return f"{x / 10**exp:.4g} {pref[exp]}{unit}".strip()

@@ -7,12 +7,13 @@ one wins and pays the RTS+feedback overhead tau_m1 = tau_r + tau_c.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ConfigError, NetworkConfig
+
+_BATCH_CHUNK = 1 << 17  # rounds per slot wave of simulate_contention_batch
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,8 @@ def expected_contention_time(cfg: NetworkConfig) -> float:
 
 
 def simulate_contention(rng: np.random.Generator, cfg: NetworkConfig) -> ContentionOutcome:
-    """Slot-by-slot contention until exactly one pair sends."""
+    """Slot-by-slot contention until exactly one pair sends (the scalar
+    reference, kept for tests and run_round)."""
     p = np.asarray(cfg.p)
     if success_probability(cfg.p) <= 0.0:
         raise ConfigError("no slot can have exactly one sender (p_s = 0)")
@@ -93,13 +95,13 @@ def simulate_contention(rng: np.random.Generator, cfg: NetworkConfig) -> Content
             n_coll += 1
 
 
-def simulate_contention_batch(rng: np.random.Generator, cfg: NetworkConfig, n: int,
-                              chunk: int = 1 << 17):
+def simulate_contention_batch(rng: np.random.Generator, cfg: NetworkConfig, n: int):
     """Vectorized slot-level contention for n independent rounds.
 
     Returns (winners, elapsed, n_idle, n_collisions) arrays; winners are
     1-based. Identical slot semantics to simulate_contention, evaluated in
-    waves over the still-unresolved rounds.
+    waves over the still-unresolved rounds. A slot-level oracle for the
+    engine's geometric contention sampler, kept for tests.
     """
     p = np.asarray(cfg.p)
     if success_probability(cfg.p) <= 0.0:
@@ -109,8 +111,8 @@ def simulate_contention_batch(rng: np.random.Generator, cfg: NetworkConfig, n: i
     n_coll = np.zeros(n, dtype=np.int64)
     active = np.arange(n)
     while active.size:
-        for start in range(0, active.size, chunk):
-            rows = active[start:start + chunk]
+        for start in range(0, active.size, _BATCH_CHUNK):
+            rows = active[start:start + _BATCH_CHUNK]
             senders = rng.random((rows.size, cfg.K)) < p
             counts = senders.sum(axis=1)
             done = counts == 1

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (
-    ConfigError,
     NetworkConfig,
     config_hash,
     dbm_to_watt,
@@ -38,6 +37,7 @@ from .strategies import (
 
 CSV_HEADER = ("axis", "axis_value", "policy", "analytic_lambda",
               "simulated_mean", "ci_halfwidth", "n_rounds", "seed")
+ROOT_RTOL = 1e-6  # relative fixed-point vs bisection gap that validate accepts
 
 
 class UsageError(ValueError):
@@ -64,6 +64,13 @@ def cmd_solve(cfg: NetworkConfig, alpha: float | None = None, eps: float = 1e-3,
     return table, serialize_threshold_table(table)
 
 
+def relative_gap(simulated: float, analytic: float) -> float:
+    """|simulated - analytic| / |analytic|; inf when only the model is 0."""
+    if analytic == 0.0:
+        return math.inf if simulated != 0.0 else 0.0
+    return abs(simulated - analytic) / abs(analytic)
+
+
 @dataclass(frozen=True)
 class SimResult:
     policy: str
@@ -72,9 +79,7 @@ class SimResult:
 
     @property
     def rel_gap(self) -> float:
-        if self.analytic == 0.0:
-            return math.inf if self.estimate.mean != 0.0 else 0.0
-        return abs(self.estimate.mean - self.analytic) / abs(self.analytic)
+        return relative_gap(self.estimate.mean, self.analytic)
 
 
 def _check_table(cfg: NetworkConfig, table: ThresholdTable | None) -> None:
@@ -173,8 +178,9 @@ def cmd_validate(cfg: NetworkConfig, n_rounds: int = 40_000, seed: int = 7,
                         f"residual {res:.3e} at lambda* {lam:.9g}"))
     lam_bis = solve_max_throughput_bisect(cfg)
     gap = abs(lam - lam_bis)
-    checks.append(Check("root agreement", gap < 1e-6,
-                        f"|fixed-point - bisection| = {gap:.3e}"))
+    checks.append(Check("root agreement", gap <= ROOT_RTOL * lam_bis,
+                        f"|fixed-point - bisection| = {gap:.3e} "
+                        f"(allowed {ROOT_RTOL:g} x {lam_bis:.9g})"))
     ordered = all(table.zeta[k] < table.eta[k] for k in table.kstar)
     checks.append(Check("threshold ordering", ordered,
                         f"{len(table.kstar)} probe-worthy pairs"))

@@ -28,13 +28,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .channel import (
     draw_cascaded,
     draw_direct,
     linear_budget,
-    pair_geometry,
+    pair_tables,
     rate_direct,
     rate_ris,
 )
@@ -78,9 +78,11 @@ class RoundLedger:
         return self.path[-1]
 
 
-def run_round(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy,
-              max_attempts: int = _MAX_WAVES) -> RoundLedger:
-    """Simulate one round at slot fidelity, one decision at a time."""
+def run_round(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy) -> RoundLedger:
+    """Simulate one round at slot fidelity, one decision at a time.
+
+    The scalar reference for the block engine, kept for tests.
+    """
     rho = linear_budget(cfg)
     tau1 = cfg.tau_d - cfg.tau_m1
     tau2 = cfg.tau_d - cfg.tau_m2
@@ -88,7 +90,7 @@ def run_round(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy,
     path: list[Decision] = []
     cont_total = 0.0
     probe_rels = 0
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, _MAX_WAVES + 1):
         outcome = simulate_contention(rng, cfg)
         cont_total += outcome.elapsed
         k = outcome.winner
@@ -113,7 +115,7 @@ def run_round(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy,
         path.append(Decision.CONTINUE)
         probe_rels += 1
     else:
-        raise SimulationError(f"round did not terminate in {max_attempts} attempts")
+        raise SimulationError(f"round did not terminate in {_MAX_WAVES} attempts")
     probe_time = probe_rels * tau_pc
     total = cont_total + probe_time + tau1
     return RoundLedger(tuple(path), float(bits), total, cont_total, probe_time,
@@ -147,26 +149,12 @@ class _CompiledPolicy(NamedTuple):
 
 
 def _compile(cfg: NetworkConfig, policy: Policy) -> _CompiledPolicy:
-    v = np.empty(cfg.K)
-    ms1 = np.empty(cfg.K)
-    ms2 = np.empty(cfg.K)
-    for k in range(1, cfg.K + 1):
-        geo = pair_geometry(cfg, k)
-        v[k - 1] = geo.d ** -cfg.alpha1
-        ms1[k - 1] = geo.d1 ** -cfg.alpha2
-        ms2[k - 1] = geo.d2 ** -cfg.alpha2
-    if policy.kind is PolicyKind.PROPOSED:
-        zeta, eta, worthy, h_cross = threshold_params(policy.table, cfg)
-    else:
-        zeta = np.zeros(cfg.K)
-        eta = np.full(cfg.K, np.inf)
-        worthy = np.zeros(cfg.K, dtype=bool)
-        h_cross = 0.0
+    tab = pair_tables(cfg)
     p_s = success_probability(cfg.p)
     p_idle = idle_probability(cfg.p)
     idle_frac = p_idle / (1.0 - p_s) if p_s < 1.0 else 0.0
-    return _CompiledPolicy(policy.kind, policy.stop_rate, v, ms1, ms2,
-                           zeta, eta, worthy, h_cross,
+    return _CompiledPolicy(policy.kind, policy.stop_rate, tab.v, tab.ms1, tab.ms2,
+                           *threshold_params(policy.table, cfg),
                            np.cumsum(winner_weights(cfg.p)), p_s, idle_frac)
 
 
@@ -245,36 +233,33 @@ def _simulate_block(seed: int, block: int, n_rounds: int, cfg: NetworkConfig,
     return RoundArrays(bits, total, cont_time, releases, attempts, terminal)
 
 
-def _block_plan(n_rounds: int) -> list[tuple[int, int]]:
+def _run_blocks(cfg: NetworkConfig, policy: Policy, n_rounds: int, seed: int,
+                workers: int | None, reduce) -> list:
+    """reduce(RoundArrays) of every block of an n_rounds campaign, in block
+    order, on up to `workers` threads (RISMAC_THREADS, else min(4, CPUs))."""
+    if n_rounds <= 0:
+        raise ValueError("n_rounds must be positive")
+    pol = _compile(cfg, policy)
     full, rem = divmod(n_rounds, BLOCK_ROUNDS)
-    plan = [(i, BLOCK_ROUNDS) for i in range(full)]
-    if rem:
-        plan.append((full, rem))
-    return plan
-
-
-def _worker_count(workers: int | None, n_blocks: int) -> int:
+    plan = [(i, BLOCK_ROUNDS) for i in range(full)] + ([(full, rem)] if rem else [])
     if workers is None:
         env = os.environ.get("RISMAC_THREADS")
         workers = int(env) if env else min(4, os.cpu_count() or 1)
-    return max(1, min(workers, n_blocks))
+    nw = max(1, min(workers, len(plan)))
+
+    def one(item):
+        return reduce(_simulate_block(seed, item[0], item[1], cfg, pol))
+
+    if nw == 1:
+        return [one(item) for item in plan]
+    with ThreadPoolExecutor(max_workers=nw) as pool:
+        return list(pool.map(one, plan))
 
 
 def simulate_rounds(cfg: NetworkConfig, policy: Policy, n_rounds: int,
                     seed: int, workers: int | None = None) -> RoundArrays:
     """Per-round outcome arrays for n_rounds rounds (blocks concatenated)."""
-    if n_rounds <= 0:
-        raise ValueError("n_rounds must be positive")
-    pol = _compile(cfg, policy)
-    plan = _block_plan(n_rounds)
-    nw = _worker_count(workers, len(plan))
-    if nw == 1:
-        blocks = [_simulate_block(seed, b, r, cfg, pol) for b, r in plan]
-    else:
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            futs = [pool.submit(_simulate_block, seed, b, r, cfg, pol)
-                    for b, r in plan]
-            blocks = [f.result() for f in futs]
+    blocks = _run_blocks(cfg, policy, n_rounds, seed, workers, lambda arr: arr)
     return RoundArrays(*(np.concatenate(parts) for parts in zip(*blocks)))
 
 
@@ -298,32 +283,18 @@ def run_campaign(cfg: NetworkConfig, policy: Policy, n_rounds: int, seed: int,
     means over contiguous block groups, so it is deterministic for a given
     seed regardless of worker count.
     """
-    if n_rounds <= 0:
-        raise ValueError("n_rounds must be positive")
-    pol = _compile(cfg, policy)
-    plan = _block_plan(n_rounds)
-    nw = _worker_count(workers, len(plan))
-
-    def block_sums(args):
-        b, r = args
-        arr = _simulate_block(seed, b, r, cfg, pol)
-        return float(arr.bits.sum()), float(arr.total_time.sum())
-
-    if nw == 1:
-        sums = [block_sums(a) for a in plan]
-    else:
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            sums = list(pool.map(block_sums, plan))
+    sums = _run_blocks(cfg, policy, n_rounds, seed, workers,
+                       lambda arr: (float(arr.bits.sum()), float(arr.total_time.sum())))
     y = np.array([s[0] for s in sums])
     t = np.array([s[1] for s in sums])
     mean = float(y.sum() / t.sum())
-    nb = min(n_batches, len(plan))
+    nb = min(n_batches, len(sums))
     if nb >= 2:
         groups_y = [g.sum() for g in np.array_split(y, nb)]
         groups_t = [g.sum() for g in np.array_split(t, nb)]
         lams = np.array(groups_y) / np.array(groups_t)
         se = float(lams.std(ddof=1)) / math.sqrt(nb)
-        ci = float(stats.t.ppf(0.975, nb - 1)) * se
+        ci = float(special.stdtrit(nb - 1, 0.975)) * se
     else:
         ci = math.nan
     return ThroughputEstimate(mean, ci, n_rounds, float(y.sum()), float(t.sum()), nb)

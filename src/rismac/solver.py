@@ -22,53 +22,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy import special
 
-from .channel import cascaded_moments, direct_mean_square, draw_cascaded, linear_budget
-from .config import NetworkConfig
+from .channel import direct_cross, draw_cascaded, pair_tables
+from .config import NetworkConfig, config_hash
 from .contention import expected_contention_time
+from .numerics import (
+    LN2,
+    LOG2E,
+    QUAD_TOL,
+    SQRT2,
+    SolverError,
+    adaptive_panels,
+    bracket_root,
+    scaled_e1,
+    vec_bisect,
+)
 
-_LN2 = math.log(2.0)
-_LOG2E = 1.0 / _LN2
-_SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-class SolverError(RuntimeError):
-    """Numerical failure: stalled quadrature, broken bracket, no convergence."""
-
-
-def erf(x):
-    """Gauss error function (vectorized, library-exact)."""
-    return special.erf(x)
-
-
-def erfc(x):
-    """Complementary error function, accurate for large arguments."""
-    return special.erfc(x)
+_MC_CHUNK = 1 << 16  # cascaded draws per Monte-Carlo batch
 
 
 class MCEstimate(NamedTuple):
     mean: float
     stderr: float
     n: int
-
-
-@lru_cache(maxsize=128)
-def _pair_tables(cfg: NetworkConfig):
-    """(rho, v, mu, sigma): link budget, direct mean-square gains, cascaded
-    surrogate moments, as arrays indexed by pair-1."""
-    rho = linear_budget(cfg)
-    v = np.array([direct_mean_square(cfg, k) for k in range(1, cfg.K + 1)])
-    moms = [cascaded_moments(cfg, k) for k in range(1, cfg.K + 1)]
-    mu = np.array([m.mu for m in moms])
-    sigma = np.array([m.sigma for m in moms])
-    return rho, v, mu, sigma
 
 
 def effective_probe_snr(lam, h_s, mu, sigma, rho_bar):
@@ -79,7 +60,7 @@ def effective_probe_snr(lam, h_s, mu, sigma, rho_bar):
     pointwise max (no surface, or a single deterministic reflection).
     """
     lam = np.asarray(lam, dtype=float)
-    c = np.expm1(lam * _LN2)
+    c = np.expm1(lam * LN2)
     m = np.asarray(h_s, dtype=float) + mu
     if rho_bar == 0.0:
         out = np.broadcast_arrays(c, m, np.asarray(sigma, dtype=float))[0]
@@ -88,8 +69,8 @@ def effective_probe_snr(lam, h_s, mu, sigma, rho_bar):
     safe = np.where(sigma > 0.0, sigma, 1.0)
     b = np.sqrt(c / rho_bar)
     z = (b - m) / safe
-    zs = z / _SQRT2
-    floor_part = 0.5 * c * (special.erf(mu / (_SQRT2 * safe)) + special.erf(zs))
+    zs = z / SQRT2
+    floor_part = 0.5 * c * (special.erf(mu / (SQRT2 * safe)) + special.erf(zs))
     edge_part = rho_bar * safe * (m + b) * np.exp(-0.5 * z * z) * _INV_SQRT_2PI
     tail_part = 0.5 * rho_bar * (m * m + safe * safe) * special.erfc(zs)
     smooth = floor_part + edge_part + tail_part
@@ -102,26 +83,28 @@ def _probe_value_raw(lam, h_s, mu, sigma, rho, tau1, tau2):
     return tau2 * np.log2(1.0 + om) - lam * tau1
 
 
-def probe_value(lam, h_s, k: int, cfg: NetworkConfig):
+def probe_value(lam, h_s, k, cfg: NetworkConfig):
     """Closed-form expected net value (bit*s/Hz) of probing the surface.
 
     Best of {stop on the boosted rate, give the channel back} with channel
     time priced at lam, for pair k observing direct magnitude h_s. Positive
-    means probing beats releasing the channel.
+    means probing beats releasing the channel. k may be an integer array
+    that broadcasts with h_s.
     """
-    rho, _, mu, sigma = _pair_tables(cfg)
+    tab = pair_tables(cfg)
     i = k - 1
-    return _probe_value_raw(lam, h_s, mu[i], sigma[i], rho,
+    return _probe_value_raw(lam, h_s, tab.mu[i], tab.sigma[i], tab.rho,
                             cfg.tau_d - cfg.tau_m1, cfg.tau_d - cfg.tau_m2)
 
 
 def probe_value_mc(lam, h_s, k: int, cfg: NetworkConfig, n_samples: int,
-                   rng: np.random.Generator, chunk: int = 1 << 16) -> MCEstimate:
+                   rng: np.random.Generator) -> MCEstimate:
     """Monte-Carlo probe value over exact cascaded draws (no Gaussian surrogate).
 
     Per draw: max((tau_d-tau_m2)*R_ris - lam*(tau_d-tau_m1), -lam*(tau_p+tau_c)).
+    An oracle for the closed form, kept for tests.
     """
-    rho, _, _, _ = _pair_tables(cfg)
+    rho = pair_tables(cfg).rho
     tau1 = cfg.tau_d - cfg.tau_m1
     tau2 = cfg.tau_d - cfg.tau_m2
     floor = -lam * (cfg.tau_p + cfg.tau_c)
@@ -129,7 +112,7 @@ def probe_value_mc(lam, h_s, k: int, cfg: NetworkConfig, n_samples: int,
     acc2 = 0.0
     left = int(n_samples)
     while left > 0:
-        m = min(chunk, left)
+        m = min(_MC_CHUNK, left)
         x = draw_cascaded(rng, cfg, k, m).sum(axis=1)
         val = np.maximum(tau2 * np.log2(1.0 + rho * np.square(h_s + x)) - lam * tau1,
                          floor)
@@ -142,102 +125,67 @@ def probe_value_mc(lam, h_s, k: int, cfg: NetworkConfig, n_samples: int,
     return MCEstimate(mean, math.sqrt(var / n), n)
 
 
-def _scaled_e1(a, x):
-    """exp(a) * E1(x) elementwise, for 0 <= a <= x. Overflow-safe: large x
-    switches to the asymptotic expansion of exp(x) E1(x)."""
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    big = x > 700.0
-    xs = np.where(big, 1.0, x)
-    plain = np.exp(np.where(big, 0.0, a)) * special.exp1(xs)
-    u = 1.0 / np.where(big, x, 1.0)
-    series = u * (1.0 - u * (1.0 - u * (2.0 - u * (6.0 - 24.0 * u))))
-    asym = np.exp(np.where(big, a - x, 0.0)) * series
-    return np.where(big, asym, plain)
-
-
 def _direct_value_term(lam: float, w, tau1: float):
     """tau1 * E[(log2(1+W) - lam)^+] for W ~ Exp(mean w), exact via E1."""
-    c = math.expm1(lam * _LN2)
+    c = math.expm1(lam * LN2)
     w = np.asarray(w, dtype=float)
     out = np.zeros_like(w)
     pos = w > 0.0
     if np.any(pos):
         wp = w[pos]
-        out[pos] = tau1 * _LOG2E * _scaled_e1(1.0 / wp, (1.0 + c) / wp)
+        out[pos] = tau1 * LOG2E * scaled_e1(1.0 / wp, (1.0 + c) / wp)
     return out
 
 
-@lru_cache(maxsize=32)
-def _gl_nodes(n: int):
-    x, w = leggauss(n)
-    return x, w
+def _probe_worthy(lam: float, cfg: NetworkConfig) -> np.ndarray:
+    """Pairs (0-based) for which probing can beat both alternatives at lam.
 
-
-def _adaptive_panels(fvec, rows, lo, hi, tol, orders=(16, 32), max_rounds=40):
-    """Integrate fvec over per-row panels [lo_i, hi_i] with adaptive refinement.
-
-    fvec(row_idx, h) evaluates the integrand vectorized; each panel is judged
-    by comparing two Gauss-Legendre orders and halved until its share of the
-    absolute tolerance is met. Returns the integral total.
+    Tested where the direct stop value crosses zero: if the probe value is
+    not positive even there, it is dominated for every magnitude.
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if np.any(hi < lo):
-        raise SolverError("reversed quadrature panel (caller edge ordering bug)")
-    keep = hi - lo > 0.0
-    rows, lo, hi = rows[keep], lo[keep], hi[keep]
-    if rows.size == 0:
-        return 0.0
-    width_total = float((hi - lo).sum())
-    x1, w1 = _gl_nodes(orders[0])
-    x2, w2 = _gl_nodes(orders[1])
-    n1 = orders[0]
-    total = 0.0
-    for _ in range(max_rounds):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        # fused evaluation of both orders across every panel
-        offsets = np.concatenate([x1, x2])
-        h_nodes = mid[:, None] + half[:, None] * offsets[None, :]
-        vals = fvec(np.repeat(rows, offsets.size),
-                    h_nodes.ravel()).reshape(rows.size, offsets.size)
-        i1 = half * (vals[:, :n1] @ w1)
-        i2 = half * (vals[:, n1:] @ w2)
-        err = np.abs(i2 - i1)
-        budget = tol * np.maximum(hi - lo, 1e-300) / width_total
-        good = err <= np.maximum(budget, 1e-18)
-        total += float(i2[good].sum())
-        if good.all():
-            return total
-        rows, lo, hi, mid = rows[~good], lo[~good], hi[~good], mid[~good]
-        rows = np.repeat(rows, 2)
-        lo, hi = (np.stack([lo, mid], axis=1).ravel(),
-                  np.stack([mid, hi], axis=1).ravel())
-    raise SolverError(
-        f"quadrature stalled: {rows.size} panels above tolerance {tol:g}, "
-        f"worst error estimate {float(err.max()):.3e}")
+    rho, _, mu, sigma, _, _ = pair_tables(cfg)
+    lb_cross = np.atleast_1d(_probe_value_raw(
+        lam, direct_cross(lam, rho), mu, sigma, rho,
+        cfg.tau_d - cfg.tau_m1, cfg.tau_d - cfg.tau_m2))
+    return np.flatnonzero(lb_cross > 0.0)
 
 
-def _vec_bisect(f, lo, hi, iters: int):
-    """Vector bisection for an increasing sign change on each [lo_i, hi_i]."""
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        neg = f(mid) < 0.0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-    return 0.5 * (lo + hi)
+def _thresholds(lam: float, cfg: NetworkConfig, act: np.ndarray, steps: int):
+    """Give-up and direct-stop magnitudes (zeta, eta) of the pairs `act`.
+
+    zeta is where the probe value turns positive on [0, h_cross] (0 if it
+    already is at h = 0); eta is where the direct stop value overtakes the
+    probe value above h_cross, bracketed by doubling. Each root takes `steps`
+    vector bisection steps.
+    """
+    rho, _, mu, sigma, _, _ = pair_tables(cfg)
+    tau1 = cfg.tau_d - cfg.tau_m1
+    tau2 = cfg.tau_d - cfg.tau_m2
+    h_cross = direct_cross(lam, rho)
+    mu_a, sig_a = mu[act], sigma[act]
+
+    def lbar(h):
+        return _probe_value_raw(lam, h, mu_a, sig_a, rho, tau1, tau2)
+
+    def overtake(h):
+        return tau1 * (np.log2(1.0 + rho * h * h) - lam) - lbar(h)
+
+    at0 = np.atleast_1d(lbar(np.zeros(act.size)))
+    zeta = np.where(at0 >= 0.0, 0.0,
+                    vec_bisect(lbar, np.zeros(act.size),
+                               np.full(act.size, h_cross), steps))
+    hi = np.maximum(2.0 * h_cross, h_cross + 8.0 * (mu_a + 6.0 * sig_a))
+    for _ in range(60):
+        pending = np.atleast_1d(overtake(hi)) <= 0.0
+        if not pending.any():
+            break
+        hi = np.where(pending, 2.0 * hi, hi)
+    else:
+        raise SolverError("direct value never overtakes the probe value")
+    return zeta, vec_bisect(overtake, np.full(act.size, h_cross), hi, steps)
 
 
-def _direct_cross(lam: float, rho: float) -> float:
-    """Magnitude at which the direct rate equals lam."""
-    return math.sqrt(math.expm1(lam * _LN2) / rho)
-
-
-def attempt_value(lam: float, cfg: NetworkConfig, tol: float = 1e-11) -> float:
+def attempt_value(lam: float, cfg: NetworkConfig) -> float:
     """Mean best-action value of one resolved contention at time price lam.
 
     Averages max(direct stop value, probe value, 0) over the pair index and
@@ -246,39 +194,19 @@ def attempt_value(lam: float, cfg: NetworkConfig, tol: float = 1e-11) -> float:
     probing beats both alternatives, so no truncation error enters.
     """
     lam = float(lam)
-    rho, v, mu, sigma = _pair_tables(cfg)
+    rho, v, mu, sigma, _, _ = pair_tables(cfg)
     tau1 = cfg.tau_d - cfg.tau_m1
     tau2 = cfg.tau_d - cfg.tau_m2
     if rho == 0.0:
         return 0.0
     total = float(_direct_value_term(lam, rho * v, tau1).sum())
-    h_cross = _direct_cross(lam, rho)
+    h_cross = direct_cross(lam, rho)
 
-    lb_cross = np.atleast_1d(
-        _probe_value_raw(lam, h_cross, mu, sigma, rho, tau1, tau2))
-    act = np.flatnonzero(lb_cross > 0.0)
+    act = _probe_worthy(lam, cfg)
     if act.size:
         mu_a, sig_a, v_a = mu[act], sigma[act], v[act]
-
-        def lbar(h):
-            return _probe_value_raw(lam, h, mu_a, sig_a, rho, tau1, tau2)
-
-        def overtake(h):
-            return tau1 * (np.log2(1.0 + rho * h * h) - lam) - lbar(h)
-
-        at0 = np.atleast_1d(lbar(np.zeros(act.size)))
-        zeta = np.where(at0 >= 0.0, 0.0,
-                        _vec_bisect(lbar, np.zeros(act.size),
-                                    np.full(act.size, h_cross), 18))
-        hi = np.maximum(2.0 * h_cross, h_cross + 8.0 * (mu_a + 6.0 * sig_a))
-        for _ in range(60):
-            pending = np.atleast_1d(overtake(hi)) <= 0.0
-            if not pending.any():
-                break
-            hi = np.where(pending, 2.0 * hi, hi)
-        else:
-            raise SolverError("direct value never overtakes the probe value")
-        eta = _vec_bisect(overtake, np.full(act.size, h_cross), hi, 18)
+        # 18 steps suffice here: the roots only place panel edges
+        zeta, eta = _thresholds(lam, cfg, act, 18)
 
         def integrand(rows, h):
             lb = _probe_value_raw(lam, h, mu_a[rows], sig_a[rows], rho, tau1, tau2)
@@ -295,7 +223,7 @@ def attempt_value(lam: float, cfg: NetworkConfig, tol: float = 1e-11) -> float:
         rows = np.concatenate([np.arange(act.size)] * 4)
         los = np.concatenate([zeta, e1, e2, np.full(act.size, h_cross)])
         his = np.concatenate([e1, e2, np.full(act.size, h_cross), eta])
-        total += _adaptive_panels(integrand, rows, los, his, tol)
+        total += adaptive_panels(integrand, rows, los, his, QUAD_TOL)
     return total / cfg.K
 
 
@@ -343,119 +271,19 @@ def solve_max_throughput(cfg: NetworkConfig, alpha: float | None = None,
         f"fixed point stalled after {max_iter} iterations (residual {g:.3e}, tol {tol:g})")
 
 
-def solve_max_throughput_bisect(cfg: NetworkConfig, xtol: float = 1e-11) -> float:
-    """Independent bisection root of the same residual (oracle for the solver)."""
+def solve_max_throughput_bisect(cfg: NetworkConfig) -> float:
+    """Independent bisection root of the same residual: an oracle for the
+    fixed point, kept for tests and `validate`."""
     tau_o = expected_contention_time(cfg)
-    if attempt_value(0.0, cfg) <= 0.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        if attempt_value(hi, cfg) - hi * tau_o < 0.0:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise SolverError("residual never turns negative; tau_o may be degenerate")
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if attempt_value(mid, cfg) - mid * tau_o < 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def mean_probe_value(lam: float, cfg: NetworkConfig, tol: float = 1e-11) -> float:
-    """Unconditional mean of the probe value over pairs and direct fading.
-
-    The balance curve of the always-probe discipline (no direct stops, no
-    free release): its threshold solves mean_probe_value(lam) = lam*tau_o.
-    """
-    lam = float(lam)
-    rho, v, mu, sigma = _pair_tables(cfg)
-    tau1 = cfg.tau_d - cfg.tau_m1
-    tau2 = cfg.tau_d - cfg.tau_m2
-    if rho == 0.0:
-        return -lam * (cfg.tau_p + cfg.tau_c)
-    h_cross = _direct_cross(lam, rho)
-
-    def integrand(rows, h):
-        lb = _probe_value_raw(lam, h, mu[rows], sigma[rows], rho, tau1, tau2)
-        vr = v[rows]
-        return lb * (2.0 * h / vr) * np.exp(-h * h / vr)
-
-    # edges bracket the floor-crossing band of the Gaussian surrogate,
-    # centered at h_cross - mu with width sigma
-    h_hi = np.sqrt(v * math.log(1e14))
-    t = np.clip(h_cross - mu, 0.0, None)
-    edges = [np.zeros(cfg.K),
-             np.clip(t - 30.0 * sigma, 0.0, h_hi),
-             np.clip(t + 30.0 * sigma, 0.0, h_hi),
-             h_hi]
-    rows = np.concatenate([np.arange(cfg.K)] * 3)
-    los = np.concatenate(edges[:3])
-    his = np.concatenate(edges[1:])
-    # the integrand tail above the 1 - 1e-14 fading quantile is negligible
-    value = _adaptive_panels(integrand, rows, los, his, tol)
-    return value / cfg.K
+    return bracket_root(lambda lam: attempt_value(lam, cfg) - lam * tau_o,
+                        "throughput balance (tau_o may be degenerate)")
 
 
 def probe_worthy_pairs(cfg: NetworkConfig, lam_star: float) -> frozenset[int]:
-    """Pairs for which probing can beat both alternatives at the fixed point.
-
-    Tested where the direct stop value crosses zero: if the probe value is
-    not positive even there, it is dominated for every magnitude.
-    """
-    rho, _, _, _ = _pair_tables(cfg)
-    if rho == 0.0 or lam_star <= 0.0:
+    """Pairs (1-based) for which probing can beat both alternatives at lam*."""
+    if pair_tables(cfg).rho == 0.0 or lam_star <= 0.0:
         return frozenset()
-    h_mid = _direct_cross(lam_star, rho)
-    return frozenset(k for k in range(1, cfg.K + 1)
-                     if probe_value(lam_star, h_mid, k, cfg) > 0.0)
-
-
-def _bisect_scalar(f, lo: float, hi: float, max_iter: int = 200) -> float:
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def solve_giveup_threshold(cfg: NetworkConfig, lam_star: float, k: int) -> float:
-    """Magnitude below which pair k releases the channel (probe value < 0)."""
-    rho, _, _, _ = _pair_tables(cfg)
-    h_mid = _direct_cross(lam_star, rho)
-    if probe_value(lam_star, h_mid, k, cfg) <= 0.0:
-        raise SolverError(f"pair {k} is not probe-worthy at lam*={lam_star:g}")
-    if probe_value(lam_star, 0.0, k, cfg) >= 0.0:
-        return 0.0
-    return _bisect_scalar(lambda h: probe_value(lam_star, h, k, cfg), 0.0, h_mid)
-
-
-def solve_direct_threshold(cfg: NetworkConfig, lam_star: float, k: int) -> float:
-    """Magnitude above which pair k transmits directly (stop value >= probe value)."""
-    rho, _, _, _ = _pair_tables(cfg)
-    tau1 = cfg.tau_d - cfg.tau_m1
-    h_mid = _direct_cross(lam_star, rho)
-    if probe_value(lam_star, h_mid, k, cfg) <= 0.0:
-        raise SolverError(f"pair {k} is not probe-worthy at lam*={lam_star:g}")
-
-    def gap(h):
-        return tau1 * (math.log2(1.0 + rho * h * h) - lam_star) - probe_value(
-            lam_star, h, k, cfg)
-
-    hi = 2.0 * h_mid if h_mid > 0 else 1.0
-    for _ in range(200):
-        if gap(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise SolverError(f"direct value never overtakes probe value for pair {k}")
-    return _bisect_scalar(gap, h_mid, hi)
+    return frozenset(int(i) + 1 for i in _probe_worthy(lam_star, cfg))
 
 
 @dataclass
@@ -472,26 +300,25 @@ class ThresholdTable:
 def build_threshold_table(cfg: NetworkConfig, lam_star: float | None = None,
                           **solve_kwargs) -> ThresholdTable:
     """Solve the fixed point (unless given) and all per-pair thresholds."""
-    from .config import config_hash as _hash
-
     if lam_star is None:
         lam_star = solve_max_throughput(cfg, **solve_kwargs)
     kstar = probe_worthy_pairs(cfg, lam_star)
-    rho, _, _, _ = _pair_tables(cfg)
-    h_mid = _direct_cross(lam_star, rho) if (rho > 0.0 and lam_star > 0.0) else 0.0
     zeta: dict[int, float] = {}
     eta: dict[int, float] = {}
-    for k in sorted(kstar):
-        zk = solve_giveup_threshold(cfg, lam_star, k)
-        ek = solve_direct_threshold(cfg, lam_star, k)
-        if not zk < h_mid < ek:
-            raise SolverError(
-                f"pair {k}: thresholds out of order ({zk:g}, {h_mid:g}, {ek:g})")
-        if abs(probe_value(lam_star, zk, k, cfg)) > 1e-10 and zk > 0.0:
-            raise SolverError(f"pair {k}: give-up root residual too large")
-        zeta[k] = zk
-        eta[k] = ek
-    return ThresholdTable(float(lam_star), kstar, zeta, eta, _hash(cfg))
+    if kstar:
+        pairs = sorted(kstar)
+        h_mid = direct_cross(lam_star, pair_tables(cfg).rho)
+        # unlike attempt_value's 18 steps, 64 solve the roots to the last bits
+        zs, es = _thresholds(lam_star, cfg, np.array(pairs) - 1, 64)
+        for k, zk, ek in zip(pairs, zs.tolist(), es.tolist()):
+            if not zk < h_mid < ek:
+                raise SolverError(
+                    f"pair {k}: thresholds out of order ({zk:g}, {h_mid:g}, {ek:g})")
+            if abs(probe_value(lam_star, zk, k, cfg)) > 1e-10 and zk > 0.0:
+                raise SolverError(f"pair {k}: give-up root residual too large")
+            zeta[k] = zk
+            eta[k] = ek
+    return ThresholdTable(float(lam_star), kstar, zeta, eta, config_hash(cfg))
 
 
 def serialize_threshold_table(table: ThresholdTable) -> str:

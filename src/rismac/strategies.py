@@ -20,23 +20,18 @@ from enum import Enum
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .channel import ChannelObservation, linear_budget, rate_direct
+from .channel import (
+    ChannelObservation,
+    direct_cross,
+    linear_budget,
+    pair_tables,
+    rate_direct,
+)
 from .config import NetworkConfig
 from .contention import expected_contention_time
-from .solver import (
-    SolverError,
-    ThresholdTable,
-    _adaptive_panels,
-    _pair_tables,
-    _scaled_e1,
-    mean_probe_value,
-    probe_value,
-    solve_max_throughput,
-)
+from .numerics import LOG2E, QUAD_TOL, SQRT2, adaptive_panels, bracket_root, scaled_e1
+from .solver import ThresholdTable, probe_value, solve_max_throughput
 
-_LN2 = math.log(2.0)
-_LOG2E = 1.0 / _LN2
-_SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 
 
@@ -63,16 +58,15 @@ def policy_from_name(name: str) -> PolicyKind:
 
 
 def decide_level1_reference(obs: ChannelObservation, lam_star: float,
-                            cfg: NetworkConfig, probe_value_fn=None) -> Decision:
+                            cfg: NetworkConfig) -> Decision:
     """First-level choice by direct value comparison (no thresholds).
 
     Stop when transmitting now is worth at least as much as both probing and
     releasing; release when neither action has positive worth; probe otherwise.
     """
-    pv = probe_value_fn if probe_value_fn is not None else probe_value
     rho = linear_budget(cfg)
     a = (cfg.tau_d - cfg.tau_m1) * (rate_direct(rho, obs.h_mag) - lam_star)
-    b = float(pv(lam_star, obs.h_mag, obs.pair_index, cfg))
+    b = float(probe_value(lam_star, obs.h_mag, obs.pair_index, cfg))
     if a >= b and a >= 0.0:
         return Decision.STOP_DIRECT
     if a < 0.0 and b < 0.0:
@@ -101,24 +95,25 @@ def decide_level2(rate_ris: float, stop_rate: float) -> Decision:
     return Decision.STOP_RIS if rate_ris >= stop_rate else Decision.CONTINUE
 
 
-def threshold_params(table: ThresholdTable, cfg: NetworkConfig):
+def threshold_params(table: ThresholdTable | None, cfg: NetworkConfig):
     """Per-pair threshold arrays for vectorized level-1 decisions.
 
     Returns (zeta, eta, probe_worthy, h_cross): pairs outside the probe-worthy
     set use the single direct cutoff h_cross in place of the pair thresholds.
+    Without a table (the reference disciplines) no pair is probe-worthy and
+    h_cross is 0.
     """
     zeta = np.zeros(cfg.K)
     eta = np.full(cfg.K, np.inf)
     worthy = np.zeros(cfg.K, dtype=bool)
+    if table is None:
+        return zeta, eta, worthy, 0.0
     for k in table.kstar:
         worthy[k - 1] = True
         zeta[k - 1] = table.zeta[k]
         eta[k - 1] = table.eta[k]
     rho = linear_budget(cfg)
-    if rho > 0.0:
-        h_cross = math.sqrt(math.expm1(table.lambda_star * _LN2) / rho)
-    else:
-        h_cross = 0.0
+    h_cross = direct_cross(table.lambda_star, rho) if rho > 0.0 else 0.0
     return zeta, eta, worthy, h_cross
 
 
@@ -131,7 +126,39 @@ class Policy:
     table: ThresholdTable | None = None
 
 
-def solve_lambda_b(cfg: NetworkConfig, xtol: float = 1e-11) -> float:
+def mean_probe_value(lam: float, cfg: NetworkConfig) -> float:
+    """Unconditional mean of the probe value over pairs and direct fading.
+
+    The balance curve of the always-probe discipline (no direct stops, no
+    free release): its threshold solves mean_probe_value(lam) = lam*tau_o.
+    """
+    lam = float(lam)
+    rho, v, mu, sigma, _, _ = pair_tables(cfg)
+    if rho == 0.0:
+        return -lam * (cfg.tau_p + cfg.tau_c)
+    h_cross = direct_cross(lam, rho)
+
+    def integrand(rows, h):
+        vr = v[rows]
+        return probe_value(lam, h, rows + 1, cfg) * (2.0 * h / vr) * np.exp(-h * h / vr)
+
+    # edges bracket the floor-crossing band of the Gaussian surrogate,
+    # centered at h_cross - mu with width sigma
+    h_hi = np.sqrt(v * math.log(1e14))
+    t = np.clip(h_cross - mu, 0.0, None)
+    edges = [np.zeros(cfg.K),
+             np.clip(t - 30.0 * sigma, 0.0, h_hi),
+             np.clip(t + 30.0 * sigma, 0.0, h_hi),
+             h_hi]
+    rows = np.concatenate([np.arange(cfg.K)] * 3)
+    los = np.concatenate(edges[:3])
+    his = np.concatenate(edges[1:])
+    # the integrand tail above the 1 - 1e-14 fading quantile is negligible
+    value = adaptive_panels(integrand, rows, los, his, QUAD_TOL)
+    return value / cfg.K
+
+
+def solve_lambda_b(cfg: NetworkConfig) -> float:
     """Throughput of the always-probe discipline with its best stopping rate.
 
     Root of mean_probe_value(lam) = lam * tau_o; the probe value is left
@@ -139,22 +166,8 @@ def solve_lambda_b(cfg: NetworkConfig, xtol: float = 1e-11) -> float:
     releases before probing.
     """
     tau_o = expected_contention_time(cfg)
-    if mean_probe_value(0.0, cfg) <= 0.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        if mean_probe_value(hi, cfg) - hi * tau_o < 0.0:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise SolverError("always-probe balance point not bracketed")
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if mean_probe_value(mid, cfg) - mid * tau_o < 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return bracket_root(lambda lam: mean_probe_value(lam, cfg) - lam * tau_o,
+                        "always-probe balance")
 
 
 def no_wait_direct_throughput(cfg: NetworkConfig) -> float:
@@ -163,23 +176,23 @@ def no_wait_direct_throughput(cfg: NetworkConfig) -> float:
     Renewal ratio in closed form: the mean direct rate of an exponential SNR
     is log2(e) * exp(1/w) * E1(1/w).
     """
-    rho, v, _, _ = _pair_tables(cfg)
+    rho, v, _, _, _, _ = pair_tables(cfg)
     if rho == 0.0:
         return 0.0
     tau1 = cfg.tau_d - cfg.tau_m1
     w = rho * v
-    mean_rate = float(np.mean(_LOG2E * _scaled_e1(1.0 / w, 1.0 / w)))
+    mean_rate = float(np.mean(LOG2E * scaled_e1(1.0 / w, 1.0 / w)))
     return tau1 * mean_rate / (expected_contention_time(cfg) + tau1)
 
 
-def no_wait_ris_throughput(cfg: NetworkConfig, tol: float = 1e-11) -> float:
+def no_wait_ris_throughput(cfg: NetworkConfig) -> float:
     """Long-run throughput when every winner probes and then transmits.
 
     The mean boosted rate is integrated over the fading law with the summed
     reflections at their Gaussian surrogate (Hermite rule inside, adaptive
     panels outside); exact up to the surrogate itself.
     """
-    rho, v, mu, sigma = _pair_tables(cfg)
+    rho, v, mu, sigma, _, _ = pair_tables(cfg)
     if rho == 0.0:
         return 0.0
     tau1 = cfg.tau_d - cfg.tau_m1
@@ -187,7 +200,7 @@ def no_wait_ris_throughput(cfg: NetworkConfig, tol: float = 1e-11) -> float:
     tg, wg = hermgauss(64)
 
     def integrand(rows, h):
-        shift = mu[rows][:, None] + _SQRT2 * sigma[rows][:, None] * tg[None, :]
+        shift = mu[rows][:, None] + SQRT2 * sigma[rows][:, None] * tg[None, :]
         rates = np.log2(1.0 + rho * np.square(h[:, None] + shift))
         vr = v[rows]
         pdf = (2.0 * h / vr) * np.exp(-h * h / vr)
@@ -202,7 +215,7 @@ def no_wait_ris_throughput(cfg: NetworkConfig, tol: float = 1e-11) -> float:
     rows = np.concatenate([np.arange(cfg.K)] * 3)
     los = np.concatenate(edges[:3])
     his = np.concatenate(edges[1:])
-    mean_rate = _adaptive_panels(integrand, rows, los, his, tol) / cfg.K
+    mean_rate = adaptive_panels(integrand, rows, los, his, QUAD_TOL) / cfg.K
     return tau2 * mean_rate / (expected_contention_time(cfg) + tau1)
 
 

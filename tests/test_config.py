@@ -12,7 +12,6 @@ from rismac import (
     default_config,
     default_config_path,
     emit_config,
-    mix_seed,
     parse_config,
     parse_config_text,
     replace_config,
@@ -129,11 +128,3 @@ def test_apply_overrides(cfg):
         apply_overrides(cfg, ["pt"])
     # scalar p override broadcasts
     assert apply_overrides(cfg, ["p=0.5"]).p == (0.5,) * 8
-
-
-def test_mix_seed_distinct_and_stable():
-    a = mix_seed(7, 1, 2)
-    assert a == mix_seed(7, 1, 2)
-    assert a != mix_seed(7, 2, 1)
-    assert a != mix_seed(8, 1, 2)
-    assert 0 <= a < 2 ** 63

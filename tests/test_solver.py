@@ -12,8 +12,6 @@ from rismac import (
     cascaded_moments,
     direct_mean_square,
     effective_probe_snr,
-    erf,
-    erfc,
     expected_contention_time,
     linear_budget,
     mean_probe_value,
@@ -24,13 +22,11 @@ from rismac import (
     rate_direct,
     replace_config,
     serialize_threshold_table,
-    solve_direct_threshold,
-    solve_giveup_threshold,
     solve_max_throughput,
     solve_max_throughput_bisect,
     throughput_residual,
 )
-from rismac.solver import _scaled_e1
+from rismac.numerics import scaled_e1 as _scaled_e1
 
 
 def small_config(cfg):
@@ -39,29 +35,8 @@ def small_config(cfg):
                           sources=cfg.sources[:2], dests=cfg.dests[:2])
 
 
-def erf_taylor(x: float) -> float:
-    """Independent Maclaurin evaluation, accurate near the origin."""
-    term = x
-    acc = 0.0
-    n = 0
-    while abs(term) > 1e-18:
-        acc += term / (2 * n + 1)
-        n += 1
-        term *= -x * x / n
-    return 2.0 / math.sqrt(math.pi) * acc
-
-
 def rayleigh_pdf(h, v):
     return (2.0 * h / v) * np.exp(-h * h / v)
-
-
-def test_erf_against_taylor_series():
-    for x in (0.1, 0.5, 1.0, 1.5):
-        assert erf(x) == pytest.approx(erf_taylor(x), abs=1e-14)
-    assert erf(1.0) == pytest.approx(0.8427007929497148, abs=1e-14)
-    assert erfc(0.5) == pytest.approx(1.0 - erf_taylor(0.5), abs=1e-14)
-    # complementary branch keeps precision where 1 - erf would cancel
-    assert 0.0 < erfc(10.0) < 1e-40
 
 
 def test_scaled_e1_matches_library_product():
@@ -251,15 +226,6 @@ def test_threshold_invariants(cfg, table):
         # crossing the thresholds flips the best action
         assert float(probe_value(lam, zeta * (1 - 1e-9), k, cfg)) < 0.0
         assert float(probe_value(lam, zeta * (1 + 1e-9), k, cfg)) > 0.0
-
-
-def test_threshold_solvers_reject_nonworthy_pair(cfg):
-    off = replace_config(cfg, M=0)
-    lam = solve_max_throughput_bisect(off)
-    with pytest.raises(SolverError):
-        solve_giveup_threshold(off, lam, 1)
-    with pytest.raises(SolverError):
-        solve_direct_threshold(off, lam, 1)
 
 
 def test_table_round_trip_bitwise(table):
