@@ -62,6 +62,9 @@ class NetworkConfig:
     fc: float = 2e9
 
     def __post_init__(self):
+        for f in fields(self):
+            if not all(math.isfinite(x) for x in _scalars(getattr(self, f.name))):
+                raise ConfigError(f"{f.name} must be finite")
         if self.K < 1:
             raise ConfigError("K must be >= 1")
         if self.M < 0:
@@ -95,6 +98,15 @@ class NetworkConfig:
     def tau_m2(self) -> float:
         """Overhead of a probe-then-stop round: tau_m1 + probing + feedback."""
         return self.tau_m1 + self.tau_p + self.tau_c
+
+
+def _scalars(value):
+    """The numbers in a field value: itself, or the leaves of nested tuples."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _scalars(item)
+    else:
+        yield value
 
 
 # key -> (kind, required). Kinds drive unit handling in _parse_value.
@@ -296,32 +308,12 @@ def apply_overrides(cfg: NetworkConfig, items: list[str]) -> NetworkConfig:
 
 
 def default_config() -> NetworkConfig:
-    """Reference setup: 8 pairs on a 150 m street, surface at (75, 100)."""
-    k = 8
-    return NetworkConfig(
-        K=k,
-        M=32,
-        pt=dbm_to_watt(30.0),
-        gt=db_to_linear(0.0),
-        gr=db_to_linear(0.0),
-        beta0=db_to_linear(-30.0),
-        n0=dbm_to_watt(-80.0),
-        alpha1=3.0,
-        alpha2=2.5,
-        p=(0.3,) * k,
-        delta=25e-6,
-        tau_r=50e-6,
-        tau_c=50e-6,
-        tau_p=500e-6,
-        tau_d=15e-3,
-        sources=tuple((0.0, 10.0 * i) for i in range(k)),
-        dests=tuple((150.0, 10.0 * i) for i in range(k)),
-        ris=(75.0, 100.0),
-        fc=2e9,
-    )
+    """Reference setup: 8 pairs on a 150 m street, surface at (75, 100),
+    parsed from the shipped default config file."""
+    return parse_config(default_config_path())
 
 
 def default_config_path():
-    """Path to the shipped default config file (same values as default_config)."""
+    """Path to the shipped default config file."""
     return resources.files("rismac").joinpath("data/default.cfg")
 

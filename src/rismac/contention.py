@@ -1,4 +1,5 @@
-"""Slotted contention: analytic slot statistics and slot-level simulation.
+"""Slotted contention: analytic slot statistics, the slot-level reference
+simulation and the vectorized sampler the simulator engine draws from.
 
 Every slot each pair sends an RTS independently with its probability p_k.
 Zero senders burn an idle slot (delta), two or more collide (tau_r), exactly
@@ -8,12 +9,11 @@ one wins and pays the RTS+feedback overhead tau_m1 = tau_r + tau_c.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .config import ConfigError, NetworkConfig
-
-_BATCH_CHUNK = 1 << 17  # rounds per slot wave of simulate_contention_batch
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,17 @@ def winner_weights(p) -> np.ndarray:
     return w / w.sum()
 
 
+@lru_cache(maxsize=32)
+def _slot_law(p: tuple[float, ...]):
+    """(p_s, idle share of failed slots, cumulative winner weights) for one
+    probability vector; success_probability is O(K^2) in Python."""
+    p_s = success_probability(p)
+    cum_weights = np.cumsum(winner_weights(p))
+    cum_weights.flags.writeable = False
+    idle_frac = idle_probability(p) / (1.0 - p_s) if p_s < 1.0 else 0.0
+    return p_s, idle_frac, cum_weights
+
+
 def expected_contention_time(cfg: NetworkConfig) -> float:
     """Mean time from the start of contention to a resolved winner.
 
@@ -96,30 +107,22 @@ def simulate_contention(rng: np.random.Generator, cfg: NetworkConfig) -> Content
 
 
 def simulate_contention_batch(rng: np.random.Generator, cfg: NetworkConfig, n: int):
-    """Vectorized slot-level contention for n independent rounds.
+    """Vectorized contention for n independent rounds: the engine's sampler.
 
     Returns (winners, elapsed, n_idle, n_collisions) arrays; winners are
-    1-based. Identical slot semantics to simulate_contention, evaluated in
-    waves over the still-unresolved rounds. A slot-level oracle for the
-    engine's geometric contention sampler, kept for tests.
+    1-based. Failed slots before the first single-sender slot are geometric
+    and split into idle and collision slots binomially; the winner is drawn
+    from the conditional winner CDF. Same law as simulate_contention, which
+    tests compare it against.
     """
-    p = np.asarray(cfg.p)
-    if success_probability(cfg.p) <= 0.0:
-        raise ConfigError("no slot can have exactly one sender (p_s = 0)")
-    winners = np.zeros(n, dtype=np.int64)
-    n_idle = np.zeros(n, dtype=np.int64)
-    n_coll = np.zeros(n, dtype=np.int64)
-    active = np.arange(n)
-    while active.size:
-        for start in range(0, active.size, _BATCH_CHUNK):
-            rows = active[start:start + _BATCH_CHUNK]
-            senders = rng.random((rows.size, cfg.K)) < p
-            counts = senders.sum(axis=1)
-            done = counts == 1
-            if done.any():
-                winners[rows[done]] = senders[done].argmax(axis=1) + 1
-            n_idle[rows] += counts == 0
-            n_coll[rows] += counts >= 2
-        active = active[winners[active] == 0]
+    p_s, idle_frac, cum_weights = _slot_law(tuple(cfg.p))
+    if p_s >= 1.0:
+        fails = np.zeros(n, dtype=np.int64)
+    else:
+        fails = rng.geometric(p_s, n).astype(np.int64) - 1
+    n_idle = rng.binomial(fails, idle_frac)
+    n_coll = fails - n_idle
+    winners = np.searchsorted(cum_weights, rng.random(n), side="right")
+    winners = np.minimum(winners, cfg.K - 1) + 1
     elapsed = cfg.tau_m1 + n_idle * cfg.delta + n_coll * cfg.tau_r
     return winners, elapsed, n_idle, n_coll

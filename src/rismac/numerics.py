@@ -51,7 +51,8 @@ def adaptive_panels(fvec, rows, lo, hi, tol):
 
     fvec(row_idx, h) evaluates the integrand vectorized; each panel is judged
     by comparing two Gauss-Legendre orders and halved until its share of the
-    absolute tolerance is met. Returns the integral total.
+    absolute tolerance is met. Returns the integral total. A NaN or infinite
+    integrand value raises SolverError at once; halving cannot fix it.
     """
     rows = np.asarray(rows, dtype=np.intp)
     lo = np.asarray(lo, dtype=float)
@@ -75,6 +76,8 @@ def adaptive_panels(fvec, rows, lo, hi, tol):
         h_nodes = mid[:, None] + half[:, None] * offsets[None, :]
         vals = fvec(np.repeat(rows, offsets.size),
                     h_nodes.ravel()).reshape(rows.size, offsets.size)
+        if not np.isfinite(vals).all():
+            raise SolverError("non-finite integrand value in quadrature panel")
         i1 = half * (vals[:, :n1] @ w1)
         i2 = half * (vals[:, n1:] @ w2)
         err = np.abs(i2 - i1)

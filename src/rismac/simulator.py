@@ -13,9 +13,13 @@ spans tau_d - tau_m1. Durations are composed from those counters at the end
 of the round so the identity holds to the last bit.
 
 Two implementations of the same process: a scalar reference that walks one
-round at a time through the per-decision functions, and a block engine that
-advances 4096 rounds per wave of vectorized draws. Each block owns a counter
-RNG stream derived from (seed, block index), so campaign results are
+round at a time through the per-decision functions, and a block engine built
+on the fact that, under a fixed policy, attempts are i.i.d. The engine draws
+a stream of attempts in vectorized chunks (contention, direct draw, level-1
+code, cascaded draw where it probes) and cuts it after each terminal attempt:
+a round is the run of attempts up to the first that transmits, and its
+counters are sums over that run. Each block of up to 4096 rounds owns a
+counter RNG stream derived from (seed, block index), so campaign results are
 bit-identical for any worker count.
 """
 
@@ -39,12 +43,7 @@ from .channel import (
     rate_ris,
 )
 from .config import NetworkConfig
-from .contention import (
-    idle_probability,
-    simulate_contention,
-    success_probability,
-    winner_weights,
-)
+from .contention import simulate_contention, simulate_contention_batch
 from .strategies import (
     Decision,
     Policy,
@@ -54,7 +53,7 @@ from .strategies import (
 )
 
 BLOCK_ROUNDS = 4096
-_MAX_WAVES = 100_000
+_MAX_ATTEMPTS = 100_000  # per round; a longer round raises SimulationError
 
 
 class SimulationError(RuntimeError):
@@ -90,7 +89,7 @@ def run_round(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy) -> R
     path: list[Decision] = []
     cont_total = 0.0
     probe_rels = 0
-    for attempt in range(1, _MAX_WAVES + 1):
+    for attempt in range(1, _MAX_ATTEMPTS + 1):
         outcome = simulate_contention(rng, cfg)
         cont_total += outcome.elapsed
         k = outcome.winner
@@ -115,7 +114,7 @@ def run_round(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy) -> R
         path.append(Decision.CONTINUE)
         probe_rels += 1
     else:
-        raise SimulationError(f"round did not terminate in {_MAX_WAVES} attempts")
+        raise SimulationError(f"round did not terminate in {_MAX_ATTEMPTS} attempts")
     probe_time = probe_rels * tau_pc
     total = cont_total + probe_time + tau1
     return RoundLedger(tuple(path), float(bits), total, cont_total, probe_time,
@@ -143,19 +142,12 @@ class _CompiledPolicy(NamedTuple):
     eta: np.ndarray
     worthy: np.ndarray
     h_cross: float
-    cum_weights: np.ndarray
-    p_success: float
-    idle_frac: float
 
 
 def _compile(cfg: NetworkConfig, policy: Policy) -> _CompiledPolicy:
     tab = pair_tables(cfg)
-    p_s = success_probability(cfg.p)
-    p_idle = idle_probability(cfg.p)
-    idle_frac = p_idle / (1.0 - p_s) if p_s < 1.0 else 0.0
     return _CompiledPolicy(policy.kind, policy.stop_rate, tab.v, tab.ms1, tab.ms2,
-                           *threshold_params(policy.table, cfg),
-                           np.cumsum(winner_weights(cfg.p)), p_s, idle_frac)
+                           *threshold_params(policy.table, cfg))
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -163,73 +155,81 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, pol: _CompiledPolicy,
+                   m: int):
+    """m i.i.d. attempts: contention, direct draw, level-1 code and, where it
+    probes, the cascaded draw. Returns per-attempt (contention time, bits,
+    terminal code: 0 none, 1 direct, 2 surface; probe released)."""
+    rho = linear_budget(cfg)
+    winners, elapsed, _, _ = simulate_contention_batch(rng, cfg, m)
+    winners -= 1
+    h = np.sqrt(pol.v[winners] * -np.log1p(-rng.random(m)))
+    # level-1 codes: 0 transmit direct, 1 probe, 2 release
+    if pol.mode is PolicyKind.NO_WAIT_DIRECT:
+        codes = np.zeros(m, dtype=np.uint8)
+    elif pol.mode is PolicyKind.PROPOSED:
+        codes = np.where(
+            pol.worthy[winners],
+            np.where(h >= pol.eta[winners], 0,
+                     np.where(h <= pol.zeta[winners], 2, 1)),
+            np.where(h >= pol.h_cross, 0, 2)).astype(np.uint8)
+    else:
+        codes = np.ones(m, dtype=np.uint8)
+    bits = np.zeros(m)
+    terminal = np.zeros(m, dtype=np.uint8)
+    released = np.zeros(m, dtype=bool)
+    direct = codes == 0
+    bits[direct] = (cfg.tau_d - cfg.tau_m1) * np.log2(1.0 + rho * np.square(h[direct]))
+    terminal[direct] = 1
+    rows = np.flatnonzero(codes == 1)
+    if rows.size:
+        ww = winners[rows]
+        leg1 = np.sqrt(pol.ms1[ww][:, None] * -np.log1p(-rng.random((rows.size, cfg.M))))
+        leg2 = np.sqrt(pol.ms2[ww][:, None] * -np.log1p(-rng.random((rows.size, cfg.M))))
+        rr = np.log2(1.0 + rho * np.square(h[rows] + (leg1 * leg2).sum(axis=1)))
+        stop = rr >= pol.stop_rate
+        bits[rows[stop]] = (cfg.tau_d - cfg.tau_m2) * rr[stop]
+        terminal[rows[stop]] = 2
+        released[rows[~stop]] = True
+    return elapsed, bits, terminal, released
+
+
 def _simulate_block(seed: int, block: int, n_rounds: int, cfg: NetworkConfig,
                     pol: _CompiledPolicy) -> RoundArrays:
+    """n_rounds rounds cut from one stream of i.i.d. attempts: a round is the
+    run of attempts up to and including its first terminal one.
+
+    Each chunk is summed per round as soon as it is drawn, so memory stays
+    O(n_rounds); the attempts of the round left open at a chunk's end are
+    held over to the front of the next chunk.
+    """
     rng = _block_rng(seed, block)
-    rho = linear_budget(cfg)
-    tau1 = cfg.tau_d - cfg.tau_m1
-    tau2 = cfg.tau_d - cfg.tau_m2
-    tau_pc = cfg.tau_p + cfg.tau_c
-    n = n_rounds
-    bits = np.zeros(n)
-    cont_time = np.zeros(n)
-    releases = np.zeros(n, dtype=np.int64)
-    attempts = np.zeros(n, dtype=np.int64)
-    terminal = np.zeros(n, dtype=np.uint8)
-    active = np.arange(n)
-    for _ in range(_MAX_WAVES):
-        if active.size == 0:
-            break
-        m = active.size
-        attempts[active] += 1
-        # contention: failed slots before success, split idle vs collision
-        if pol.p_success >= 1.0:
-            fails = np.zeros(m, dtype=np.int64)
-        else:
-            fails = rng.geometric(pol.p_success, m).astype(np.int64) - 1
-        n_idle = rng.binomial(fails, pol.idle_frac)
-        n_coll = fails - n_idle
-        cont_time[active] += (cfg.tau_m1 + n_idle * cfg.delta + n_coll * cfg.tau_r)
-        winners = np.searchsorted(pol.cum_weights, rng.random(m), side="right")
-        winners = np.minimum(winners, cfg.K - 1)
-        h = np.sqrt(pol.v[winners] * -np.log1p(-rng.random(m)))
-        # level-1 codes: 0 transmit direct, 1 probe, 2 release
-        if pol.mode is PolicyKind.NO_WAIT_DIRECT:
-            codes = np.zeros(m, dtype=np.uint8)
-        elif pol.mode is PolicyKind.PROPOSED:
-            codes = np.where(
-                pol.worthy[winners],
-                np.where(h >= pol.eta[winners], 0,
-                         np.where(h <= pol.zeta[winners], 2, 1)),
-                np.where(h >= pol.h_cross, 0, 2)).astype(np.uint8)
-        else:
-            codes = np.ones(m, dtype=np.uint8)
-        direct = codes == 0
-        rows = active[direct]
-        bits[rows] = tau1 * np.log2(1.0 + rho * np.square(h[direct]))
-        terminal[rows] = 1
-        assist = codes == 1
-        next_active = active[codes == 2]
-        if assist.any():
-            rows = active[assist]
-            ww = winners[assist]
-            na = rows.size
-            leg1 = np.sqrt(pol.ms1[ww][:, None] * -np.log1p(-rng.random((na, cfg.M))))
-            leg2 = np.sqrt(pol.ms2[ww][:, None] * -np.log1p(-rng.random((na, cfg.M))))
-            boosted = h[assist] + (leg1 * leg2).sum(axis=1)
-            rr = np.log2(1.0 + rho * np.square(boosted))
-            stop = rr >= pol.stop_rate
-            srows = rows[stop]
-            bits[srows] = tau2 * rr[stop]
-            terminal[srows] = 2
-            crows = rows[~stop]
-            releases[crows] += 1
-            next_active = np.concatenate([next_active, crows])
-            next_active.sort()
-        active = next_active
-    else:
-        raise SimulationError(f"block {block} did not terminate in {_MAX_WAVES} waves")
-    total = cont_time + releases * tau_pc + tau1
+    parts = []
+    held = ()
+    drawn = done = 0
+    size = n_rounds
+    while done < n_rounds:
+        chunk = _draw_attempts(rng, cfg, pol, size)
+        if held:
+            chunk = [np.concatenate(pair) for pair in zip(held, chunk)]
+        elapsed, bits, terminal, released = chunk
+        ends = np.flatnonzero(terminal)[:n_rounds - done]
+        cut = ends[-1] + 1 if ends.size else 0
+        held = [a[cut:] for a in chunk]
+        if held[0].size >= _MAX_ATTEMPTS:
+            raise SimulationError(
+                f"block {block}: a round did not terminate in {_MAX_ATTEMPTS} attempts")
+        if ends.size:
+            starts = np.concatenate(([0], ends[:-1] + 1))
+            parts.append((bits[ends], np.add.reduceat(elapsed[:cut], starts),
+                          np.add.reduceat(released[:cut], starts, dtype=np.int64),
+                          ends - starts + 1, terminal[ends]))
+        drawn += size
+        done += ends.size
+        # size the next chunk from the attempts per round seen so far
+        size = min(BLOCK_ROUNDS, -(-(n_rounds - done) * drawn // max(done, 1)))
+    bits, cont_time, releases, attempts, terminal = (np.concatenate(c) for c in zip(*parts))
+    total = cont_time + releases * (cfg.tau_p + cfg.tau_c) + (cfg.tau_d - cfg.tau_m1)
     return RoundArrays(bits, total, cont_time, releases, attempts, terminal)
 
 

@@ -147,6 +147,12 @@ def test_bad_override(capsys):
     assert "unknown config key" in err
 
 
+def test_non_finite_override_rejected(capsys):
+    code, _, err = run(capsys, "solve", "--set", "tau_d=nan")
+    assert code == 2
+    assert "finite" in err
+
+
 def test_unknown_policy_rejected_by_parser(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--policy", "magic", "--rounds", "10", "--seed", "1"])

@@ -118,6 +118,32 @@ def test_validation_rules(cfg):
         replace_config(cfg, nonsense=1)
 
 
+_BASE = default_config()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"tau_d": math.nan},
+    {"tau_d": math.inf},
+    {"pt": math.inf},
+    {"gt": math.inf},
+    {"beta0": math.nan},
+    {"n0": math.inf},
+    {"alpha1": math.nan},
+    {"alpha2": math.inf},
+    {"delta": math.nan},
+    {"fc": math.inf},
+    {"p": (math.nan,) * 8},
+    {"sources": ((math.nan, 0.0),) + _BASE.sources[1:]},
+    {"dests": _BASE.dests[:-1] + ((150.0, math.inf),)},
+    {"ris": (math.nan, 100.0)},
+], ids=lambda o: next(iter(o)))
+def test_validation_rejects_non_finite(overrides):
+    """NaN and inf pass every ordering check, so each float field and
+    coordinate is checked for finiteness first."""
+    with pytest.raises(ConfigError, match="finite"):
+        replace_config(_BASE, **overrides)
+
+
 def test_apply_overrides(cfg):
     out = apply_overrides(cfg, ["pt=26 dBm", "tau_d=5 ms"])
     assert math.isclose(out.pt, dbm_to_watt(26.0), rel_tol=1e-12)

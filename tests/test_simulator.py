@@ -5,7 +5,9 @@ import pytest
 
 from rismac import (
     Decision,
+    Policy,
     PolicyKind,
+    SimulationError,
     make_policy,
     replace_config,
     run_campaign,
@@ -75,16 +77,22 @@ def test_seed_changes_results(cfg, policies):
 
 
 def test_engine_and_scalar_paths_agree(cfg, policies):
-    """Same process, independent implementations: compare their estimates."""
-    for kind in (PolicyKind.PROPOSED, PolicyKind.NO_WAIT_RIS):
+    """Same process, independent implementations: compare their estimates
+    and how they cut rounds (attempts and probe releases per round)."""
+    tau_pc = cfg.tau_p + cfg.tau_c
+    for kind in (PolicyKind.PROPOSED, PolicyKind.NO_WAIT_RIS, PolicyKind.OPTIMAL_RIS_STOP):
         policy = policies[kind]
         rng = np.random.default_rng(404)
         n_s = 4000
         bits = np.empty(n_s)
         times = np.empty(n_s)
+        attempts = np.empty(n_s)
+        releases = np.empty(n_s)
         for i in range(n_s):
             led = run_round(rng, cfg, policy)
             bits[i], times[i] = led.bits, led.total_time
+            attempts[i] = led.n_attempts
+            releases[i] = round(led.probe_time_total / tau_pc)
         scalar_mean = bits.sum() / times.sum()
         arr = simulate_rounds(cfg, policy, 65_536, seed=404)
         engine_mean = arr.bits.sum() / arr.total_time.sum()
@@ -96,6 +104,10 @@ def test_engine_and_scalar_paths_agree(cfg, policies):
 
         se = math.hypot(ratio_se(bits, times), ratio_se(arr.bits, arr.total_time))
         assert abs(scalar_mean - engine_mean) < 5 * se
+        for scalar, engine in ((attempts, arr.attempts), (releases, arr.probe_releases)):
+            se = math.hypot(scalar.std(ddof=1) / math.sqrt(n_s),
+                            engine.std(ddof=1) / math.sqrt(engine.size))
+            assert abs(scalar.mean() - engine.mean()) <= 5 * se, kind
 
 
 def test_optimal_stop_attempt_law(cfg, policies):
@@ -142,3 +154,10 @@ def test_no_surface_round_trip(cfg):
     arr = simulate_rounds(off, policy, 4096, seed=13)
     assert np.all(arr.terminal == 1)
     assert np.all(arr.probe_releases == 0)
+
+
+def test_round_that_never_ends_raises(cfg):
+    """A policy that releases every attempt hits the attempts bound."""
+    never = Policy(PolicyKind.OPTIMAL_RIS_STOP, stop_rate=math.inf)
+    with pytest.raises(SimulationError, match="did not terminate"):
+        simulate_rounds(replace_config(cfg, M=0), never, 10, seed=1)

@@ -27,6 +27,7 @@ from rismac import (
     throughput_residual,
 )
 from rismac.numerics import scaled_e1 as _scaled_e1
+from rismac.numerics import adaptive_panels
 
 
 def small_config(cfg):
@@ -267,3 +268,11 @@ def test_build_table_accepts_given_root(cfg, table):
     again = build_threshold_table(cfg, lam_star=table.lambda_star)
     assert again.lambda_star == table.lambda_star
     assert again.zeta == table.zeta and again.eta == table.eta
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_integrand_fails_at_once(bad):
+    """Halving cannot repair a NaN or infinite integrand; the quadrature must
+    give up on the first one instead of refining until memory runs out."""
+    with pytest.raises(SolverError, match="non-finite"):
+        adaptive_panels(lambda rows, h: np.full_like(h, bad), [0], [0.0], [1.0], 1e-11)
