@@ -4,9 +4,9 @@ A numerical solver and Monte-Carlo simulator for a distributed MAC in which
 each contention winner decides, from its own channel observations, whether
 to transmit directly, probe a reconfigurable reflecting surface first, or
 hand the channel back. The solver computes the maximal long-run throughput
-lambda* as a fixed point and turns the optimal stopping rule into per-pair
-magnitude thresholds; the simulator replays the full protocol at slot
-fidelity to verify it.
+lambda* as the root of a balance equation and turns the optimal stopping
+rule into per-pair magnitude thresholds; the simulator replays the full
+protocol at slot fidelity to verify it.
 """
 
 from .channel import (
@@ -68,7 +68,7 @@ from .solver import (
     probe_worthy_pairs,
     serialize_threshold_table,
     solve_max_throughput,
-    solve_max_throughput_bisect,
+    solve_max_throughput_fixed_point,
     throughput_residual,
 )
 from .strategies import (
@@ -106,7 +106,7 @@ __all__ = [
     "attempt_value", "build_threshold_table", "effective_probe_snr",
     "parse_threshold_table", "probe_value", "probe_value_mc",
     "probe_worthy_pairs", "serialize_threshold_table", "solve_max_throughput",
-    "solve_max_throughput_bisect", "throughput_residual",
+    "solve_max_throughput_fixed_point", "throughput_residual",
     "Decision", "Policy", "PolicyKind", "analytic_throughput",
     "decide_level1_reference", "decide_level1_threshold", "decide_level2",
     "make_policy", "mean_probe_value", "no_wait_direct_throughput",

@@ -66,9 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve lambda* and the per-pair thresholds")
     _add_common(p)
     p.add_argument("--out", help="write the threshold table here (default: stdout)")
-    p.add_argument("--alpha", type=float, default=None, help="fixed-point step size")
-    p.add_argument("--eps", type=float, default=1e-3, help="step-band margin")
-    p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
 
     p = sub.add_parser("simulate", help="Monte-Carlo one policy")
     _add_common(p)
@@ -109,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_solve(args) -> int:
     cfg = _load_config(args.config, args.set)
-    table, text = cmd_solve(cfg, alpha=args.alpha, eps=args.eps, tol=args.tol)
+    table, text = cmd_solve(cfg)
     if args.out:
         Path(args.out).write_text(text)
         print(f"wrote threshold table to {args.out}")

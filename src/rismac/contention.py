@@ -1,5 +1,5 @@
 """Slotted contention: analytic slot statistics, the slot-level reference
-simulation and the vectorized sampler the simulator engine draws from.
+simulation and the vectorized steps the simulator engine draws from.
 
 Every slot each pair sends an RTS independently with its probability p_k.
 Zero senders burn an idle slot (delta), two or more collide (tau_r), exactly
@@ -89,8 +89,7 @@ def simulate_contention(rng: np.random.Generator, cfg: NetworkConfig) -> Content
     """Slot-by-slot contention until exactly one pair sends (the scalar
     reference, kept for tests and run_round)."""
     p = np.asarray(cfg.p)
-    if success_probability(cfg.p) <= 0.0:
-        raise ConfigError("no slot can have exactly one sender (p_s = 0)")
+    _slot_law(tuple(cfg.p))  # raises ConfigError when p_s = 0
     n_idle = 0
     n_coll = 0
     while True:
@@ -98,31 +97,40 @@ def simulate_contention(rng: np.random.Generator, cfg: NetworkConfig) -> Content
         c = int(senders.sum())
         if c == 1:
             winner = int(np.flatnonzero(senders)[0]) + 1
-            elapsed = cfg.tau_m1 + n_idle * cfg.delta + n_coll * cfg.tau_r
-            return ContentionOutcome(winner, elapsed, n_idle, n_coll)
+            return ContentionOutcome(winner, contention_time(cfg, 1, n_idle, n_coll),
+                                     n_idle, n_coll)
         if c == 0:
             n_idle += 1
         else:
             n_coll += 1
 
 
-def simulate_contention_batch(rng: np.random.Generator, cfg: NetworkConfig, n: int):
-    """Vectorized contention for n independent rounds: the engine's sampler.
-
-    Returns (winners, elapsed, n_idle, n_collisions) arrays; winners are
-    1-based. Failed slots before the first single-sender slot are geometric
-    and split into idle and collision slots binomially; the winner is drawn
-    from the conditional winner CDF. Same law as simulate_contention, which
-    tests compare it against.
-    """
-    p_s, idle_frac, cum_weights = _slot_law(tuple(cfg.p))
-    if p_s >= 1.0:
-        fails = np.zeros(n, dtype=np.int64)
-    else:
-        fails = rng.geometric(p_s, n).astype(np.int64) - 1
-    n_idle = rng.binomial(fails, idle_frac)
-    n_coll = fails - n_idle
+def draw_contention(rng: np.random.Generator, cfg: NetworkConfig, n: int):
+    """n independent contentions: 1-based winners, drawn from the conditional
+    winner CDF, and the geometric count of failed slots before each win,
+    which is independent of the winner."""
+    p_s, _, cum_weights = _slot_law(tuple(cfg.p))
+    fails = rng.geometric(p_s, n) - 1
     winners = np.searchsorted(cum_weights, rng.random(n), side="right")
-    winners = np.minimum(winners, cfg.K - 1) + 1
-    elapsed = cfg.tau_m1 + n_idle * cfg.delta + n_coll * cfg.tau_r
-    return winners, elapsed, n_idle, n_coll
+    return np.minimum(winners, cfg.K - 1) + 1, fails
+
+
+def split_failed_slots(rng: np.random.Generator, cfg: NetworkConfig, fails):
+    """(n_idle, n_collisions): each failed slot is idle with the same chance,
+    independently, so a count summed over contentions splits in one draw."""
+    n_idle = rng.binomial(fails, _slot_law(tuple(cfg.p))[1])
+    return n_idle, fails - n_idle
+
+
+def contention_time(cfg: NetworkConfig, wins, n_idle, n_collisions):
+    """Time of `wins` resolved contentions with these failed-slot counts."""
+    return wins * cfg.tau_m1 + n_idle * cfg.delta + n_collisions * cfg.tau_r
+
+
+def simulate_contention_batch(rng: np.random.Generator, cfg: NetworkConfig, n: int):
+    """n independent contentions from the engine's steps: (winners, elapsed,
+    n_idle, n_collisions) arrays, winners 1-based. Same law as
+    simulate_contention, which tests compare it against."""
+    winners, fails = draw_contention(rng, cfg, n)
+    n_idle, n_coll = split_failed_slots(rng, cfg, fails)
+    return winners, contention_time(cfg, 1, n_idle, n_coll), n_idle, n_coll

@@ -1,7 +1,7 @@
 """Numerical building blocks shared by the solver and the baseline analytics.
 
 Adaptive Gauss-Legendre panels, vector bisection, the bracket-and-bisect
-root of a balance residual, and an overflow-safe exp(a) * E1(x).
+root of a balance value(lam) = lam * tau_o, and an overflow-safe exp(a) * E1(x).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ LOG2E = 1.0 / LN2
 SQRT2 = math.sqrt(2.0)
 
 QUAD_TOL = 1e-11     # absolute tolerance of every value integral
-ROOT_XTOL = 1e-11    # bracket width at which root bisection stops
+ROOT_XTOL = 1e-11    # root bisection width, relative to the root's bound
 _ORDERS = (16, 32)   # Gauss-Legendre orders compared on each panel
 _MAX_ROUNDS = 40     # panel-halving rounds before the quadrature gives up
 
@@ -107,15 +107,21 @@ def vec_bisect(f, lo, hi, iters: int):
     return 0.5 * (lo + hi)
 
 
-def bracket_root(residual, what: str) -> float:
-    """Root of a residual that is positive below it and negative above.
-
-    Returns 0 when the residual is not positive at 0. Otherwise the bracket
-    doubles from [0, 1] until the residual turns negative, then bisects to
-    ROOT_XTOL. `what` names the balance in the error for a missing bracket.
+def bracket_root(value, tau_o: float, what: str) -> float:
+    """Root of value(lam) = lam * tau_o for a decreasing value; 0 when value(0)
+    is not positive. Bisects x = lam / s to ROOT_XTOL after doubling a bracket
+    from [0, 1]; `what` names the balance in the error for a missing bracket.
     """
-    if residual(0.0) <= 0.0:
+    v0 = value(0.0)
+    if v0 <= 0.0:
         return 0.0
+    # the root is at most value(0) / tau_o, so bisecting lam / s with this s
+    # makes ROOT_XTOL relative below it; s == 1 leaves the arithmetic as is
+    s = min(1.0, v0 / tau_o)
+
+    def residual(x):
+        return value(s * x) - s * x * tau_o
+
     lo, hi = 0.0, 1.0
     for _ in range(80):
         if residual(hi) < 0.0:
@@ -129,4 +135,4 @@ def bracket_root(residual, what: str) -> float:
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+    return s * (0.5 * (lo + hi))

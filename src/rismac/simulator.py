@@ -15,12 +15,13 @@ of the round so the identity holds to the last bit.
 Two implementations of the same process: a scalar reference that walks one
 round at a time through the per-decision functions, and a block engine built
 on the fact that, under a fixed policy, attempts are i.i.d. The engine draws
-a stream of attempts in vectorized chunks (contention, direct draw, level-1
-code, cascaded draw where it probes) and cuts it after each terminal attempt:
-a round is the run of attempts up to the first that transmits, and its
-counters are sums over that run. Each block of up to 4096 rounds owns a
-counter RNG stream derived from (seed, block index), so campaign results are
-bit-identical for any worker count.
+a stream of attempts in vectorized chunks (contention winner and failed
+slots, direct draw, level-1 code, cascaded draw where it probes) and cuts it
+after each terminal attempt: a round is the run of attempts up to the first
+that transmits, and its counters are sums over that run, its failed slots
+split into idle and collision slots once. Each block of up to 4096 rounds
+owns a counter RNG stream derived from (seed, block index), so campaign
+results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from .channel import (
     rate_ris,
 )
 from .config import NetworkConfig
-from .contention import simulate_contention, simulate_contention_batch
+from .contention import (contention_time, draw_contention, simulate_contention,
+                         split_failed_slots)
 from .strategies import (
     Decision,
     Policy,
@@ -158,10 +160,10 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, pol: _CompiledPolicy,
                    m: int):
     """m i.i.d. attempts: contention, direct draw, level-1 code and, where it
-    probes, the cascaded draw. Returns per-attempt (contention time, bits,
+    probes, the cascaded draw. Returns per-attempt (failed slots, bits,
     terminal code: 0 none, 1 direct, 2 surface; probe released)."""
     rho = linear_budget(cfg)
-    winners, elapsed, _, _ = simulate_contention_batch(rng, cfg, m)
+    winners, fails = draw_contention(rng, cfg, m)
     winners -= 1
     h = np.sqrt(pol.v[winners] * -np.log1p(-rng.random(m)))
     # level-1 codes: 0 transmit direct, 1 probe, 2 release
@@ -191,7 +193,7 @@ def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, pol: _CompiledP
         bits[rows[stop]] = (cfg.tau_d - cfg.tau_m2) * rr[stop]
         terminal[rows[stop]] = 2
         released[rows[~stop]] = True
-    return elapsed, bits, terminal, released
+    return fails, bits, terminal, released
 
 
 def _simulate_block(seed: int, block: int, n_rounds: int, cfg: NetworkConfig,
@@ -201,7 +203,8 @@ def _simulate_block(seed: int, block: int, n_rounds: int, cfg: NetworkConfig,
 
     Each chunk is summed per round as soon as it is drawn, so memory stays
     O(n_rounds); the attempts of the round left open at a chunk's end are
-    held over to the front of the next chunk.
+    held over to the front of the next chunk. Failed slots are split into
+    idle and collision slots per round, once, at the end.
     """
     rng = _block_rng(seed, block)
     parts = []
@@ -212,7 +215,7 @@ def _simulate_block(seed: int, block: int, n_rounds: int, cfg: NetworkConfig,
         chunk = _draw_attempts(rng, cfg, pol, size)
         if held:
             chunk = [np.concatenate(pair) for pair in zip(held, chunk)]
-        elapsed, bits, terminal, released = chunk
+        fails, bits, terminal, released = chunk
         ends = np.flatnonzero(terminal)[:n_rounds - done]
         cut = ends[-1] + 1 if ends.size else 0
         held = [a[cut:] for a in chunk]
@@ -221,14 +224,15 @@ def _simulate_block(seed: int, block: int, n_rounds: int, cfg: NetworkConfig,
                 f"block {block}: a round did not terminate in {_MAX_ATTEMPTS} attempts")
         if ends.size:
             starts = np.concatenate(([0], ends[:-1] + 1))
-            parts.append((bits[ends], np.add.reduceat(elapsed[:cut], starts),
+            parts.append((bits[ends], np.add.reduceat(fails[:cut], starts),
                           np.add.reduceat(released[:cut], starts, dtype=np.int64),
                           ends - starts + 1, terminal[ends]))
         drawn += size
         done += ends.size
         # size the next chunk from the attempts per round seen so far
         size = min(BLOCK_ROUNDS, -(-(n_rounds - done) * drawn // max(done, 1)))
-    bits, cont_time, releases, attempts, terminal = (np.concatenate(c) for c in zip(*parts))
+    bits, fails, releases, attempts, terminal = (np.concatenate(c) for c in zip(*parts))
+    cont_time = contention_time(cfg, attempts, *split_failed_slots(rng, cfg, fails))
     total = cont_time + releases * (cfg.tau_p + cfg.tau_c) + (cfg.tau_d - cfg.tau_m1)
     return RoundArrays(bits, total, cont_time, releases, attempts, terminal)
 

@@ -44,6 +44,7 @@ from .numerics import (
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _MC_CHUNK = 1 << 16  # cascaded draws per Monte-Carlo batch
+_FP_MAX_ITER = 500_000  # steps before the fixed-point reference gives up
 
 
 class MCEstimate(NamedTuple):
@@ -162,27 +163,28 @@ def _thresholds(lam: float, cfg: NetworkConfig, act: np.ndarray, steps: int):
     tau1 = cfg.tau_d - cfg.tau_m1
     tau2 = cfg.tau_d - cfg.tau_m2
     h_cross = direct_cross(lam, rho)
-    mu_a, sig_a = mu[act], sigma[act]
+    n = act.size
+    # both roots in one vector bisection, zeta's rows first, then eta's: one
+    # probe-value evaluation per step serves both
+    mu2, sig2 = np.tile(mu[act], 2), np.tile(sigma[act], 2)
+    upper = np.arange(2 * n) >= n
 
-    def lbar(h):
-        return _probe_value_raw(lam, h, mu_a, sig_a, rho, tau1, tau2)
+    def gap(h):
+        lb = _probe_value_raw(lam, h, mu2, sig2, rho, tau1, tau2)
+        return np.where(upper, tau1 * (np.log2(1.0 + rho * h * h) - lam) - lb, lb)
 
-    def overtake(h):
-        return tau1 * (np.log2(1.0 + rho * h * h) - lam) - lbar(h)
-
-    at0 = np.atleast_1d(lbar(np.zeros(act.size)))
-    zeta = np.where(at0 >= 0.0, 0.0,
-                    vec_bisect(lbar, np.zeros(act.size),
-                               np.full(act.size, h_cross), steps))
-    hi = np.maximum(2.0 * h_cross, h_cross + 8.0 * (mu_a + 6.0 * sig_a))
+    lo = np.concatenate([np.zeros(n), np.full(n, h_cross)])
+    hi = np.concatenate([np.full(n, h_cross),
+                         np.maximum(2.0 * h_cross, h_cross + 8.0 * (mu[act] + 6.0 * sigma[act]))])
     for _ in range(60):
-        pending = np.atleast_1d(overtake(hi)) <= 0.0
+        pending = upper & (gap(hi) <= 0.0)
         if not pending.any():
             break
         hi = np.where(pending, 2.0 * hi, hi)
     else:
         raise SolverError("direct value never overtakes the probe value")
-    return zeta, vec_bisect(overtake, np.full(act.size, h_cross), hi, steps)
+    roots = vec_bisect(gap, lo, hi, steps)
+    return np.where(gap(lo)[:n] >= 0.0, 0.0, roots[:n]), roots[n:]
 
 
 def attempt_value(lam: float, cfg: NetworkConfig) -> float:
@@ -228,14 +230,14 @@ def attempt_value(lam: float, cfg: NetworkConfig) -> float:
 
 
 def throughput_residual(lam: float, cfg: NetworkConfig, tau_o: float | None = None) -> float:
-    """attempt_value(lam) - lam*tau_o: positive below the fixed point."""
+    """attempt_value(lam) - lam*tau_o: positive below lam*, negative above."""
     if tau_o is None:
         tau_o = expected_contention_time(cfg)
     return attempt_value(lam, cfg) - lam * tau_o
 
 
 def admissible_step_band(cfg: NetworkConfig, eps: float) -> tuple[float, float]:
-    """Step sizes for which the fixed-point iteration provably contracts."""
+    """Step sizes for which the fixed-point reference provably contracts."""
     if eps <= 0.0:
         raise SolverError("eps must be positive")
     tau_o = expected_contention_time(cfg)
@@ -245,15 +247,19 @@ def admissible_step_band(cfg: NetworkConfig, eps: float) -> tuple[float, float]:
     return eps, hi
 
 
-def solve_max_throughput(cfg: NetworkConfig, alpha: float | None = None,
-                         eps: float = 1e-3, tol: float = 1e-9,
-                         lam0: float = 0.0, max_iter: int = 500_000) -> float:
-    """Maximal long-run throughput lam*: root of attempt_value(lam) = lam*tau_o.
+def solve_max_throughput(cfg: NetworkConfig) -> float:
+    """Maximal long-run throughput lam*: root of attempt_value(lam) = lam*tau_o,
+    bisected to a precision relative to lam*."""
+    return bracket_root(lambda lam: attempt_value(lam, cfg), expected_contention_time(cfg),
+                        "throughput balance (tau_o may be degenerate)")
 
-    Damped fixed-point iteration lam <- lam + alpha*(attempt_value - lam*tau_o);
-    any step inside admissible_step_band(cfg, eps) contracts monotonically in
-    distance to the root. Default alpha sits mid-band at 1/(tau_o+tau_d-tau_m1).
-    """
+
+def solve_max_throughput_fixed_point(cfg: NetworkConfig, alpha: float | None = None,
+                                     eps: float = 1e-3, tol: float = 1e-9,
+                                     lam0: float = 0.0) -> float:
+    """The paper's damped iteration lam <- lam + alpha*(attempt_value - lam*tau_o)
+    to |residual| < tol, kept as a reference for tests. Steps inside
+    admissible_step_band(cfg, eps) contract; alpha defaults to mid-band."""
     tau_o = expected_contention_time(cfg)
     band = admissible_step_band(cfg, eps)
     if alpha is None:
@@ -262,21 +268,13 @@ def solve_max_throughput(cfg: NetworkConfig, alpha: float | None = None,
         raise SolverError(f"step {alpha:g} outside admissible band [{band[0]:g}, {band[1]:g}]")
     lam = float(lam0)
     g = math.inf
-    for _ in range(max_iter):
+    for _ in range(_FP_MAX_ITER):
         g = attempt_value(lam, cfg) - lam * tau_o
         if abs(g) < tol:
             return lam
         lam = max(lam + alpha * g, 0.0)
     raise SolverError(
-        f"fixed point stalled after {max_iter} iterations (residual {g:.3e}, tol {tol:g})")
-
-
-def solve_max_throughput_bisect(cfg: NetworkConfig) -> float:
-    """Independent bisection root of the same residual: an oracle for the
-    fixed point, kept for tests and `validate`."""
-    tau_o = expected_contention_time(cfg)
-    return bracket_root(lambda lam: attempt_value(lam, cfg) - lam * tau_o,
-                        "throughput balance (tau_o may be degenerate)")
+        f"fixed point stalled after {_FP_MAX_ITER} iterations (residual {g:.3e}, tol {tol:g})")
 
 
 def probe_worthy_pairs(cfg: NetworkConfig, lam_star: float) -> frozenset[int]:
@@ -297,11 +295,10 @@ class ThresholdTable:
     config_hash: str | None = None
 
 
-def build_threshold_table(cfg: NetworkConfig, lam_star: float | None = None,
-                          **solve_kwargs) -> ThresholdTable:
-    """Solve the fixed point (unless given) and all per-pair thresholds."""
+def build_threshold_table(cfg: NetworkConfig, lam_star: float | None = None) -> ThresholdTable:
+    """Solve lam* (unless given) and all per-pair thresholds."""
     if lam_star is None:
-        lam_star = solve_max_throughput(cfg, **solve_kwargs)
+        lam_star = solve_max_throughput(cfg)
     kstar = probe_worthy_pairs(cfg, lam_star)
     zeta: dict[int, float] = {}
     eta: dict[int, float] = {}

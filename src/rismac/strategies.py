@@ -165,9 +165,8 @@ def solve_lambda_b(cfg: NetworkConfig) -> float:
     unclamped because this discipline never transmits directly and never
     releases before probing.
     """
-    tau_o = expected_contention_time(cfg)
-    return bracket_root(lambda lam: mean_probe_value(lam, cfg) - lam * tau_o,
-                        "always-probe balance")
+    return bracket_root(lambda lam: mean_probe_value(lam, cfg),
+                        expected_contention_time(cfg), "always-probe balance")
 
 
 def no_wait_direct_throughput(cfg: NetworkConfig) -> float:

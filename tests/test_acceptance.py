@@ -32,7 +32,7 @@ from rismac import (
     simulate_contention_batch,
     simulate_rounds,
     solve_max_throughput,
-    solve_max_throughput_bisect,
+    solve_max_throughput_fixed_point,
     threshold_params,
     throughput_residual,
     PolicyKind,
@@ -58,15 +58,15 @@ def test_criterion_1_solver_convergence(cfg):
     lo, hi = admissible_step_band(cfg, eps)
     for alpha in (lo, hi):
         t0 = time.perf_counter()
-        lam = solve_max_throughput(cfg, alpha=alpha, eps=eps, tol=1e-6)
+        lam = solve_max_throughput_fixed_point(cfg, alpha=alpha, eps=eps, tol=1e-6)
         dt = time.perf_counter() - t0
         res = throughput_residual(lam, cfg)
         if not abs(res) < 1e-6:
             failures.append(f"alpha={alpha:.3g}: residual {res:.2e} >= 1e-6")
         if not dt < 10.0:
             failures.append(f"alpha={alpha:.3g}: took {dt:.1f} s >= 10 s")
-    lam_bis = solve_max_throughput_bisect(cfg)
-    lam_fp = solve_max_throughput(cfg, tol=1e-9)
+    lam_bis = solve_max_throughput(cfg)
+    lam_fp = solve_max_throughput_fixed_point(cfg, tol=1e-9)
     gap = abs(lam_fp - lam_bis)
     if not gap < 1e-6:
         failures.append(f"fixed point vs bisection gap {gap:.2e} >= 1e-6")
@@ -292,7 +292,7 @@ def test_criterion_8_property_battery(cfg, table):
         if not -tau1 - 1e-6 <= slope <= -tau_pc + 1e-6:
             failures.append(f"probe value slope {slope:.3e} outside band at lam={l0:.2f}")
 
-    lam26 = solve_max_throughput_bisect(replace_config(cfg, pt=dbm_to_watt(26.0)))
+    lam26 = solve_max_throughput(replace_config(cfg, pt=dbm_to_watt(26.0)))
     if not lam26 < lam:
         failures.append("lambda* not increasing in transmit power")
 

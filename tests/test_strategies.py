@@ -24,7 +24,7 @@ from rismac import (
     rate_direct,
     replace_config,
     solve_lambda_b,
-    solve_max_throughput_bisect,
+    solve_max_throughput,
     threshold_params,
 )
 
@@ -188,6 +188,6 @@ def test_analytic_throughput_dispatch(cfg, table):
     assert analytic_throughput(PolicyKind.OPTIMAL_RIS_STOP, cfg) == pytest.approx(
         solve_lambda_b(cfg), abs=1e-9)
     # ordering of the model predictions
-    lam_star = solve_max_throughput_bisect(cfg)
+    lam_star = solve_max_throughput(cfg)
     assert (no_wait_direct_throughput(cfg) < no_wait_ris_throughput(cfg)
             < lam_star)
