@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ConfigError, NetworkConfig
-from .numerics import LN2
+from .numerics import snr_floor
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def pair_tables(cfg: NetworkConfig) -> PairTables:
 
 def direct_cross(lam: float, rho_bar: float) -> float:
     """Direct magnitude whose rate equals lam (inverse of rate_direct)."""
-    return math.sqrt(math.expm1(lam * LN2) / rho_bar)
+    return math.sqrt(snr_floor(lam) / rho_bar)
 
 
 def rate_direct(rho_bar: float, h_mag):

@@ -39,6 +39,7 @@ from .numerics import (
     adaptive_panels,
     bracket_root,
     scaled_e1,
+    snr_floor,
     vec_bisect,
 )
 
@@ -128,7 +129,7 @@ def probe_value_mc(lam, h_s, k: int, cfg: NetworkConfig, n_samples: int,
 
 def _direct_value_term(lam: float, w, tau1: float):
     """tau1 * E[(log2(1+W) - lam)^+] for W ~ Exp(mean w), exact via E1."""
-    c = math.expm1(lam * LN2)
+    c = snr_floor(lam)
     w = np.asarray(w, dtype=float)
     out = np.zeros_like(w)
     pos = w > 0.0
@@ -249,9 +250,10 @@ def admissible_step_band(cfg: NetworkConfig, eps: float) -> tuple[float, float]:
 
 def solve_max_throughput(cfg: NetworkConfig) -> float:
     """Maximal long-run throughput lam*: root of attempt_value(lam) = lam*tau_o,
-    bisected to a precision relative to lam*."""
+    to a precision relative to lam*. No branch of the value falls faster than
+    the direct stop's tau_d - tau_m1 per unit lam."""
     return bracket_root(lambda lam: attempt_value(lam, cfg), expected_contention_time(cfg),
-                        "throughput balance (tau_o may be degenerate)")
+                        cfg.tau_d - cfg.tau_m1, "throughput balance (tau_o may be degenerate)")
 
 
 def solve_max_throughput_fixed_point(cfg: NetworkConfig, alpha: float | None = None,

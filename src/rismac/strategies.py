@@ -163,10 +163,10 @@ def solve_lambda_b(cfg: NetworkConfig) -> float:
 
     Root of mean_probe_value(lam) = lam * tau_o; the probe value is left
     unclamped because this discipline never transmits directly and never
-    releases before probing.
+    releases before probing. It falls by at most tau_d - tau_m1 per unit lam.
     """
-    return bracket_root(lambda lam: mean_probe_value(lam, cfg),
-                        expected_contention_time(cfg), "always-probe balance")
+    return bracket_root(lambda lam: mean_probe_value(lam, cfg), expected_contention_time(cfg),
+                        cfg.tau_d - cfg.tau_m1, "always-probe balance")
 
 
 def no_wait_direct_throughput(cfg: NetworkConfig) -> float:

@@ -25,12 +25,15 @@ from rismac import (
     rate_direct,
     replace_config,
     serialize_threshold_table,
+    solve_lambda_b,
     solve_max_throughput,
     solve_max_throughput_fixed_point,
     throughput_residual,
 )
+from rismac import solver, strategies
+from rismac.channel import direct_cross
 from rismac.numerics import scaled_e1 as _scaled_e1
-from rismac.numerics import adaptive_panels
+from rismac.numerics import ROOT_XTOL, adaptive_panels, zeroin
 
 
 def small_config(cfg):
@@ -297,3 +300,119 @@ def test_non_finite_integrand_fails_at_once(bad):
     give up on the first one instead of refining until memory runs out."""
     with pytest.raises(SolverError, match="non-finite"):
         adaptive_panels(lambda rows, h: np.full_like(h, bad), [0], [0.0], [1.0], 1e-11)
+
+
+def test_zeroin_finds_sign_change_of_smooth_kinked_and_step():
+    """Brent-Dekker returns a point within ROOT_XTOL of the sign change, and
+    on a smooth function it takes far fewer calls than bisection's 37."""
+    root = 0.7390851332151607  # cos(x) = x
+    step_at = 0.3141592653589793
+    cases = [
+        (lambda x: math.cos(x) - x, root, 12),
+        # decreasing max of affines, kinked at 13/30 and crossing zero at 0.7
+        (lambda x: max(1.0 - 2.0 * x, 0.35 - 0.5 * x), 0.7, 20),
+        (lambda x: 1.0 if x < step_at else -1.0, step_at, 80),
+    ]
+    for f, at, max_calls in cases:
+        calls = []
+
+        def counted(x, f=f):
+            calls.append(x)
+            return f(x)
+
+        x = zeroin(counted, 0.0, 1.0, f(0.0), f(1.0), ROOT_XTOL)
+        assert abs(x - at) <= ROOT_XTOL
+        assert len(calls) <= max_calls
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(lam, cfg):
+        calls.append(lam)
+        return inner(lam, cfg)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("tau_d", ["5 ms", "250 ms", "10 s"])
+@pytest.mark.parametrize("pt", [-60, -40, 0, 30, 80])
+def test_root_lower_bound_and_call_budget(cfg, monkeypatch, pt, tau_d):
+    """Each balance value falls by at most tau_d - tau_m1 per unit lam, so its
+    residual is not negative at value(0) / (tau_o + tau_d - tau_m1); from that
+    bracket Brent-Dekker needs at most 20 calls for lambda* and for lambda_b."""
+    c = apply_overrides(cfg, [f"pt={pt} dBm", f"tau_d={tau_d}"])
+    tau_o = expected_contention_time(c)
+    tau1 = c.tau_d - c.tau_m1
+    for value in (attempt_value, mean_probe_value):
+        lo = value(0.0, c) / (tau_o + tau1)
+        assert value(lo, c) - lo * tau_o >= 0.0
+    av_calls = _count_calls(monkeypatch, solver, "attempt_value")
+    assert solve_max_throughput(c) > 0.0
+    assert len(av_calls) <= 20
+    mpv_calls = _count_calls(monkeypatch, strategies, "mean_probe_value")
+    assert solve_lambda_b(c) > 0.0
+    assert len(mpv_calls) <= 20
+
+
+def nested_attempt_value(lam, cfg):
+    """attempt_value's model by nested scipy quad: the outer integral over the
+    exponential law of h^2 / v, the inner one over the Gaussian surrogate X for
+    E[max(rho (h+X)^2, 2^lam - 1)], as the exact second moment plus the
+    floor's excess where |h + X| < sqrt((2^lam - 1) / rho)."""
+    rho = linear_budget(cfg)
+    tau1 = cfg.tau_d - cfg.tau_m1
+    tau2 = cfg.tau_d - cfg.tau_m2
+    c = 2.0 ** lam - 1.0
+    b = math.sqrt(c / rho)
+    total = 0.0
+    for k in range(1, cfg.K + 1):
+        v = direct_mean_square(cfg, k)
+        mom = cascaded_moments(cfg, k)
+        mu, sd = mom.mu, mom.sigma
+
+        def floored_snr(h, mu=mu, sd=sd):
+            excess, _ = integrate.quad(
+                lambda x: (c - rho * (h + x) ** 2) * math.exp(-0.5 * ((x - mu) / sd) ** 2),
+                -b - h, b - h, epsabs=0.0, epsrel=1e-10)
+            return rho * ((h + mu) ** 2 + sd * sd) + excess / (sd * math.sqrt(2.0 * math.pi))
+
+        def best(u, v=v, floored_snr=floored_snr):
+            h = math.sqrt(v * u)
+            stop = tau1 * (math.log2(1.0 + rho * h * h) - lam)
+            probe = tau2 * math.log2(1.0 + floored_snr(h)) - lam * tau1
+            return max(stop, probe, 0.0) * math.exp(-u)
+
+        val, _ = integrate.quad(best, 0.0, 80.0, points=[c / (rho * v)],
+                                epsabs=0.0, epsrel=1e-9, limit=200)
+        total += val
+    return total / cfg.K
+
+
+def test_root_at_tiny_values_matches_nested_quadrature(cfg):
+    """At -60 dBm the value integrals are about 1e-10, ten times an absolute
+    1e-11 quadrature tolerance; the tolerance is relative there, so lambda*
+    is within 1e-6 of the nested-quadrature root."""
+    c = apply_overrides(cfg, ["pt=-60 dBm", "tau_d=250 ms"])
+    tau_o = expected_contention_time(c)
+    lam = solve_max_throughput(c)
+    below, above = lam * (1.0 - 1e-6), lam * (1.0 + 1e-6)
+    assert nested_attempt_value(below, c) - below * tau_o >= 0.0
+    assert nested_attempt_value(above, c) - above * tau_o <= 0.0
+
+
+def test_quadrature_panel_cap():
+    """A finite integrand that never converges stops at the panel cap instead
+    of doubling its panels for every remaining round."""
+    rng = np.random.default_rng(3)
+    with pytest.raises(SolverError, match="stalled"):
+        adaptive_panels(lambda rows, h: rng.random(h.shape), [0], [0.0], [1.0], 1e-11)
+
+
+def test_rate_past_float_range_is_a_solver_error(cfg):
+    with pytest.raises(SolverError, match="float range"):
+        attempt_value(2000.0, cfg)
+    with pytest.raises(SolverError, match="float range"):
+        direct_cross(2000.0, linear_budget(cfg))
