@@ -191,7 +191,7 @@ def bracket_root(value, tau_o: float, slope: float, what: str) -> float:
     # s makes ROOT_XTOL relative below it
     s = min(1.0, v0 / tau_o)
     # value(lam) >= value(0) - slope * lam, so the residual is not negative
-    # up to lo = value(0) / (tau_o + slope): the root is at least lo
+    # up to lam = value(0) / (tau_o + slope): the root is at least that
     lo = v0 / (tau_o + slope) / s
 
     def residual(x):
