@@ -10,7 +10,6 @@ never materialized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -20,93 +19,17 @@ from .config import ConfigError, NetworkConfig
 from .numerics import snr_floor
 
 
-@dataclass(frozen=True)
-class PairGeometry:
-    """Distances (m) for one pair: direct, source->RIS, RIS->destination."""
-
-    d: float
-    d1: float
-    d2: float
-
-
-@dataclass(frozen=True)
-class CascadedMoments:
-    """Gaussian surrogate for the summed per-element cascaded magnitudes."""
-
-    mu: float
-    sigma: float
-
-
-@dataclass(frozen=True)
-class ChannelObservation:
-    """What the destination has seen: direct magnitude, then optionally the
-    per-element cascaded magnitudes once the RIS has been probed."""
-
-    pair_index: int
-    h_mag: float
-    cascaded: np.ndarray | None = None
-
-
 def linear_budget(cfg: NetworkConfig) -> float:
     """Pre-fading SNR scale pt*gt*gr*beta0/n0 applied to squared magnitudes."""
     return cfg.pt * cfg.gt * cfg.gr * cfg.beta0 / cfg.n0
 
 
-def pair_geometry(cfg: NetworkConfig, k: int) -> PairGeometry:
-    """Distances for pair k (1-based). Rejects coincident nodes."""
-    if not 1 <= k <= cfg.K:
-        raise ConfigError(f"pair index {k} outside 1..{cfg.K}")
-    sx, sy = cfg.sources[k - 1]
-    dx, dy = cfg.dests[k - 1]
-    rx, ry = cfg.ris
-    d = math.hypot(dx - sx, dy - sy)
-    d1 = math.hypot(rx - sx, ry - sy)
-    d2 = math.hypot(dx - rx, dy - ry)
-    if d <= 0 or d1 <= 0 or d2 <= 0:
-        raise ConfigError(f"pair {k}: zero-distance geometry")
-    return PairGeometry(d, d1, d2)
-
-
-def direct_mean_square(cfg: NetworkConfig, k: int) -> float:
-    """E[|h|^2] = d^-alpha1 for pair k."""
-    return pair_geometry(cfg, k).d ** -cfg.alpha1
-
-
-def _rayleigh(rng: np.random.Generator, mean_square: float, size=None):
-    # inverse-CDF draw: |h| = sqrt(-v ln U); -log1p(-U) is Exp(1) for U in [0,1)
-    e = -np.log1p(-rng.random(size))
-    return np.sqrt(mean_square * e)
-
-
-def draw_direct(rng: np.random.Generator, cfg: NetworkConfig, k: int, n: int | None = None):
-    """Direct fading magnitude(s) for pair k: scalar, or shape (n,)."""
-    v = direct_mean_square(cfg, k)
-    if n is None:
-        return float(_rayleigh(rng, v))
-    return _rayleigh(rng, v, n)
-
-
-def draw_cascaded(rng: np.random.Generator, cfg: NetworkConfig, k: int, n: int | None = None):
-    """Per-element cascaded magnitudes |f_m||g_m|: shape (M,), or (n, M)."""
-    g = pair_geometry(cfg, k)
-    v1 = g.d1 ** -cfg.alpha2
-    v2 = g.d2 ** -cfg.alpha2
-    shape = (cfg.M,) if n is None else (n, cfg.M)
-    return _rayleigh(rng, v1, shape) * _rayleigh(rng, v2, shape)
-
-
-def cascaded_moments(cfg: NetworkConfig, k: int) -> CascadedMoments:
-    """Mean and standard deviation of sum_m |f_m||g_m| for pair k.
-
-    Each factor is Rayleigh, so a single product has mean
-    (pi/4) (d1 d2)^(-alpha2/2) and variance (1 - pi^2/16) (d1 d2)^-alpha2;
-    the M-element sum scales both accordingly.
-    """
-    g = pair_geometry(cfg, k)
-    a = cfg.alpha2
-    mu = cfg.M * (math.pi / 4.0) * g.d1 ** (-a / 2) * g.d2 ** (-a / 2)
-    var = cfg.M * (1.0 - math.pi**2 / 16.0) * g.d1**-a * g.d2**-a
-    return CascadedMoments(mu, math.sqrt(var))
+def rayleigh(rng: np.random.Generator, mean_square, size=None):
+    """Rayleigh magnitudes with E[|h|^2] = mean_square (broadcast against size)."""
+    # inverse-CDF draw: |h| = sqrt(-v ln U); -log1p(-U) is Exp(1) for U in [0,1).
+    # One expression, so numpy reuses the unnamed temporaries' buffers: a
+    # named intermediate costs one more (n, M) array per cascaded leg.
+    return np.sqrt(mean_square * -np.log1p(-rng.random(size)))
 
 
 class PairTables(NamedTuple):
@@ -122,17 +45,57 @@ class PairTables(NamedTuple):
 
 @lru_cache(maxsize=128)
 def pair_tables(cfg: NetworkConfig) -> PairTables:
-    """Every pair's fading laws in one table, computed once per config."""
-    geos = [pair_geometry(cfg, k) for k in range(1, cfg.K + 1)]
-    moms = [cascaded_moments(cfg, k) for k in range(1, cfg.K + 1)]
-    cols = (np.array([g.d ** -cfg.alpha1 for g in geos]),
-            np.array([m.mu for m in moms]),
-            np.array([m.sigma for m in moms]),
-            np.array([g.d1 ** -cfg.alpha2 for g in geos]),
-            np.array([g.d2 ** -cfg.alpha2 for g in geos]))
+    """Every pair's fading laws in one table, computed once per config.
+
+    d, d1 and d2 are the direct, source->RIS and RIS->destination distances.
+    Each cascaded factor is Rayleigh, so a single product |f_m||g_m| has mean
+    (pi/4) (d1 d2)^(-alpha2/2) and variance (1 - pi^2/16) (d1 d2)^-alpha2;
+    the M-element sum scales both accordingly. Rejects coincident nodes and
+    a link budget past the float range.
+    """
+    rho = linear_budget(cfg)
+    if not math.isfinite(rho):
+        raise ConfigError(f"link budget pt*gt*gr*beta0/n0 = {rho} is past the float range")
+    a = cfg.alpha2
+    rx, ry = cfg.ris
+    rows = []
+    for k, ((sx, sy), (dx, dy)) in enumerate(zip(cfg.sources, cfg.dests), start=1):
+        d = math.hypot(dx - sx, dy - sy)
+        d1 = math.hypot(rx - sx, ry - sy)
+        d2 = math.hypot(dx - rx, dy - ry)
+        if d <= 0 or d1 <= 0 or d2 <= 0:
+            raise ConfigError(f"pair {k}: zero-distance geometry")
+        ms1, ms2 = d1 ** -a, d2 ** -a
+        rows.append((d ** -cfg.alpha1,
+                     cfg.M * (math.pi / 4.0) * d1 ** (-a / 2) * d2 ** (-a / 2),
+                     math.sqrt(cfg.M * (1.0 - math.pi**2 / 16.0) * ms1 * ms2),
+                     ms1, ms2))
+    cols = [np.array(col) for col in zip(*rows)]
     for col in cols:
         col.flags.writeable = False
-    return PairTables(linear_budget(cfg), *cols)
+    return PairTables(rho, *cols)
+
+
+def _row(cfg: NetworkConfig, k: int) -> int:
+    if not 1 <= k <= cfg.K:
+        raise ConfigError(f"pair index {k} outside 1..{cfg.K}")
+    return k - 1
+
+
+def draw_direct(rng: np.random.Generator, cfg: NetworkConfig, k: int, n: int | None = None):
+    """Direct fading magnitude(s) for pair k: scalar, or shape (n,)."""
+    v = pair_tables(cfg).v[_row(cfg, k)]
+    if n is None:
+        return float(rayleigh(rng, v))
+    return rayleigh(rng, v, n)
+
+
+def draw_cascaded(rng: np.random.Generator, cfg: NetworkConfig, k: int, n: int | None = None):
+    """Per-element cascaded magnitudes |f_m||g_m|: shape (M,), or (n, M)."""
+    tab = pair_tables(cfg)
+    i = _row(cfg, k)
+    shape = (cfg.M,) if n is None else (n, cfg.M)
+    return rayleigh(rng, tab.ms1[i], shape) * rayleigh(rng, tab.ms2[i], shape)
 
 
 def direct_cross(lam: float, rho_bar: float) -> float:

@@ -17,12 +17,20 @@ class ConfigError(ValueError):
     """Raised for malformed, inconsistent, or physically invalid configs."""
 
 
+def _exp10(x: float, what: str) -> float:
+    """10^x; a value past the float range is a ConfigError, not an OverflowError."""
+    try:
+        return 10.0 ** x
+    except OverflowError:
+        raise ConfigError(f"{what} is past the float range") from None
+
+
 def dbm_to_watt(x_dbm: float) -> float:
-    return 10.0 ** ((x_dbm - 30.0) / 10.0)
+    return _exp10((x_dbm - 30.0) / 10.0, f"{x_dbm:g} dBm")
 
 
 def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
+    return _exp10(x_db / 10.0, f"{x_db:g} dB")
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .solver import (
     throughput_residual,
 )
 from .strategies import (
+    Policy,
     PolicyKind,
     analytic_throughput,
     make_policy,
@@ -88,6 +89,17 @@ def _check_table(cfg: NetworkConfig, table: ThresholdTable | None) -> None:
                 "(hash mismatch); re-run solve for this one")
 
 
+def _bind(kind: PolicyKind, cfg: NetworkConfig,
+          table: ThresholdTable | None) -> tuple[Policy, float]:
+    """The bound policy and its model throughput (only the proposed discipline
+    reads the table). For the proposed and the optimal-ris-stop disciplines
+    the model value is the policy's own stop rate: lambda_b is solved once."""
+    policy = make_policy(kind, cfg, table)
+    if kind in (PolicyKind.PROPOSED, PolicyKind.OPTIMAL_RIS_STOP):
+        return policy, policy.stop_rate
+    return policy, analytic_throughput(kind, cfg, table)
+
+
 def cmd_simulate(cfg: NetworkConfig, policy_name: str, n_rounds: int, seed: int,
                  table: ThresholdTable | None = None,
                  workers: int | None = None) -> SimResult:
@@ -96,9 +108,8 @@ def cmd_simulate(cfg: NetworkConfig, policy_name: str, n_rounds: int, seed: int,
         raise UsageError("the proposed policy needs a threshold table; "
                          "run the solve command first and pass its output")
     _check_table(cfg, table)
-    policy = make_policy(kind, cfg, table)
+    policy, analytic = _bind(kind, cfg, table)
     est = run_campaign(cfg, policy, n_rounds, seed, workers=workers)
-    analytic = analytic_throughput(kind, cfg, table)
     return SimResult(kind.value, est, analytic)
 
 
@@ -129,12 +140,11 @@ def cmd_sweep(cfg: NetworkConfig, axis: str, values: list[float],
                  if PolicyKind.PROPOSED in kinds else None)
         for j, kind in enumerate(kinds):
             point_seed = _derived_seed(seed, i, j)
-            tab = table if kind is PolicyKind.PROPOSED else None
-            est = run_campaign(cfg_i, make_policy(kind, cfg_i, tab), n_rounds, point_seed,
-                               workers=workers)
+            policy, analytic = _bind(kind, cfg_i, table)
+            est = run_campaign(cfg_i, policy, n_rounds, point_seed, workers=workers)
             rows.append(dict(zip(CSV_HEADER, (
-                axis, value, kind.value, analytic_throughput(kind, cfg_i, tab),
-                est.mean, est.ci_halfwidth, est.n_rounds, point_seed))))
+                axis, value, kind.value, analytic, est.mean, est.ci_halfwidth,
+                est.n_rounds, point_seed))))
     return rows
 
 

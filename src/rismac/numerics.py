@@ -59,22 +59,25 @@ def _gl_nodes(n: int):
     return leggauss(n)
 
 
-def adaptive_panels(fvec, rows, lo, hi, tol):
-    """Integrate fvec over per-row panels [lo_i, hi_i] with adaptive refinement.
+def adaptive_panels(fvec, edges, tol):
+    """Integrate fvec over every row's panels with adaptive refinement.
 
-    fvec(row_idx, h) evaluates the integrand vectorized; each panel is judged
-    by comparing two Gauss-Legendre orders and halved until its share of the
-    tolerance is met. The tolerance is tol or QUAD_RTOL times the first
-    round's sum of |panel integrals|, whichever is smaller, so tiny integrals
-    keep their relative precision. Returns the integral total. A NaN or
-    infinite integrand value raises SolverError at once; halving cannot fix
-    it, and neither can more than _MAX_PANELS panels in all rounds, which
-    bounds the last round to about 6M nodes. (The value integrals of the
-    default 8 pairs evaluate up to 200k panels at tau_d = 100 s.)
+    edges is a list of equal-length arrays, one entry per row: row i's
+    panels are [edges[j][i], edges[j+1][i]] for consecutive j, and must not
+    be reversed. fvec(row_idx, h) evaluates the integrand vectorized; each
+    panel is judged by comparing two Gauss-Legendre orders and halved until
+    its share of the tolerance is met. The tolerance is tol or QUAD_RTOL
+    times the first round's sum of |panel integrals|, whichever is smaller,
+    so tiny integrals keep their relative precision. Returns the integral
+    total. A NaN or infinite integrand value raises SolverError at once;
+    halving cannot fix it, and neither can more than _MAX_PANELS panels in
+    all rounds, which bounds the last round to about 6M nodes. (The value
+    integrals of the default 8 pairs evaluate up to 200k panels at
+    tau_d = 100 s.)
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    rows = np.tile(np.arange(len(edges[0])), len(edges) - 1)
+    lo = np.concatenate(edges[:-1])
+    hi = np.concatenate(edges[1:])
     if np.any(hi < lo):
         raise SolverError("reversed quadrature panel (caller edge ordering bug)")
     keep = hi - lo > 0.0

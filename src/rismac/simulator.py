@@ -36,12 +36,14 @@ import numpy as np
 from scipy import special
 
 from .channel import (
+    PairTables,
     draw_cascaded,
     draw_direct,
     linear_budget,
     pair_tables,
     rate_direct,
     rate_ris,
+    rayleigh,
 )
 from .config import NetworkConfig
 from .contention import (contention_time, draw_contention, simulate_contention,
@@ -51,6 +53,7 @@ from .strategies import (
     Policy,
     PolicyKind,
     decide_level1_threshold,
+    decide_level2,
     threshold_params,
 )
 
@@ -109,11 +112,10 @@ def run_round(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy) -> R
         if d1 is Decision.CONTINUE:
             continue
         rr = rate_ris(rho, h, draw_cascaded(rng, cfg, k))
-        if rr >= policy.stop_rate:
-            path.append(Decision.STOP_RIS)
+        path.append(decide_level2(rr, policy.stop_rate))
+        if path[-1] is Decision.STOP_RIS:
             bits = tau2 * rr
             break
-        path.append(Decision.CONTINUE)
         probe_rels += 1
     else:
         raise SimulationError(f"round did not terminate in {_MAX_ATTEMPTS} attempts")
@@ -137,9 +139,7 @@ class RoundArrays(NamedTuple):
 class _CompiledPolicy(NamedTuple):
     mode: PolicyKind
     stop_rate: float
-    v: np.ndarray
-    ms1: np.ndarray
-    ms2: np.ndarray
+    tab: PairTables
     zeta: np.ndarray
     eta: np.ndarray
     worthy: np.ndarray
@@ -147,8 +147,7 @@ class _CompiledPolicy(NamedTuple):
 
 
 def _compile(cfg: NetworkConfig, policy: Policy) -> _CompiledPolicy:
-    tab = pair_tables(cfg)
-    return _CompiledPolicy(policy.kind, policy.stop_rate, tab.v, tab.ms1, tab.ms2,
+    return _CompiledPolicy(policy.kind, policy.stop_rate, pair_tables(cfg),
                            *threshold_params(policy.table, cfg))
 
 
@@ -162,10 +161,10 @@ def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, pol: _CompiledP
     """m i.i.d. attempts: contention, direct draw, level-1 code and, where it
     probes, the cascaded draw. Returns per-attempt (failed slots, bits,
     terminal code: 0 none, 1 direct, 2 surface; probe released)."""
-    rho = linear_budget(cfg)
+    rho = pol.tab.rho
     winners, fails = draw_contention(rng, cfg, m)
     winners -= 1
-    h = np.sqrt(pol.v[winners] * -np.log1p(-rng.random(m)))
+    h = rayleigh(rng, pol.tab.v[winners], m)
     # level-1 codes: 0 transmit direct, 1 probe, 2 release
     if pol.mode is PolicyKind.NO_WAIT_DIRECT:
         codes = np.zeros(m, dtype=np.uint8)
@@ -186,8 +185,8 @@ def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, pol: _CompiledP
     rows = np.flatnonzero(codes == 1)
     if rows.size:
         ww = winners[rows]
-        leg1 = np.sqrt(pol.ms1[ww][:, None] * -np.log1p(-rng.random((rows.size, cfg.M))))
-        leg2 = np.sqrt(pol.ms2[ww][:, None] * -np.log1p(-rng.random((rows.size, cfg.M))))
+        leg1 = rayleigh(rng, pol.tab.ms1[ww][:, None], (rows.size, cfg.M))
+        leg2 = rayleigh(rng, pol.tab.ms2[ww][:, None], (rows.size, cfg.M))
         rr = np.log2(1.0 + rho * np.square(h[rows] + (leg1 * leg2).sum(axis=1)))
         stop = rr >= pol.stop_rate
         bits[rows[stop]] = (cfg.tau_d - cfg.tau_m2) * rr[stop]

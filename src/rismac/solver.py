@@ -223,10 +223,8 @@ def attempt_value(lam: float, cfg: NetworkConfig) -> float:
         t = h_cross - mu_a
         e1 = np.clip(t - 30.0 * sig_a, zeta, h_cross)
         e2 = np.clip(t + 30.0 * sig_a, zeta, h_cross)
-        rows = np.concatenate([np.arange(act.size)] * 4)
-        los = np.concatenate([zeta, e1, e2, np.full(act.size, h_cross)])
-        his = np.concatenate([e1, e2, np.full(act.size, h_cross), eta])
-        total += adaptive_panels(integrand, rows, los, his, QUAD_TOL)
+        total += adaptive_panels(integrand, [zeta, e1, e2, np.full(act.size, h_cross), eta],
+                                 QUAD_TOL)
     return total / cfg.K
 
 

@@ -20,13 +20,7 @@ from enum import Enum
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .channel import (
-    ChannelObservation,
-    direct_cross,
-    linear_budget,
-    pair_tables,
-    rate_direct,
-)
+from .channel import direct_cross, linear_budget, pair_tables, rate_direct
 from .config import NetworkConfig
 from .contention import expected_contention_time
 from .numerics import LOG2E, QUAD_TOL, SQRT2, adaptive_panels, bracket_root, scaled_e1
@@ -57,16 +51,17 @@ def policy_from_name(name: str) -> PolicyKind:
                      + ", ".join(k.value for k in PolicyKind))
 
 
-def decide_level1_reference(obs: ChannelObservation, lam_star: float,
+def decide_level1_reference(h_mag: float, k: int, lam_star: float,
                             cfg: NetworkConfig) -> Decision:
-    """First-level choice by direct value comparison (no thresholds).
+    """First-level choice by direct value comparison (no thresholds), for
+    pair k observing direct magnitude h_mag.
 
     Stop when transmitting now is worth at least as much as both probing and
     releasing; release when neither action has positive worth; probe otherwise.
     """
     rho = linear_budget(cfg)
-    a = (cfg.tau_d - cfg.tau_m1) * (rate_direct(rho, obs.h_mag) - lam_star)
-    b = float(probe_value(lam_star, obs.h_mag, obs.pair_index, cfg))
+    a = (cfg.tau_d - cfg.tau_m1) * (rate_direct(rho, h_mag) - lam_star)
+    b = float(probe_value(lam_star, h_mag, k, cfg))
     if a >= b and a >= 0.0:
         return Decision.STOP_DIRECT
     if a < 0.0 and b < 0.0:
@@ -150,11 +145,8 @@ def mean_probe_value(lam: float, cfg: NetworkConfig) -> float:
              np.clip(t - 30.0 * sigma, 0.0, h_hi),
              np.clip(t + 30.0 * sigma, 0.0, h_hi),
              h_hi]
-    rows = np.concatenate([np.arange(cfg.K)] * 3)
-    los = np.concatenate(edges[:3])
-    his = np.concatenate(edges[1:])
     # the integrand tail above the 1 - 1e-14 fading quantile is negligible
-    value = adaptive_panels(integrand, rows, los, his, QUAD_TOL)
+    value = adaptive_panels(integrand, edges, QUAD_TOL)
     return value / cfg.K
 
 
@@ -211,10 +203,7 @@ def no_wait_ris_throughput(cfg: NetworkConfig) -> float:
              np.minimum(root_v, h_hi),
              np.minimum(3.0 * root_v, h_hi),
              h_hi]
-    rows = np.concatenate([np.arange(cfg.K)] * 3)
-    los = np.concatenate(edges[:3])
-    his = np.concatenate(edges[1:])
-    mean_rate = adaptive_panels(integrand, rows, los, his, QUAD_TOL) / cfg.K
+    mean_rate = adaptive_panels(integrand, edges, QUAD_TOL) / cfg.K
     return tau2 * mean_rate / (expected_contention_time(cfg) + tau1)
 
 

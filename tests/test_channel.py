@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rismac import (
-    ConfigError,
-    cascaded_moments,
-    direct_mean_square,
+from rismac import ConfigError, replace_config
+from rismac.channel import (
     draw_cascaded,
     draw_direct,
     linear_budget,
-    pair_geometry,
+    pair_tables,
     rate_direct,
     rate_ris,
-    replace_config,
 )
 
 # frozen oracles, computed by independent arithmetic from the defaults
@@ -34,40 +31,50 @@ def test_linear_budget_default(cfg):
 
 
 def test_pair_geometry(cfg):
-    g1 = pair_geometry(cfg, 1)
-    assert g1.d == pytest.approx(150.0, rel=1e-14)
-    assert g1.d1 == pytest.approx(125.0, rel=1e-14)
-    assert g1.d2 == pytest.approx(125.0, rel=1e-14)
-    g8 = pair_geometry(cfg, 8)
-    assert g8.d == pytest.approx(150.0, rel=1e-14)
-    assert g8.d1 == pytest.approx(D1_PAIR8, rel=1e-13)
-    assert g8.d2 == pytest.approx(D1_PAIR8, rel=1e-13)
+    tab = pair_tables(cfg)
+    a = cfg.alpha2
+    assert tab.v[0] == pytest.approx(150.0 ** -cfg.alpha1, rel=1e-14)
+    assert tab.v[7] == pytest.approx(150.0 ** -cfg.alpha1, rel=1e-14)
+    assert tab.ms1[0] == pytest.approx(125.0 ** -a, rel=1e-14)
+    assert tab.ms2[0] == pytest.approx(125.0 ** -a, rel=1e-14)
+    assert tab.ms1[7] == pytest.approx(D1_PAIR8 ** -a, rel=1e-13)
+    assert tab.ms2[7] == pytest.approx(D1_PAIR8 ** -a, rel=1e-13)
 
 
 def test_zero_distance_rejected(cfg):
     bad = replace_config(cfg, dests=(cfg.sources[0],) + cfg.dests[1:])
     with pytest.raises(ConfigError):
-        pair_geometry(bad, 1)
+        pair_tables(bad)
+
+
+@pytest.mark.parametrize("draw", [draw_direct, draw_cascaded])
+def test_draws_reject_pair_outside_range(cfg, draw):
+    # a bare table lookup would wrap k = 0 around to pair K
+    rng = np.random.default_rng(1)
+    for k in (0, cfg.K + 1):
+        with pytest.raises(ConfigError):
+            draw(rng, cfg, k)
+        with pytest.raises(ConfigError):
+            draw(rng, cfg, k, 4)
 
 
 def test_direct_mean_square(cfg):
-    assert direct_mean_square(cfg, 1) == pytest.approx(V1, rel=1e-14)
-    assert direct_mean_square(cfg, 8) == pytest.approx(V1, rel=1e-14)
+    assert pair_tables(cfg).v[0] == pytest.approx(V1, rel=1e-14)
+    assert pair_tables(cfg).v[7] == pytest.approx(V1, rel=1e-14)
 
 
 def test_cascaded_moments_formula(cfg):
-    m1 = cascaded_moments(cfg, 1)
-    assert m1.mu == pytest.approx(MU1, rel=1e-13)
-    assert m1.sigma == pytest.approx(SG1, rel=1e-13)
-    m8 = cascaded_moments(cfg, 8)
-    assert m8.mu == pytest.approx(MU8, rel=1e-13)
-    assert m8.sigma == pytest.approx(SG8, rel=1e-13)
+    tab = pair_tables(cfg)
+    assert tab.mu[0] == pytest.approx(MU1, rel=1e-13)
+    assert tab.sigma[0] == pytest.approx(SG1, rel=1e-13)
+    assert tab.mu[7] == pytest.approx(MU8, rel=1e-13)
+    assert tab.sigma[7] == pytest.approx(SG8, rel=1e-13)
 
 
 def test_cascaded_moments_no_surface(cfg):
     off = replace_config(cfg, M=0)
-    m = cascaded_moments(off, 1)
-    assert m.mu == 0.0 and m.sigma == 0.0
+    tab = pair_tables(off)
+    assert tab.mu[0] == 0.0 and tab.sigma[0] == 0.0
 
 
 def test_rate_oracles(cfg):

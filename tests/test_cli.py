@@ -1,10 +1,12 @@
 import csv
 import io
+import warnings
 
 import pytest
 
-from rismac import config_hash, default_config, parse_threshold_table, replace_config
+from rismac import default_config, parse_threshold_table, replace_config
 from rismac.cli import main
+from rismac.config import config_hash
 from rismac.harness import CSV_HEADER
 
 
@@ -151,6 +153,24 @@ def test_non_finite_override_rejected(capsys):
     code, _, err = run(capsys, "solve", "--set", "tau_d=nan")
     assert code == 2
     assert "finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--set", "pt=4000 dBm"),
+    ("solve", "--set", "gt=4000 dB"),
+    ("sweep", "--axis", "pt", "--values", "4000", "--rounds", "10",
+     "--policy", "no-wait-direct"),
+    # pt itself is finite here, but the link budget pt*gt*gr*beta0/n0 is not
+    ("solve", "--set", "pt=3050 dBm"),
+], ids=["pt-overflow", "gt-overflow", "sweep-pt-overflow", "budget-overflow"])
+def test_out_of_range_input_rejected_without_warnings(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "float range" in err
+    assert "Warning" not in err
+    assert [str(w.message) for w in caught] == []
 
 
 def test_unknown_policy_rejected_by_parser(capsys):

@@ -6,15 +6,17 @@ from rismac import (
     ConfigError,
     NetworkConfig,
     apply_overrides,
+    default_config,
+    parse_config,
+    replace_config,
+)
+from rismac.config import (
     config_hash,
     db_to_linear,
     dbm_to_watt,
-    default_config,
     default_config_path,
     emit_config,
-    parse_config,
     parse_config_text,
-    replace_config,
 )
 
 

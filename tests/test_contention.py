@@ -7,13 +7,11 @@ from scipy import stats
 from rismac import (
     ConfigError,
     expected_contention_time,
-    idle_probability,
     replace_config,
     simulate_contention,
     simulate_contention_batch,
-    success_probability,
-    winner_weights,
 )
+from rismac.contention import idle_probability, success_probability, winner_weights
 
 # frozen oracles from independent arithmetic
 TAU_O_DEFAULT = 0.0002956803497712527

@@ -1,9 +1,12 @@
-"""The harness's relative gap and root check on near-zero models."""
+"""The harness's relative gap, root check on near-zero models and its
+one lambda_b solve per sweep point."""
 
 import math
 
-from rismac import apply_overrides, default_config
-from rismac.harness import cmd_validate, relative_gap
+from rismac import apply_overrides, default_config, make_policy, run_campaign, solve_lambda_b
+from rismac import strategies
+from rismac.harness import AXES, cmd_sweep, cmd_validate, relative_gap
+from rismac.strategies import PolicyKind
 
 
 def test_sweep_strict_fails_when_model_is_zero():
@@ -18,3 +21,24 @@ def test_validate_root_check_is_relative():
     cfg = apply_overrides(default_config(), ["pt=-40 dBm"])
     checks = {c.name: c for c in cmd_validate(cfg, n_rounds=4096, seed=3)}
     assert checks["root bracket"].ok
+
+
+def test_sweep_solves_lambda_b_once_per_point(monkeypatch):
+    cfg = default_config()
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return solve_lambda_b(c)
+
+    monkeypatch.setattr(strategies, "solve_lambda_b", counted)
+    rows = cmd_sweep(cfg, "pt", [26.0, 30.0], ["optimal-ris-stop"], 2000, 5)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    # the rows are those of a policy and a model value solved on their own
+    for row in rows:
+        cfg_i = AXES["pt"](cfg, row["axis_value"])
+        kind = PolicyKind.OPTIMAL_RIS_STOP
+        est = run_campaign(cfg_i, make_policy(kind, cfg_i), 2000, row["seed"])
+        assert row["analytic_lambda"] == strategies.analytic_throughput(kind, cfg_i)
+        assert (row["simulated_mean"], row["ci_halfwidth"]) == (est.mean, est.ci_halfwidth)

@@ -11,6 +11,23 @@ import rismac
 
 PACKAGE = Path(rismac.__file__).parent
 
+# what the CLI, the README's Python API section and the labelled oracles use;
+# everything else is imported from its own module
+PUBLIC = sorted([
+    "ConfigError", "NetworkConfig", "apply_overrides", "default_config",
+    "parse_config", "replace_config",
+    "expected_contention_time", "simulate_contention", "simulate_contention_batch",
+    "SimulationError", "run_campaign", "run_round", "simulate_rounds",
+    "SolverError", "ThresholdTable", "attempt_value", "build_threshold_table",
+    "effective_probe_snr", "parse_threshold_table", "probe_value", "probe_value_mc",
+    "serialize_threshold_table", "solve_max_throughput",
+    "solve_max_throughput_fixed_point", "throughput_residual",
+    "Decision", "Policy", "PolicyKind", "analytic_throughput",
+    "decide_level1_reference", "decide_level1_threshold", "decide_level2",
+    "make_policy", "mean_probe_value", "solve_lambda_b",
+    "__version__",
+])
+
 
 def test_no_private_imports_between_modules():
     offenders = []
@@ -27,10 +44,25 @@ def test_no_private_imports_between_modules():
 
 def test_import_does_not_load_scipy_stats():
     """scipy.stats costs about half a second of start-up and scipy.optimize about
-    0.3 s; rismac needs neither (its lambda* root is a plain bisection)."""
+    0.3 s; rismac needs neither (its lambda* root is a hand-rolled Brent-Dekker
+    iteration, numerics.zeroin)."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     code = ("import sys, rismac; "
             "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code],
                          env=env, capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_public_surface_is_pinned():
+    assert sorted(rismac.__all__) == PUBLIC
+    for name in rismac.__all__:
+        getattr(rismac, name)
+
+
+def test_one_rayleigh_draw_site():
+    # every Rayleigh magnitude comes from channel.rayleigh, so a cheaper draw
+    # has one place to land
+    sites = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if "log1p(-" in path.read_text(encoding="utf-8")]
+    assert sites == ["channel.py"]

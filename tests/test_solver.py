@@ -7,22 +7,16 @@ from scipy import integrate, optimize, special
 from rismac import (
     PolicyKind,
     SolverError,
-    admissible_step_band,
     analytic_throughput,
     apply_overrides,
     attempt_value,
     build_threshold_table,
-    cascaded_moments,
-    direct_mean_square,
     effective_probe_snr,
     expected_contention_time,
-    linear_budget,
     mean_probe_value,
     parse_threshold_table,
     probe_value,
     probe_value_mc,
-    probe_worthy_pairs,
-    rate_direct,
     replace_config,
     serialize_threshold_table,
     solve_lambda_b,
@@ -31,9 +25,10 @@ from rismac import (
     throughput_residual,
 )
 from rismac import solver, strategies
-from rismac.channel import direct_cross
+from rismac.channel import direct_cross, linear_budget, pair_tables, rate_direct
 from rismac.numerics import scaled_e1 as _scaled_e1
 from rismac.numerics import ROOT_XTOL, adaptive_panels, zeroin
+from rismac.solver import admissible_step_band, probe_worthy_pairs
 
 
 def small_config(cfg):
@@ -76,29 +71,29 @@ def test_effective_probe_snr_degenerate_branches(cfg):
 
 
 def test_effective_probe_snr_vectorized_and_monotone(cfg):
-    mom = cascaded_moments(cfg, 8)
+    mu, sigma = pair_tables(cfg).mu[7], pair_tables(cfg).sigma[7]
     rho = linear_budget(cfg)
     h = np.linspace(0.0, 3e-3, 64)
-    om = effective_probe_snr(5.0, h, mom.mu, mom.sigma, rho)
+    om = effective_probe_snr(5.0, h, mu, sigma, rho)
     assert om.shape == h.shape
     assert np.all(np.diff(om) > 0.0)  # increasing in the direct magnitude
     lams = np.linspace(0.0, 12.0, 25)
-    om_l = effective_probe_snr(lams, 5e-4, mom.mu, mom.sigma, rho)
+    om_l = effective_probe_snr(lams, 5e-4, mu, sigma, rho)
     # floor only rises with lam; where its weight underflows, the constant
     # erf term of the closed form leaves sub-1e-12 dips
     assert np.all(np.diff(om_l) >= -1e-9)
 
 
 def test_effective_probe_snr_monte_carlo(cfg):
-    mom = cascaded_moments(cfg, 8)
+    mu, sigma = pair_tables(cfg).mu[7], pair_tables(cfg).sigma[7]
     rho = linear_budget(cfg)
     rng = np.random.default_rng(123)
-    x = mom.mu + mom.sigma * rng.standard_normal(2_000_000)
+    x = mu + sigma * rng.standard_normal(2_000_000)
     for lam in (2.0, 5.0, 8.0):
         c = math.expm1(lam * math.log(2.0))
         for h in (2e-4, 8e-4, 2e-3):
             mc = np.maximum(rho * np.square(h + x), c).mean()
-            closed = effective_probe_snr(lam, h, mom.mu, mom.sigma, rho)
+            closed = effective_probe_snr(lam, h, mu, sigma, rho)
             assert closed == pytest.approx(mc, rel=5e-3)
 
 
@@ -130,7 +125,7 @@ def test_attempt_value_against_library_quadrature(cfg):
     for lam in (2.0, 6.2, 12.0):
         total = 0.0
         for k in range(1, cfg.K + 1):
-            v = direct_mean_square(cfg, k)
+            v = pair_tables(cfg).v[k - 1]
 
             def f(h, k=k, v=v):
                 a = tau1 * (rate_direct(rho, h) - lam)
@@ -204,7 +199,7 @@ def test_no_surface_makes_probing_worthless(cfg):
     from rismac.solver import _direct_value_term
 
     rho = linear_budget(off)
-    v = np.array([direct_mean_square(off, k) for k in range(1, off.K + 1)])
+    v = pair_tables(off).v
     for l in (2.0, 5.0):
         direct = float(_direct_value_term(l, rho * v, off.tau_d - off.tau_m1).sum())
         assert attempt_value(l, off) == pytest.approx(direct / off.K, rel=1e-12)
@@ -275,7 +270,7 @@ def test_mean_probe_value_against_library_quadrature(cfg):
     for lam in (3.0, 6.0):
         total = 0.0
         for k in range(1, cfg.K + 1):
-            v = direct_mean_square(cfg, k)
+            v = pair_tables(cfg).v[k - 1]
 
             def f(h, k=k, v=v):
                 return float(probe_value(lam, h, k, cfg)) * rayleigh_pdf(h, v)
@@ -299,7 +294,7 @@ def test_non_finite_integrand_fails_at_once(bad):
     """Halving cannot repair a NaN or infinite integrand; the quadrature must
     give up on the first one instead of refining until memory runs out."""
     with pytest.raises(SolverError, match="non-finite"):
-        adaptive_panels(lambda rows, h: np.full_like(h, bad), [0], [0.0], [1.0], 1e-11)
+        adaptive_panels(lambda rows, h: np.full_like(h, bad), [[0.0], [1.0]], 1e-11)
 
 
 def test_zeroin_finds_sign_change_of_smooth_kinked_and_step():
@@ -369,9 +364,8 @@ def nested_attempt_value(lam, cfg):
     b = math.sqrt(c / rho)
     total = 0.0
     for k in range(1, cfg.K + 1):
-        v = direct_mean_square(cfg, k)
-        mom = cascaded_moments(cfg, k)
-        mu, sd = mom.mu, mom.sigma
+        v = pair_tables(cfg).v[k - 1]
+        mu, sd = pair_tables(cfg).mu[k - 1], pair_tables(cfg).sigma[k - 1]
 
         def floored_snr(h, mu=mu, sd=sd):
             excess, _ = integrate.quad(
@@ -408,7 +402,7 @@ def test_quadrature_panel_cap():
     of doubling its panels for every remaining round."""
     rng = np.random.default_rng(3)
     with pytest.raises(SolverError, match="stalled"):
-        adaptive_panels(lambda rows, h: rng.random(h.shape), [0], [0.0], [1.0], 1e-11)
+        adaptive_panels(lambda rows, h: rng.random(h.shape), [[0.0], [1.0]], 1e-11)
 
 
 def test_rate_past_float_range_is_a_solver_error(cfg):

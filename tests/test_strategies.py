@@ -5,26 +5,25 @@ import pytest
 from scipy import integrate
 
 from rismac import (
-    ChannelObservation,
     Decision,
     PolicyKind,
     analytic_throughput,
     decide_level1_reference,
     decide_level1_threshold,
     decide_level2,
-    direct_mean_square,
     expected_contention_time,
-    linear_budget,
     make_policy,
     mean_probe_value,
-    no_wait_direct_throughput,
-    no_wait_ris_throughput,
-    policy_from_name,
     probe_value,
-    rate_direct,
     replace_config,
     solve_lambda_b,
     solve_max_throughput,
+)
+from rismac.channel import linear_budget, pair_tables, rate_direct
+from rismac.strategies import (
+    no_wait_direct_throughput,
+    no_wait_ris_throughput,
+    policy_from_name,
     threshold_params,
 )
 
@@ -55,8 +54,7 @@ def test_reference_rule_matches_regions(cfg, table):
         for h, expect in [(0.5 * zeta, Decision.CONTINUE),
                           (0.5 * (zeta + eta), Decision.ASSIST_RIS),
                           (2.0 * eta, Decision.STOP_DIRECT)]:
-            obs = ChannelObservation(pair_index=k, h_mag=h)
-            assert decide_level1_reference(obs, lam, cfg) is expect
+            assert decide_level1_reference(h, k, lam, cfg) is expect
 
 
 def test_level2_tie_is_stop():
@@ -86,8 +84,7 @@ def test_rules_agree_on_dense_grid(cfg, table):
         assert np.array_equal(ref, thr)
         # spot checks through the scalar entry points
         for hv in h[:: 2048]:
-            obs = ChannelObservation(pair_index=k, h_mag=float(hv))
-            assert decide_level1_reference(obs, lam, cfg) is decide_level1_threshold(
+            assert decide_level1_reference(float(hv), k, lam, cfg) is decide_level1_threshold(
                 float(hv), k, table, cfg)
 
 
@@ -106,8 +103,7 @@ def test_nonworthy_pair_uses_direct_cutoff(cfg):
         expect = (Decision.STOP_DIRECT if rate_direct(rho, h) >= lam
                   else Decision.CONTINUE)
         assert d is expect
-        obs = ChannelObservation(pair_index=1, h_mag=h)
-        assert decide_level1_reference(obs, lam, off) is expect
+        assert decide_level1_reference(h, 1, lam, off) is expect
 
 
 def test_make_policy_contracts(cfg, table):
@@ -136,7 +132,7 @@ def test_no_wait_direct_closed_form_vs_quadrature(cfg):
     tau1 = cfg.tau_d - cfg.tau_m1
     total = 0.0
     for k in range(1, cfg.K + 1):
-        v = direct_mean_square(cfg, k)
+        v = pair_tables(cfg).v[k - 1]
 
         def f(h, v=v):
             return rate_direct(rho, h) * (2.0 * h / v) * math.exp(-h * h / v)
@@ -153,18 +149,16 @@ def test_no_wait_ris_analytic_vs_nested_quadrature(cfg):
     solo = replace_config(cfg, K=1, p=(0.3,),
                           sources=cfg.sources[:1], dests=cfg.dests[:1])
     rho = linear_budget(solo)
-    v = direct_mean_square(solo, 1)
-    from rismac import cascaded_moments
-
-    mom = cascaded_moments(solo, 1)
+    v = pair_tables(solo).v[0]
+    mu, sigma = pair_tables(solo).mu[0], pair_tables(solo).sigma[0]
 
     def inner(h):
         def g(x):
-            pdf = math.exp(-0.5 * ((x - mom.mu) / mom.sigma) ** 2) / (
-                mom.sigma * math.sqrt(2.0 * math.pi))
+            pdf = math.exp(-0.5 * ((x - mu) / sigma) ** 2) / (
+                sigma * math.sqrt(2.0 * math.pi))
             return math.log2(1.0 + rho * (h + x) ** 2) * pdf
 
-        lo, hi = mom.mu - 12 * mom.sigma, mom.mu + 12 * mom.sigma
+        lo, hi = mu - 12 * sigma, mu + 12 * sigma
         return integrate.quad(g, lo, hi, limit=200)[0]
 
     def outer(h):
