@@ -32,6 +32,19 @@ def rayleigh(rng: np.random.Generator, mean_square, size=None):
     return np.sqrt(mean_square * -np.log1p(-rng.random(size)))
 
 
+def rayleigh_pdf(h, mean_square, weight=1.0):
+    """Density of the Rayleigh magnitude h with E[|h|^2] = mean_square, times
+    weight. The weight is applied first, as weight * (2 h / v) * exp(-h^2 / v)
+    left to right, which is how a weighted integrand rounds its product."""
+    return weight * (2.0 * h / mean_square) * np.exp(-h * h / mean_square)
+
+
+def rayleigh_tail(mean_square):
+    """The 1 - 1e-14 quantile of the magnitude: integrals over the fading law
+    stop here, the mass above it is negligible."""
+    return np.sqrt(mean_square * math.log(1e14))
+
+
 class PairTables(NamedTuple):
     """Link budget and per-pair laws, as read-only arrays indexed by pair - 1."""
 

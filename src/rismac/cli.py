@@ -23,6 +23,7 @@ from .config import (
     parse_config,
 )
 from .harness import (
+    AXES,
     UsageError,
     cmd_simulate,
     cmd_solve,
@@ -80,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="simulate policies along a parameter axis")
     _add_common(p)
     p.add_argument("--axis", required=True,
-                   choices=["pt", "pt_dbm", "tau_d", "tau_d_ms"],
+                   choices=sorted(AXES),
                    help="pt/pt_dbm sweeps transmit power in dBm; "
                         "tau_d/tau_d_ms sweeps coherence time in ms")
     p.add_argument("--values", required=True,

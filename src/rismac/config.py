@@ -253,33 +253,24 @@ def parse_config(path) -> NetworkConfig:
         return parse_config_text(fh.read())
 
 
+def _emit_value(kind: str, value) -> str:
+    if kind == "problist":
+        return ", ".join(repr(x) for x in value)
+    if kind == "points":
+        return "; ".join(_emit_value("point", xy) for xy in value)
+    if kind == "point":
+        return f"{value[0]!r},{value[1]!r}"
+    return repr(value)
+
+
 def emit_config(cfg: NetworkConfig) -> str:
-    """Canonical emission: SI base units, shortest round-trip float reprs.
+    """Canonical emission: SI base units, shortest round-trip float reprs,
+    keys in _SCHEMA order.
 
     parse_config_text(emit_config(cfg)) reproduces cfg bit for bit.
     """
-    lines = [
-        f"K = {cfg.K}",
-        f"M = {cfg.M}",
-        f"pt = {cfg.pt!r}",
-        f"gt = {cfg.gt!r}",
-        f"gr = {cfg.gr!r}",
-        f"beta0 = {cfg.beta0!r}",
-        f"n0 = {cfg.n0!r}",
-        f"alpha1 = {cfg.alpha1!r}",
-        f"alpha2 = {cfg.alpha2!r}",
-        "p = " + ", ".join(repr(x) for x in cfg.p),
-        f"delta = {cfg.delta!r}",
-        f"tau_r = {cfg.tau_r!r}",
-        f"tau_c = {cfg.tau_c!r}",
-        f"tau_p = {cfg.tau_p!r}",
-        f"tau_d = {cfg.tau_d!r}",
-        f"fc = {cfg.fc!r}",
-        "sources = " + "; ".join(f"{x!r},{y!r}" for x, y in cfg.sources),
-        "dests = " + "; ".join(f"{x!r},{y!r}" for x, y in cfg.dests),
-        f"ris = {cfg.ris[0]!r},{cfg.ris[1]!r}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_emit_value(kind, getattr(cfg, key))}\n"
+                   for key, (kind, _) in _SCHEMA.items())
 
 
 def config_hash(cfg: NetworkConfig) -> str:

@@ -181,11 +181,11 @@ def zeroin(f, a, b, fa, fb, xtol: float) -> float:
         fb = f(b)
 
 
-def bracket_root(value, tau_o: float, slope: float, what: str) -> float:
+def bracket_root(value, tau_o: float, slope: float) -> float:
     """Root of value(lam) = lam * tau_o for a decreasing value whose fall is
     at most `slope` per unit lam; 0 when value(0) is not positive. Brackets
-    x = lam / s by doubling from a lower bound, then runs zeroin to
-    ROOT_XTOL; `what` names the balance in the error for a missing bracket.
+    x = lam / s by doubling from a lower bound up to an upper bound, then
+    runs zeroin to ROOT_XTOL.
     """
     v0 = value(0.0)
     if v0 <= 0.0:
@@ -205,12 +205,16 @@ def bracket_root(value, tau_o: float, slope: float, what: str) -> float:
         # only quadrature noise puts lo above the root: [0, lo] brackets it
         a, fa, b, fb = 0.0, v0, lo, fa
     else:
-        for _ in range(80):
-            b = 2.0 * a
+        # value(s * x) <= value(s * lo) for x >= lo, so the residual is not
+        # positive from cap on: the root is at most cap
+        cap = lo + fa / (s * tau_o)
+        while True:
+            b = min(2.0 * a, cap)
             fb = residual(b)
             if fb < 0.0:
                 break
+            if b == cap:
+                # only quadrature noise keeps the residual positive at cap
+                return s * cap
             a, fa = b, fb
-        else:
-            raise SolverError(f"{what}: residual never turns negative")
     return s * zeroin(residual, a, b, fa, fb, ROOT_XTOL)

@@ -12,6 +12,11 @@ since the final transmission block, probe included when one happened, always
 spans tau_d - tau_m1. Durations are composed from those counters at the end
 of the round so the identity holds to the last bit.
 
+Every policy is one threshold rule (see strategies): the reference
+disciplines are its degenerate thresholds (eta = -inf transmits at once,
+zeta = -inf with eta = +inf always probes), so neither path below looks at
+which discipline it runs.
+
 Two implementations of the same process: a scalar reference that walks one
 round at a time through the per-decision functions, and a block engine built
 on the fact that, under a fixed policy, attempts are i.i.d. The engine draws
@@ -36,7 +41,6 @@ import numpy as np
 from scipy import special
 
 from .channel import (
-    PairTables,
     draw_cascaded,
     draw_direct,
     linear_budget,
@@ -48,16 +52,10 @@ from .channel import (
 from .config import NetworkConfig
 from .contention import (contention_time, draw_contention, simulate_contention,
                          split_failed_slots)
-from .strategies import (
-    Decision,
-    Policy,
-    PolicyKind,
-    decide_level1_threshold,
-    decide_level2,
-    threshold_params,
-)
+from .strategies import Decision, Policy, decide_level1_threshold, decide_level2
 
 BLOCK_ROUNDS = 4096
+N_BATCHES = 100  # batch-means groups of a campaign's confidence interval
 _MAX_ATTEMPTS = 100_000  # per round; a longer round raises SimulationError
 
 
@@ -99,12 +97,7 @@ def run_round(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy) -> R
         cont_total += outcome.elapsed
         k = outcome.winner
         h = draw_direct(rng, cfg, k)
-        if policy.kind is PolicyKind.PROPOSED:
-            d1 = decide_level1_threshold(h, k, policy.table, cfg)
-        elif policy.kind is PolicyKind.NO_WAIT_DIRECT:
-            d1 = Decision.STOP_DIRECT
-        else:
-            d1 = Decision.ASSIST_RIS
+        d1 = decide_level1_threshold(h, k, policy)
         path.append(d1)
         if d1 is Decision.STOP_DIRECT:
             bits = tau1 * rate_direct(rho, h)
@@ -136,46 +129,22 @@ class RoundArrays(NamedTuple):
     terminal: np.ndarray  # 1 = direct transmission, 2 = surface transmission
 
 
-class _CompiledPolicy(NamedTuple):
-    mode: PolicyKind
-    stop_rate: float
-    tab: PairTables
-    zeta: np.ndarray
-    eta: np.ndarray
-    worthy: np.ndarray
-    h_cross: float
-
-
-def _compile(cfg: NetworkConfig, policy: Policy) -> _CompiledPolicy:
-    return _CompiledPolicy(policy.kind, policy.stop_rate, pair_tables(cfg),
-                           *threshold_params(policy.table, cfg))
-
-
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(block,))
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, pol: _CompiledPolicy,
-                   m: int):
+def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy, m: int):
     """m i.i.d. attempts: contention, direct draw, level-1 code and, where it
     probes, the cascaded draw. Returns per-attempt (failed slots, bits,
     terminal code: 0 none, 1 direct, 2 surface; probe released)."""
-    rho = pol.tab.rho
+    tab = pair_tables(cfg)
+    rho = tab.rho
     winners, fails = draw_contention(rng, cfg, m)
     winners -= 1
-    h = rayleigh(rng, pol.tab.v[winners], m)
+    h = rayleigh(rng, tab.v[winners], m)
     # level-1 codes: 0 transmit direct, 1 probe, 2 release
-    if pol.mode is PolicyKind.NO_WAIT_DIRECT:
-        codes = np.zeros(m, dtype=np.uint8)
-    elif pol.mode is PolicyKind.PROPOSED:
-        codes = np.where(
-            pol.worthy[winners],
-            np.where(h >= pol.eta[winners], 0,
-                     np.where(h <= pol.zeta[winners], 2, 1)),
-            np.where(h >= pol.h_cross, 0, 2)).astype(np.uint8)
-    else:
-        codes = np.ones(m, dtype=np.uint8)
+    codes = np.where(h >= policy.eta[winners], 0, np.where(h <= policy.zeta[winners], 2, 1))
     bits = np.zeros(m)
     terminal = np.zeros(m, dtype=np.uint8)
     released = np.zeros(m, dtype=bool)
@@ -185,10 +154,10 @@ def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, pol: _CompiledP
     rows = np.flatnonzero(codes == 1)
     if rows.size:
         ww = winners[rows]
-        leg1 = rayleigh(rng, pol.tab.ms1[ww][:, None], (rows.size, cfg.M))
-        leg2 = rayleigh(rng, pol.tab.ms2[ww][:, None], (rows.size, cfg.M))
+        leg1 = rayleigh(rng, tab.ms1[ww][:, None], (rows.size, cfg.M))
+        leg2 = rayleigh(rng, tab.ms2[ww][:, None], (rows.size, cfg.M))
         rr = np.log2(1.0 + rho * np.square(h[rows] + (leg1 * leg2).sum(axis=1)))
-        stop = rr >= pol.stop_rate
+        stop = rr >= policy.stop_rate
         bits[rows[stop]] = (cfg.tau_d - cfg.tau_m2) * rr[stop]
         terminal[rows[stop]] = 2
         released[rows[~stop]] = True
@@ -196,7 +165,7 @@ def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, pol: _CompiledP
 
 
 def _simulate_block(seed: int, block: int, n_rounds: int, cfg: NetworkConfig,
-                    pol: _CompiledPolicy) -> RoundArrays:
+                    policy: Policy) -> RoundArrays:
     """n_rounds rounds cut from one stream of i.i.d. attempts: a round is the
     run of attempts up to and including its first terminal one.
 
@@ -211,7 +180,7 @@ def _simulate_block(seed: int, block: int, n_rounds: int, cfg: NetworkConfig,
     drawn = done = 0
     size = n_rounds
     while done < n_rounds:
-        chunk = _draw_attempts(rng, cfg, pol, size)
+        chunk = _draw_attempts(rng, cfg, policy, size)
         if held:
             chunk = [np.concatenate(pair) for pair in zip(held, chunk)]
         fails, bits, terminal, released = chunk
@@ -242,7 +211,6 @@ def _run_blocks(cfg: NetworkConfig, policy: Policy, n_rounds: int, seed: int,
     order, on up to `workers` threads (RISMAC_THREADS, else min(4, CPUs))."""
     if n_rounds <= 0:
         raise ValueError("n_rounds must be positive")
-    pol = _compile(cfg, policy)
     full, rem = divmod(n_rounds, BLOCK_ROUNDS)
     plan = [(i, BLOCK_ROUNDS) for i in range(full)] + ([(full, rem)] if rem else [])
     if workers is None:
@@ -251,7 +219,7 @@ def _run_blocks(cfg: NetworkConfig, policy: Policy, n_rounds: int, seed: int,
     nw = max(1, min(workers, len(plan)))
 
     def one(item):
-        return reduce(_simulate_block(seed, item[0], item[1], cfg, pol))
+        return reduce(_simulate_block(seed, item[0], item[1], cfg, policy))
 
     if nw == 1:
         return [one(item) for item in plan]
@@ -279,7 +247,7 @@ class ThroughputEstimate:
 
 
 def run_campaign(cfg: NetworkConfig, policy: Policy, n_rounds: int, seed: int,
-                 workers: int | None = None, n_batches: int = 100) -> ThroughputEstimate:
+                 workers: int | None = None) -> ThroughputEstimate:
     """Estimate long-run throughput (bits/s/Hz) over n_rounds rounds.
 
     Mean is total bits over total time; the 95% interval comes from batch
@@ -291,7 +259,7 @@ def run_campaign(cfg: NetworkConfig, policy: Policy, n_rounds: int, seed: int,
     y = np.array([s[0] for s in sums])
     t = np.array([s[1] for s in sums])
     mean = float(y.sum() / t.sum())
-    nb = min(n_batches, len(sums))
+    nb = min(N_BATCHES, len(sums))
     if nb >= 2:
         groups_y = [g.sum() for g in np.array_split(y, nb)]
         groups_t = [g.sum() for g in np.array_split(t, nb)]

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .channel import direct_cross, draw_cascaded, pair_tables
+from .channel import direct_cross, draw_cascaded, pair_tables, rayleigh_pdf
 from .config import NetworkConfig, config_hash
 from .contention import expected_contention_time
 from .numerics import (
@@ -214,9 +214,7 @@ def attempt_value(lam: float, cfg: NetworkConfig) -> float:
         def integrand(rows, h):
             lb = _probe_value_raw(lam, h, mu_a[rows], sig_a[rows], rho, tau1, tau2)
             a_val = tau1 * (np.log2(1.0 + rho * h * h) - lam)
-            vr = v_a[rows]
-            pdf = (2.0 * h / vr) * np.exp(-h * h / vr)
-            return np.maximum(lb - np.maximum(a_val, 0.0), 0.0) * pdf
+            return np.maximum(lb - np.maximum(a_val, 0.0), 0.0) * rayleigh_pdf(h, v_a[rows])
 
         # panel edges: the give-up and overtake roots, the floor crossing of
         # the Gaussian surrogate (h_cross - mu, width sigma), and h_cross
@@ -251,7 +249,7 @@ def solve_max_throughput(cfg: NetworkConfig) -> float:
     to a precision relative to lam*. No branch of the value falls faster than
     the direct stop's tau_d - tau_m1 per unit lam."""
     return bracket_root(lambda lam: attempt_value(lam, cfg), expected_contention_time(cfg),
-                        cfg.tau_d - cfg.tau_m1, "throughput balance (tau_o may be degenerate)")
+                        cfg.tau_d - cfg.tau_m1)
 
 
 def solve_max_throughput_fixed_point(cfg: NetworkConfig, alpha: float | None = None,

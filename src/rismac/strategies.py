@@ -7,8 +7,13 @@ The two-level decision of the proposed scheme:
   level 2 (after paying tau_p + tau_c, boosted rate known):
       transmit via the surface / release the channel
 
-plus the three reference disciplines it is measured against: always transmit
-directly, always probe and transmit, and always probe with an optimal stop.
+Every discipline is the same pure threshold rule: pair k transmits directly
+if h >= eta_k, releases if h <= zeta_k and probes otherwise; after a probe
+it stops iff the boosted rate reaches stop_rate. The three reference
+disciplines are degenerate thresholds of it: always transmit directly
+(eta = -inf), always probe and transmit (zeta = -inf, eta = +inf, stop at
+any rate), and always probe with an optimal stop (the same, stopping at
+lambda_b).
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from enum import Enum
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .channel import direct_cross, linear_budget, pair_tables, rate_direct
+from .channel import (direct_cross, linear_budget, pair_tables, rate_direct, rayleigh_pdf,
+                      rayleigh_tail)
 from .config import NetworkConfig
 from .contention import expected_contention_time
 from .numerics import LOG2E, QUAD_TOL, SQRT2, adaptive_panels, bracket_root, scaled_e1
@@ -51,6 +57,18 @@ def policy_from_name(name: str) -> PolicyKind:
                      + ", ".join(k.value for k in PolicyKind))
 
 
+@dataclass(frozen=True, eq=False)
+class Policy:
+    """A transmission discipline as a pure threshold rule: per-pair magnitude
+    thresholds zeta and eta (read-only, indexed by pair - 1) for level 1 and
+    the post-probe stopping rate for level 2."""
+
+    kind: PolicyKind
+    zeta: np.ndarray
+    eta: np.ndarray
+    stop_rate: float
+
+
 def decide_level1_reference(h_mag: float, k: int, lam_star: float,
                             cfg: NetworkConfig) -> Decision:
     """First-level choice by direct value comparison (no thresholds), for
@@ -69,56 +87,21 @@ def decide_level1_reference(h_mag: float, k: int, lam_star: float,
     return Decision.ASSIST_RIS
 
 
-def decide_level1_threshold(h_mag: float, k: int, table: ThresholdTable,
-                            cfg: NetworkConfig) -> Decision:
-    """First-level choice by the precomputed per-pair magnitude thresholds."""
-    if k in table.kstar:
-        if h_mag >= table.eta[k]:
-            return Decision.STOP_DIRECT
-        if h_mag <= table.zeta[k]:
-            return Decision.CONTINUE
-        return Decision.ASSIST_RIS
-    rho = linear_budget(cfg)
-    if rate_direct(rho, h_mag) >= table.lambda_star:
+def decide_level1_threshold(h_mag: float, k: int, policy: Policy) -> Decision:
+    """First-level choice of pair k by the policy's magnitude thresholds:
+    transmit directly at or above eta_k, release at or below zeta_k, probe
+    in between."""
+    if h_mag >= policy.eta[k - 1]:
         return Decision.STOP_DIRECT
-    return Decision.CONTINUE
+    if h_mag <= policy.zeta[k - 1]:
+        return Decision.CONTINUE
+    return Decision.ASSIST_RIS
 
 
 def decide_level2(rate_ris: float, stop_rate: float) -> Decision:
     """Post-probe choice: transmit via the surface iff the boosted rate
     reaches the stopping rate (ties stop)."""
     return Decision.STOP_RIS if rate_ris >= stop_rate else Decision.CONTINUE
-
-
-def threshold_params(table: ThresholdTable | None, cfg: NetworkConfig):
-    """Per-pair threshold arrays for vectorized level-1 decisions.
-
-    Returns (zeta, eta, probe_worthy, h_cross): pairs outside the probe-worthy
-    set use the single direct cutoff h_cross in place of the pair thresholds.
-    Without a table (the reference disciplines) no pair is probe-worthy and
-    h_cross is 0.
-    """
-    zeta = np.zeros(cfg.K)
-    eta = np.full(cfg.K, np.inf)
-    worthy = np.zeros(cfg.K, dtype=bool)
-    if table is None:
-        return zeta, eta, worthy, 0.0
-    for k in table.kstar:
-        worthy[k - 1] = True
-        zeta[k - 1] = table.zeta[k]
-        eta[k - 1] = table.eta[k]
-    rho = linear_budget(cfg)
-    h_cross = direct_cross(table.lambda_star, rho) if rho > 0.0 else 0.0
-    return zeta, eta, worthy, h_cross
-
-
-@dataclass(frozen=True, eq=False)
-class Policy:
-    """A transmission discipline plus the numbers it needs online."""
-
-    kind: PolicyKind
-    stop_rate: float = 0.0
-    table: ThresholdTable | None = None
 
 
 def mean_probe_value(lam: float, cfg: NetworkConfig) -> float:
@@ -134,18 +117,16 @@ def mean_probe_value(lam: float, cfg: NetworkConfig) -> float:
     h_cross = direct_cross(lam, rho)
 
     def integrand(rows, h):
-        vr = v[rows]
-        return probe_value(lam, h, rows + 1, cfg) * (2.0 * h / vr) * np.exp(-h * h / vr)
+        return rayleigh_pdf(h, v[rows], probe_value(lam, h, rows + 1, cfg))
 
     # edges bracket the floor-crossing band of the Gaussian surrogate,
     # centered at h_cross - mu with width sigma
-    h_hi = np.sqrt(v * math.log(1e14))
+    h_hi = rayleigh_tail(v)
     t = np.clip(h_cross - mu, 0.0, None)
     edges = [np.zeros(cfg.K),
              np.clip(t - 30.0 * sigma, 0.0, h_hi),
              np.clip(t + 30.0 * sigma, 0.0, h_hi),
              h_hi]
-    # the integrand tail above the 1 - 1e-14 fading quantile is negligible
     value = adaptive_panels(integrand, edges, QUAD_TOL)
     return value / cfg.K
 
@@ -158,7 +139,7 @@ def solve_lambda_b(cfg: NetworkConfig) -> float:
     releases before probing. It falls by at most tau_d - tau_m1 per unit lam.
     """
     return bracket_root(lambda lam: mean_probe_value(lam, cfg), expected_contention_time(cfg),
-                        cfg.tau_d - cfg.tau_m1, "always-probe balance")
+                        cfg.tau_d - cfg.tau_m1)
 
 
 def no_wait_direct_throughput(cfg: NetworkConfig) -> float:
@@ -193,11 +174,9 @@ def no_wait_ris_throughput(cfg: NetworkConfig) -> float:
     def integrand(rows, h):
         shift = mu[rows][:, None] + SQRT2 * sigma[rows][:, None] * tg[None, :]
         rates = np.log2(1.0 + rho * np.square(h[:, None] + shift))
-        vr = v[rows]
-        pdf = (2.0 * h / vr) * np.exp(-h * h / vr)
-        return (rates @ wg) / _SQRT_PI * pdf
+        return (rates @ wg) / _SQRT_PI * rayleigh_pdf(h, v[rows])
 
-    h_hi = np.sqrt(v * math.log(1e14))
+    h_hi = rayleigh_tail(v)
     root_v = np.sqrt(v)
     edges = [np.zeros(cfg.K),
              np.minimum(root_v, h_hi),
@@ -221,13 +200,31 @@ def analytic_throughput(kind: PolicyKind, cfg: NetworkConfig,
 
 def make_policy(kind: PolicyKind, cfg: NetworkConfig,
                 table: ThresholdTable | None = None) -> Policy:
-    """Bind a discipline to its solved parameters for this network."""
+    """Bind a discipline to its thresholds for this network (only the
+    proposed discipline reads the table).
+
+    proposed: the table's zeta_k and eta_k on probe-worthy pairs; elsewhere
+    both sit at the direct cutoff h_cross(lam*), so the pair transmits or
+    releases. no-wait-direct: eta = -inf. no-wait-ris and optimal-ris-stop:
+    zeta = -inf and eta = +inf, stopping at any rate or at lambda_b.
+    """
+    zeta = np.full(cfg.K, -math.inf)
+    eta = np.full(cfg.K, math.inf)
+    stop_rate = -math.inf
     if kind is PolicyKind.PROPOSED:
         if table is None:
             raise ValueError("the proposed discipline needs a solved threshold table")
-        return Policy(kind, stop_rate=table.lambda_star, table=table)
-    if kind is PolicyKind.NO_WAIT_DIRECT:
-        return Policy(kind)
-    if kind is PolicyKind.NO_WAIT_RIS:
-        return Policy(kind, stop_rate=-math.inf)
-    return Policy(kind, stop_rate=solve_lambda_b(cfg))
+        rho = linear_budget(cfg)
+        zeta[:] = direct_cross(table.lambda_star, rho) if rho > 0.0 else 0.0
+        eta[:] = zeta
+        for k in table.kstar:
+            zeta[k - 1] = table.zeta[k]
+            eta[k - 1] = table.eta[k]
+        stop_rate = table.lambda_star
+    elif kind is PolicyKind.NO_WAIT_DIRECT:
+        eta[:] = -math.inf
+    elif kind is PolicyKind.OPTIMAL_RIS_STOP:
+        stop_rate = solve_lambda_b(cfg)
+    zeta.flags.writeable = False
+    eta.flags.writeable = False
+    return Policy(kind, zeta, eta, stop_rate)

@@ -32,7 +32,6 @@ from rismac import (
 from rismac.channel import draw_cascaded, draw_direct, linear_budget, pair_tables, rate_direct
 from rismac.config import dbm_to_watt
 from rismac.solver import admissible_step_band
-from rismac.strategies import threshold_params
 from rismac.harness import cmd_sweep
 
 LN2 = math.log(2.0)
@@ -160,7 +159,8 @@ def test_criterion_5_decision_rule_equivalence(cfg, table):
     lam = table.lambda_star
     rho = linear_budget(cfg)
     tau1 = cfg.tau_d - cfg.tau_m1
-    zeta, eta, worthy, h_cross = threshold_params(table, cfg)
+    policy = make_policy(PolicyKind.PROPOSED, cfg, table)
+    zeta, eta = policy.zeta, policy.eta
     failures = []
     total = 0
     for k in range(1, cfg.K + 1):
@@ -171,10 +171,7 @@ def test_criterion_5_decision_rule_equivalence(cfg, table):
         ref = np.where((a >= b) & (a >= 0.0), 0,
                        np.where((a < 0.0) & (b < 0.0), 2, 1))
         i = k - 1
-        if worthy[i]:
-            thr = np.where(h >= eta[i], 0, np.where(h <= zeta[i], 2, 1))
-        else:
-            thr = np.where(h >= h_cross, 0, 2)
+        thr = np.where(h >= eta[i], 0, np.where(h <= zeta[i], 2, 1))
         bad = int((ref != thr).sum())
         total += bad
         if bad:
@@ -184,7 +181,7 @@ def test_criterion_5_decision_rule_equivalence(cfg, table):
         rng = np.random.default_rng(60_000 + k)
         for h in draw_direct(rng, cfg, k, 50):
             if decide_level1_reference(float(h), k, lam, cfg) is not decide_level1_threshold(
-                    float(h), k, table, cfg):
+                    float(h), k, policy):
                 failures.append(f"scalar rule mismatch pair {k} h={h:.3e}")
     report(5, f"decision rules identical on 8x1e5 draws ({total} disagreements)",
            failures)

@@ -173,6 +173,16 @@ def test_out_of_range_input_rejected_without_warnings(capsys, argv):
     assert [str(w.message) for w in caught] == []
 
 
+def test_solve_at_extreme_power_succeeds_without_warnings(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "solve", "--set", "pt=2000 dBm")
+    assert code == 0
+    assert parse_threshold_table(out).lambda_star == pytest.approx(645.66, abs=0.01)
+    assert "Warning" not in err
+    assert [str(w.message) for w in caught] == []
+
+
 def test_unknown_policy_rejected_by_parser(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--policy", "magic", "--rounds", "10", "--seed", "1"])

@@ -54,6 +54,12 @@ def test_config_hash_stable_and_sensitive(cfg):
     assert len(h1) == 64
 
 
+def test_default_config_hash_is_pinned(cfg):
+    # threshold tables already written carry this hash; emission must not move it
+    assert config_hash(cfg) == (
+        "462f46d39c667a798adb0784acc146348bfa0a4d78b24108b5513914619590c8")
+
+
 def test_parse_units_text():
     text = """
     K = 2

@@ -66,3 +66,15 @@ def test_one_rayleigh_draw_site():
     sites = [path.name for path in sorted(PACKAGE.glob("*.py"))
              if "log1p(-" in path.read_text(encoding="utf-8")]
     assert sites == ["channel.py"]
+
+
+def test_one_rayleigh_density_site():
+    # the fading density integrals weigh by is channel.rayleigh_pdf
+    sites = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if "np.exp(-h * h" in path.read_text(encoding="utf-8")]
+    assert sites == ["channel.py"]
+
+
+def test_simulator_never_branches_on_policy_kind():
+    # every discipline reaches the engine as thresholds alone
+    assert "PolicyKind" not in (PACKAGE / "simulator.py").read_text(encoding="utf-8")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from rismac import (
     Decision,
-    Policy,
     PolicyKind,
     SimulationError,
     make_policy,
@@ -158,6 +158,7 @@ def test_no_surface_round_trip(cfg):
 
 def test_round_that_never_ends_raises(cfg):
     """A policy that releases every attempt hits the attempts bound."""
-    never = Policy(PolicyKind.OPTIMAL_RIS_STOP, stop_rate=math.inf)
+    off = replace_config(cfg, M=0)
+    never = dataclasses.replace(make_policy(PolicyKind.NO_WAIT_RIS, off), stop_rate=math.inf)
     with pytest.raises(SimulationError, match="did not terminate"):
-        simulate_rounds(replace_config(cfg, M=0), never, 10, seed=1)
+        simulate_rounds(off, never, 10, seed=1)

@@ -405,6 +405,17 @@ def test_quadrature_panel_cap():
         adaptive_panels(lambda rows, h: rng.random(h.shape), [[0.0], [1.0]], 1e-11)
 
 
+def test_root_at_extreme_power_stays_below_its_bound(cfg):
+    """At 2000 dBm the lower bound is already close to lambda*, and doubling
+    from it without a cap passes lam ~ 1024, past the float range of 2^lam;
+    the bracket stops at the monotone upper bound value(lo) / tau_o."""
+    c = apply_overrides(cfg, ["pt=2000 dBm"])
+    lam = solve_max_throughput(c)
+    assert lam == pytest.approx(645.66, abs=0.01)
+    assert throughput_residual(lam * (1.0 - 1e-6), c) >= 0.0
+    assert throughput_residual(lam * (1.0 + 1e-6), c) <= 0.0
+
+
 def test_rate_past_float_range_is_a_solver_error(cfg):
     with pytest.raises(SolverError, match="float range"):
         attempt_value(2000.0, cfg)

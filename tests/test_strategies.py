@@ -24,7 +24,6 @@ from rismac.strategies import (
     no_wait_direct_throughput,
     no_wait_ris_throughput,
     policy_from_name,
-    threshold_params,
 )
 
 
@@ -36,15 +35,16 @@ def test_policy_names_round_trip():
 
 
 def test_threshold_rule_regions(cfg, table):
+    policy = make_policy(PolicyKind.PROPOSED, cfg, table)
     for k in sorted(table.kstar):
         zeta, eta = table.zeta[k], table.eta[k]
         mid = 0.5 * (zeta + eta)
-        assert decide_level1_threshold(0.5 * zeta, k, table, cfg) is Decision.CONTINUE
-        assert decide_level1_threshold(mid, k, table, cfg) is Decision.ASSIST_RIS
-        assert decide_level1_threshold(2.0 * eta, k, table, cfg) is Decision.STOP_DIRECT
+        assert decide_level1_threshold(0.5 * zeta, k, policy) is Decision.CONTINUE
+        assert decide_level1_threshold(mid, k, policy) is Decision.ASSIST_RIS
+        assert decide_level1_threshold(2.0 * eta, k, policy) is Decision.STOP_DIRECT
         # boundary ties: at eta transmit, at zeta release
-        assert decide_level1_threshold(eta, k, table, cfg) is Decision.STOP_DIRECT
-        assert decide_level1_threshold(zeta, k, table, cfg) is Decision.CONTINUE
+        assert decide_level1_threshold(eta, k, policy) is Decision.STOP_DIRECT
+        assert decide_level1_threshold(zeta, k, policy) is Decision.CONTINUE
 
 
 def test_reference_rule_matches_regions(cfg, table):
@@ -68,24 +68,21 @@ def test_rules_agree_on_dense_grid(cfg, table):
     lam = table.lambda_star
     rho = linear_budget(cfg)
     tau1 = cfg.tau_d - cfg.tau_m1
-    zeta, eta, worthy, h_cross = threshold_params(table, cfg)
+    policy = make_policy(PolicyKind.PROPOSED, cfg, table)
+    zeta, eta = policy.zeta, policy.eta
     for k in range(1, cfg.K + 1):
         i = k - 1
-        hi = 2.0 * (eta[i] if np.isfinite(eta[i]) else h_cross)
-        h = np.linspace(1e-6, hi, 10_000)
+        h = np.linspace(1e-6, 2.0 * eta[i], 10_000)
         a = tau1 * (rate_direct(rho, h) - lam)
         b = np.asarray(probe_value(lam, h, k, cfg))
         ref = np.where((a >= b) & (a >= 0.0), 0,
                        np.where((a < 0.0) & (b < 0.0), 2, 1))
-        if worthy[i]:
-            thr = np.where(h >= eta[i], 0, np.where(h <= zeta[i], 2, 1))
-        else:
-            thr = np.where(h >= h_cross, 0, 2)
+        thr = np.where(h >= eta[i], 0, np.where(h <= zeta[i], 2, 1))
         assert np.array_equal(ref, thr)
         # spot checks through the scalar entry points
         for hv in h[:: 2048]:
             assert decide_level1_reference(float(hv), k, lam, cfg) is decide_level1_threshold(
-                float(hv), k, table, cfg)
+                float(hv), k, policy)
 
 
 def test_nonworthy_pair_uses_direct_cutoff(cfg):
@@ -98,8 +95,9 @@ def test_nonworthy_pair_uses_direct_cutoff(cfg):
     rho = linear_budget(off)
     lam = table.lambda_star
     h_cut = math.sqrt(math.expm1(lam * math.log(2.0)) / rho)
+    policy = make_policy(PolicyKind.PROPOSED, off, table)
     for h in (0.5 * h_cut, 0.999999 * h_cut, 1.000001 * h_cut, 2.0 * h_cut):
-        d = decide_level1_threshold(h, 1, table, off)
+        d = decide_level1_threshold(h, 1, policy)
         expect = (Decision.STOP_DIRECT if rate_direct(rho, h) >= lam
                   else Decision.CONTINUE)
         assert d is expect
@@ -110,13 +108,26 @@ def test_make_policy_contracts(cfg, table):
     with pytest.raises(ValueError, match="threshold table"):
         make_policy(PolicyKind.PROPOSED, cfg)
     prop = make_policy(PolicyKind.PROPOSED, cfg, table)
-    assert prop.stop_rate == table.lambda_star and prop.table is table
+    assert prop.stop_rate == table.lambda_star
+    for k in table.kstar:
+        assert (prop.zeta[k - 1], prop.eta[k - 1]) == (table.zeta[k], table.eta[k])
     nwd = make_policy(PolicyKind.NO_WAIT_DIRECT, cfg)
-    assert nwd.table is None
+    assert np.all(nwd.eta == -math.inf)  # always transmits directly
     nwr = make_policy(PolicyKind.NO_WAIT_RIS, cfg)
     assert nwr.stop_rate == -math.inf  # always transmits after probing
     opt = make_policy(PolicyKind.OPTIMAL_RIS_STOP, cfg)
     assert opt.stop_rate == pytest.approx(solve_lambda_b(cfg), abs=1e-9)
+    for always_probe in (nwr, opt):
+        assert np.all(always_probe.zeta == -math.inf) and np.all(always_probe.eta == math.inf)
+
+
+def test_policy_thresholds_are_read_only(cfg, table):
+    for kind in PolicyKind:
+        policy = make_policy(kind, cfg, table)
+        assert policy.zeta.shape == policy.eta.shape == (cfg.K,)
+        for arr in (policy.zeta, policy.eta):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
 
 
 def test_lambda_b_balances_and_sits_below_lambda_star(cfg, table):
