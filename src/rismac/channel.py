@@ -19,6 +19,9 @@ from .config import ConfigError, NetworkConfig
 from .numerics import snr_floor
 
 
+CASCADE_TILE = 1 << 16  # elements per tile of cascaded_sums
+
+
 def linear_budget(cfg: NetworkConfig) -> float:
     """Pre-fading SNR scale pt*gt*gr*beta0/n0 applied to squared magnitudes."""
     return cfg.pt * cfg.gt * cfg.gr * cfg.beta0 / cfg.n0
@@ -26,10 +29,8 @@ def linear_budget(cfg: NetworkConfig) -> float:
 
 def rayleigh(rng: np.random.Generator, mean_square, size=None):
     """Rayleigh magnitudes with E[|h|^2] = mean_square (broadcast against size)."""
-    # inverse-CDF draw: |h| = sqrt(-v ln U); -log1p(-U) is Exp(1) for U in [0,1).
-    # One expression, so numpy reuses the unnamed temporaries' buffers: a
-    # named intermediate costs one more (n, M) array per cascaded leg.
-    return np.sqrt(mean_square * -np.log1p(-rng.random(size)))
+    # |h|^2 / v is Exp(1), drawn by numpy's ziggurat (Marsaglia and Tsang 2000)
+    return np.sqrt(mean_square * rng.standard_exponential(size))
 
 
 def rayleigh_pdf(h, mean_square, weight=1.0):
@@ -104,11 +105,43 @@ def draw_direct(rng: np.random.Generator, cfg: NetworkConfig, k: int, n: int | N
 
 
 def draw_cascaded(rng: np.random.Generator, cfg: NetworkConfig, k: int, n: int | None = None):
-    """Per-element cascaded magnitudes |f_m||g_m|: shape (M,), or (n, M)."""
+    """Per-element cascaded magnitudes |f_m||g_m|: shape (M,), or (n, M).
+
+    The per-element oracle: each leg is its own Rayleigh draw, as the model
+    states it. The engine draws the row sums through cascaded_sums instead.
+    """
     tab = pair_tables(cfg)
     i = _row(cfg, k)
     shape = (cfg.M,) if n is None else (n, cfg.M)
     return rayleigh(rng, tab.ms1[i], shape) * rayleigh(rng, tab.ms2[i], shape)
+
+
+def cascaded_sums(rng: np.random.Generator, ms1, ms2, m: int) -> np.ndarray:
+    """Each row's sum over m elements of |f_m||g_m|, legs with mean squares
+    ms1[i] and ms2[i]: the law of draw_cascaded(...).sum(axis=1).
+
+    sqrt(ms1 E1) sqrt(ms2 E2) = sqrt(ms1 ms2) sqrt(E1 E2) with E1, E2 ~ Exp(1),
+    so each element costs one sqrt and the row's scale is applied once, after
+    the sum. Rows are drawn in tiles of about CASCADE_TILE elements into two
+    reused buffers, so memory stays flat in the number of rows.
+    """
+    scale = np.sqrt(np.multiply(ms1, ms2, dtype=float))
+    out = np.zeros(scale.shape)
+    n = out.size
+    if n == 0 or m == 0:
+        return out
+    rows = min(n, max(1, CASCADE_TILE // m))
+    e1 = np.empty((rows, m))
+    e2 = np.empty((rows, m))
+    for lo in range(0, n, rows):
+        a, b = e1[:n - lo], e2[:n - lo]
+        rng.standard_exponential(out=a)
+        rng.standard_exponential(out=b)
+        np.multiply(a, b, out=a)
+        np.sqrt(a, out=a)
+        a.sum(axis=1, out=out[lo:lo + rows])
+    out *= scale
+    return out
 
 
 def direct_cross(lam: float, rho_bar: float) -> float:

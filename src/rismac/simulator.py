@@ -25,8 +25,8 @@ slots, direct draw, level-1 code, cascaded draw where it probes) and cuts it
 after each terminal attempt: a round is the run of attempts up to the first
 that transmits, and its counters are sums over that run, its failed slots
 split into idle and collision slots once. Each block of up to 4096 rounds
-owns a counter RNG stream derived from (seed, block index), so campaign
-results are bit-identical for any worker count.
+owns a PCG64 stream seeded by (seed, block), so campaign results are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import numpy as np
 from scipy import special
 
 from .channel import (
+    cascaded_sums,
     draw_cascaded,
     draw_direct,
     linear_budget,
@@ -131,7 +132,7 @@ class RoundArrays(NamedTuple):
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(block,))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy, m: int):
@@ -154,9 +155,8 @@ def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy,
     rows = np.flatnonzero(codes == 1)
     if rows.size:
         ww = winners[rows]
-        leg1 = rayleigh(rng, tab.ms1[ww][:, None], (rows.size, cfg.M))
-        leg2 = rayleigh(rng, tab.ms2[ww][:, None], (rows.size, cfg.M))
-        rr = np.log2(1.0 + rho * np.square(h[rows] + (leg1 * leg2).sum(axis=1)))
+        casc = cascaded_sums(rng, tab.ms1[ww], tab.ms2[ww], cfg.M)
+        rr = np.log2(1.0 + rho * np.square(h[rows] + casc))
         stop = rr >= policy.stop_rate
         bits[rows[stop]] = (cfg.tau_d - cfg.tau_m2) * rr[stop]
         terminal[rows[stop]] = 2

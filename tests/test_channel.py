@@ -6,6 +6,8 @@ from scipy import stats
 
 from rismac import ConfigError, replace_config
 from rismac.channel import (
+    CASCADE_TILE,
+    cascaded_sums,
     draw_cascaded,
     draw_direct,
     linear_budget,
@@ -135,3 +137,57 @@ def test_scalar_draws(cfg):
     casc = draw_cascaded(rng, cfg, 1)
     assert casc.shape == (cfg.M,)
     assert np.all(casc > 0)
+
+
+def _pair_sums(cfg, k, n, seed):
+    tab = pair_tables(cfg)
+    return cascaded_sums(np.random.default_rng(seed), np.full(n, tab.ms1[k - 1]),
+                         np.full(n, tab.ms2[k - 1]), cfg.M)
+
+
+@pytest.mark.parametrize("m", [1, 32, 1024])
+def test_cascaded_sums_law_matches_oracle(cfg, m):
+    # the engine's tiled one-sqrt sums against the per-element oracle
+    wide = replace_config(cfg, M=m)
+    n = 4000
+    sums = _pair_sums(wide, 8, n, seed=31)
+    oracle = draw_cascaded(np.random.default_rng(32), wide, 8, n).sum(axis=1)
+    assert sums.shape == (n,)
+    assert stats.ks_2samp(sums, oracle).pvalue > 0.01
+
+
+def test_cascaded_sums_moments(cfg):
+    n = 40000
+    sums = _pair_sums(cfg, 8, n, seed=7)
+    assert abs(sums.mean() - MU8) < 5 * SG8 / math.sqrt(n)
+    assert abs(sums.std(ddof=1) - SG8) < 0.05 * SG8
+
+
+def test_cascaded_sums_per_row_scale(cfg):
+    # each row takes its own pair's legs
+    tab = pair_tables(cfg)
+    n = 20000
+    pairs = np.arange(n) % 2 * 7  # rows alternate pair 1 and pair 8
+    sums = cascaded_sums(np.random.default_rng(9), tab.ms1[pairs], tab.ms2[pairs], cfg.M)
+    for row, mu, sg in ((0, MU1, SG1), (7, MU8, SG8)):
+        part = sums[pairs == row]
+        assert abs(part.mean() - mu) < 5 * sg / math.sqrt(part.size)
+
+
+def test_cascaded_sums_determinism(cfg):
+    wide = replace_config(cfg, M=1000)
+    rows = CASCADE_TILE // wide.M
+    n = 3 * rows + 7  # ends on a partial tile
+    a = _pair_sums(wide, 3, n, seed=11)
+    b = _pair_sums(wide, 3, n, seed=11)
+    assert np.array_equal(a, b)
+    assert np.all(a > 0)
+    assert not np.array_equal(a, _pair_sums(wide, 3, n, seed=12))
+
+
+def test_cascaded_sums_empty(cfg):
+    off = replace_config(cfg, M=0)
+    zeros = _pair_sums(off, 1, 64, seed=1)
+    assert zeros.shape == (64,) and np.all(zeros == 0.0)
+    none = _pair_sums(cfg, 1, 0, seed=1)
+    assert none.shape == (0,)

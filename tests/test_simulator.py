@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from rismac import (
     Decision,
     PolicyKind,
     SimulationError,
+    build_threshold_table,
     make_policy,
     replace_config,
     run_campaign,
@@ -67,6 +69,32 @@ def test_determinism_across_worker_counts(cfg, policies):
     b = simulate_rounds(cfg, policy, 20_000, seed=5, workers=4)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
+
+
+def test_determinism_at_large_surface(cfg):
+    # a partial block, and partial draw tiles, under threads
+    wide = replace_config(cfg, M=1024)
+    policy = make_policy(PolicyKind.PROPOSED, wide, build_threshold_table(wide))
+    n = 4096 + 193
+    est1 = run_campaign(wide, policy, n, seed=6, workers=1)
+    assert run_campaign(wide, policy, n, seed=6, workers=2) == est1
+    assert run_campaign(wide, policy, n, seed=6, workers=4) == est1
+
+
+def test_wide_draw_memory_is_bounded(cfg):
+    # 4096 probing attempts at M = 1024 are 4M elements per leg (32 MiB each)
+    # if drawn whole; the tiled draw holds about one tile
+    wide = replace_config(cfg, M=1024)
+    policy = make_policy(PolicyKind.NO_WAIT_RIS, wide)
+    simulate_rounds(wide, policy, 64, seed=1, workers=1)  # warm the caches
+    tracemalloc.start()
+    try:
+        arr = simulate_rounds(wide, policy, 4096, seed=1, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert arr.bits.shape == (4096,)
+    assert peak < 8 * 2**20
 
 
 def test_seed_changes_results(cfg, policies):
@@ -147,8 +175,6 @@ def test_partial_block_and_argument_validation(cfg, policies):
 def test_no_surface_round_trip(cfg):
     """M = 0 still runs end to end; probing never happens."""
     off = replace_config(cfg, M=0)
-    from rismac import build_threshold_table
-
     table = build_threshold_table(off)
     policy = make_policy(PolicyKind.PROPOSED, off, table)
     arr = simulate_rounds(off, policy, 4096, seed=13)
