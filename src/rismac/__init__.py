@@ -17,11 +17,7 @@ from .config import (
     parse_config,
     replace_config,
 )
-from .contention import (
-    expected_contention_time,
-    simulate_contention,
-    simulate_contention_batch,
-)
+from .contention import expected_contention_time, simulate_contention
 from .simulator import SimulationError, run_campaign, run_round, simulate_rounds
 from .solver import (
     SolverError,
@@ -55,7 +51,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "NetworkConfig", "apply_overrides", "default_config",
     "parse_config", "replace_config",
-    "expected_contention_time", "simulate_contention", "simulate_contention_batch",
+    "expected_contention_time", "simulate_contention",
     "SimulationError", "run_campaign", "run_round", "simulate_rounds",
     "SolverError", "ThresholdTable", "attempt_value", "build_threshold_table",
     "effective_probe_snr", "parse_threshold_table", "probe_value", "probe_value_mc",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 
 
@@ -218,9 +218,13 @@ def _parse_point(text: str, key: str) -> tuple[float, float]:
     return (_num(toks[0], key), _num(toks[1], key))
 
 
-def parse_config_text(text: str) -> NetworkConfig:
-    """Parse the key=value config format (values may carry unit suffixes)."""
-    values: dict[str, object] = {}
+def read_key_values(text: str) -> dict[str, tuple[int, str]]:
+    """The `key = value` lines of a text file: key -> (line number, value).
+
+    '#' starts a comment and blank lines are skipped. A line of another
+    shape, a duplicate key or an empty value is a ConfigError naming its line.
+    """
+    entries: dict[str, tuple[int, str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -228,24 +232,34 @@ def parse_config_text(text: str) -> NetworkConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (s.strip() for s in stripped.split("=", 1))
-        if key not in _SCHEMA:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
+        if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if not raw:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
-        values[key] = _parse_value(key, _SCHEMA[key][0], raw)
+        entries[key] = (lineno, raw)
+    return entries
 
-    missing = [k for k, (_, req) in _SCHEMA.items() if req and k not in values]
+
+def _parse_fields(raw: dict[str, str], K: int | None = None) -> dict:
+    """Each raw value parsed by its _SCHEMA kind; a scalar p broadcasts across
+    the K pairs (the K among the values, else the one given)."""
+    values = {key: _parse_value(key, _SCHEMA[key][0], text) for key, text in raw.items()}
+    p = values.get("p")
+    if p is not None and len(p) == 1:
+        values["p"] = p * values.get("K", K)
+    return values
+
+
+def parse_config_text(text: str) -> NetworkConfig:
+    """Parse the key=value config format (values may carry unit suffixes)."""
+    entries = read_key_values(text)
+    for key, (lineno, _) in entries.items():
+        if key not in _SCHEMA:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+    missing = [k for k, (_, req) in _SCHEMA.items() if req and k not in entries]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
-
-    # a scalar p broadcasts across the K pairs
-    p = values["p"]
-    if len(p) == 1:
-        p = p * values["K"]
-    values["p"] = p
-    return NetworkConfig(**values)  # type: ignore[arg-type]
+    return NetworkConfig(**_parse_fields({key: raw for key, (_, raw) in entries.items()}))
 
 
 def parse_config(path) -> NetworkConfig:
@@ -279,31 +293,23 @@ def config_hash(cfg: NetworkConfig) -> str:
 
 def replace_config(cfg: NetworkConfig, **overrides) -> NetworkConfig:
     """New config with some fields replaced (re-validates)."""
-    known = {f.name for f in fields(NetworkConfig)}
-    bad = set(overrides) - known
+    bad = set(overrides) - {f.name for f in fields(NetworkConfig)}
     if bad:
         raise ConfigError(f"unknown config fields: {sorted(bad)}")
-    kw = {f.name: getattr(cfg, f.name) for f in fields(NetworkConfig)}
-    kw.update(overrides)
-    return NetworkConfig(**kw)
+    return replace(cfg, **overrides)
 
 
 def apply_overrides(cfg: NetworkConfig, items: list[str]) -> NetworkConfig:
     """Apply 'key=value' override strings (same units as the file format)."""
-    overrides: dict[str, object] = {}
+    raw: dict[str, str] = {}
     for item in items:
-        key, sep, raw = item.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if not sep or not raw:
+        key, sep, text = (s.strip() for s in item.partition("="))
+        if not sep or not text:
             raise ConfigError(f"override must look like key=value, got {item!r}")
         if key not in _SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
-        overrides[key] = _parse_value(key, _SCHEMA[key][0], raw)
-    k = overrides.get("K", cfg.K)
-    p = overrides.get("p")
-    if p is not None and len(p) == 1:
-        overrides["p"] = p * k
-    return replace_config(cfg, **overrides)
+        raw[key] = text
+    return replace_config(cfg, **_parse_fields(raw, cfg.K))
 
 
 def default_config() -> NetworkConfig:

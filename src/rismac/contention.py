@@ -61,13 +61,15 @@ def winner_weights(p) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _slot_law(p: tuple[float, ...]):
-    """(p_s, idle share of failed slots, cumulative winner weights) for one
-    probability vector; success_probability is O(K^2) in Python."""
+    """(p_s, p_idle, idle share of failed slots, cumulative winner weights)
+    for one probability vector; success_probability is O(K^2) in Python.
+    Raises ConfigError when p_s = 0."""
     p_s = success_probability(p)
     cum_weights = np.cumsum(winner_weights(p))
     cum_weights.flags.writeable = False
-    idle_frac = idle_probability(p) / (1.0 - p_s) if p_s < 1.0 else 0.0
-    return p_s, idle_frac, cum_weights
+    p_idle = idle_probability(p)
+    idle_frac = p_idle / (1.0 - p_s) if p_s < 1.0 else 0.0
+    return p_s, p_idle, idle_frac, cum_weights
 
 
 def expected_contention_time(cfg: NetworkConfig) -> float:
@@ -77,10 +79,7 @@ def expected_contention_time(cfg: NetworkConfig) -> float:
     is an idle (delta) or a collision (tau_r) in proportion to its slot
     probability, and the closing slot costs tau_m1.
     """
-    ps = success_probability(cfg.p)
-    if ps <= 0.0:
-        raise ConfigError("no slot can have exactly one sender (p_s = 0)")
-    pi0 = idle_probability(cfg.p)
+    ps, pi0, _, _ = _slot_law(tuple(cfg.p))
     p_coll = 1.0 - pi0 - ps
     return cfg.tau_m1 + (pi0 * cfg.delta + p_coll * cfg.tau_r) / ps
 
@@ -109,7 +108,7 @@ def draw_contention(rng: np.random.Generator, cfg: NetworkConfig, n: int):
     """n independent contentions: 1-based winners, drawn from the conditional
     winner CDF, and the geometric count of failed slots before each win,
     which is independent of the winner."""
-    p_s, _, cum_weights = _slot_law(tuple(cfg.p))
+    p_s, _, _, cum_weights = _slot_law(tuple(cfg.p))
     fails = rng.geometric(p_s, n) - 1
     winners = np.searchsorted(cum_weights, rng.random(n), side="right")
     return np.minimum(winners, cfg.K - 1) + 1, fails
@@ -118,19 +117,10 @@ def draw_contention(rng: np.random.Generator, cfg: NetworkConfig, n: int):
 def split_failed_slots(rng: np.random.Generator, cfg: NetworkConfig, fails):
     """(n_idle, n_collisions): each failed slot is idle with the same chance,
     independently, so a count summed over contentions splits in one draw."""
-    n_idle = rng.binomial(fails, _slot_law(tuple(cfg.p))[1])
+    n_idle = rng.binomial(fails, _slot_law(tuple(cfg.p))[2])
     return n_idle, fails - n_idle
 
 
 def contention_time(cfg: NetworkConfig, wins, n_idle, n_collisions):
     """Time of `wins` resolved contentions with these failed-slot counts."""
     return wins * cfg.tau_m1 + n_idle * cfg.delta + n_collisions * cfg.tau_r
-
-
-def simulate_contention_batch(rng: np.random.Generator, cfg: NetworkConfig, n: int):
-    """n independent contentions from the engine's steps: (winners, elapsed,
-    n_idle, n_collisions) arrays, winners 1-based. Same law as
-    simulate_contention, which tests compare it against."""
-    winners, fails = draw_contention(rng, cfg, n)
-    n_idle, n_coll = split_failed_slots(rng, cfg, fails)
-    return winners, contention_time(cfg, 1, n_idle, n_coll), n_idle, n_coll

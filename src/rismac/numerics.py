@@ -59,14 +59,14 @@ def _gl_nodes(n: int):
     return leggauss(n)
 
 
-def adaptive_panels(fvec, edges, tol):
+def adaptive_panels(fvec, edges):
     """Integrate fvec over every row's panels with adaptive refinement.
 
     edges is a list of equal-length arrays, one entry per row: row i's
     panels are [edges[j][i], edges[j+1][i]] for consecutive j, and must not
     be reversed. fvec(row_idx, h) evaluates the integrand vectorized; each
     panel is judged by comparing two Gauss-Legendre orders and halved until
-    its share of the tolerance is met. The tolerance is tol or QUAD_RTOL
+    its share of the tolerance is met. The tolerance is QUAD_TOL or QUAD_RTOL
     times the first round's sum of |panel integrals|, whichever is smaller,
     so tiny integrals keep their relative precision. Returns the integral
     total. A NaN or infinite integrand value raises SolverError at once;
@@ -104,7 +104,7 @@ def adaptive_panels(fvec, edges, tol):
         i2 = half * (vals[:, n1:] @ w2)
         err = np.abs(i2 - i1)
         if r == 0:
-            tol = min(tol, QUAD_RTOL * float(np.abs(i2).sum()))
+            tol = min(QUAD_TOL, QUAD_RTOL * float(np.abs(i2).sum()))
         budget = tol * np.maximum(hi - lo, 1e-300) / width_total
         good = err <= np.maximum(budget, 1e-18)
         total += float(i2[good].sum())

@@ -28,12 +28,11 @@ import numpy as np
 from scipy import special
 
 from .channel import direct_cross, draw_cascaded, pair_tables, rayleigh_pdf
-from .config import NetworkConfig, config_hash
+from .config import ConfigError, NetworkConfig, config_hash, read_key_values
 from .contention import expected_contention_time
 from .numerics import (
     LN2,
     LOG2E,
-    QUAD_TOL,
     SQRT2,
     SolverError,
     adaptive_panels,
@@ -221,16 +220,13 @@ def attempt_value(lam: float, cfg: NetworkConfig) -> float:
         t = h_cross - mu_a
         e1 = np.clip(t - 30.0 * sig_a, zeta, h_cross)
         e2 = np.clip(t + 30.0 * sig_a, zeta, h_cross)
-        total += adaptive_panels(integrand, [zeta, e1, e2, np.full(act.size, h_cross), eta],
-                                 QUAD_TOL)
+        total += adaptive_panels(integrand, [zeta, e1, e2, np.full(act.size, h_cross), eta])
     return total / cfg.K
 
 
-def throughput_residual(lam: float, cfg: NetworkConfig, tau_o: float | None = None) -> float:
+def throughput_residual(lam: float, cfg: NetworkConfig) -> float:
     """attempt_value(lam) - lam*tau_o: positive below lam*, negative above."""
-    if tau_o is None:
-        tau_o = expected_contention_time(cfg)
-    return attempt_value(lam, cfg) - lam * tau_o
+    return attempt_value(lam, cfg) - lam * expected_contention_time(cfg)
 
 
 def admissible_step_band(cfg: NetworkConfig, eps: float) -> tuple[float, float]:
@@ -290,7 +286,7 @@ class ThresholdTable:
     kstar: frozenset[int]
     zeta: dict[int, float]
     eta: dict[int, float]
-    config_hash: str | None = None
+    config_hash: str
 
 
 def build_threshold_table(cfg: NetworkConfig, lam_star: float | None = None) -> ThresholdTable:
@@ -317,33 +313,49 @@ def build_threshold_table(cfg: NetworkConfig, lam_star: float | None = None) -> 
 
 
 def serialize_threshold_table(table: ThresholdTable) -> str:
-    """Flat key=value text; floats use shortest round-trip repr."""
-    lines = ["# threshold table (solved offline)", "version = 1"]
-    if table.config_hash:
-        lines.append(f"config_hash = {table.config_hash}")
-    lines.append(f"lambda_star = {table.lambda_star!r}")
-    lines.append("kstar = " + ",".join(str(k) for k in sorted(table.kstar)))
-    for k in sorted(table.kstar):
+    """Flat key=value text; floats use shortest round-trip repr. An empty
+    kstar is written as 'none'."""
+    kstar = sorted(table.kstar)
+    lines = ["# threshold table (solved offline)", "version = 1",
+             f"config_hash = {table.config_hash}",
+             f"lambda_star = {table.lambda_star!r}",
+             "kstar = " + (",".join(str(k) for k in kstar) or "none")]
+    for k in kstar:
         lines.append(f"zeta.{k} = {table.zeta[k]!r}")
         lines.append(f"eta.{k} = {table.eta[k]!r}")
     return "\n".join(lines) + "\n"
 
 
 def parse_threshold_table(text: str) -> ThresholdTable:
-    fields: dict[str, str] = {}
-    for line in text.splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        key, _, raw = stripped.partition("=")
-        fields[key.strip()] = raw.strip()
+    """Read a table written by serialize_threshold_table.
+
+    The file comes from outside the program, so anything else is a
+    ConfigError: another version, a missing, unknown or malformed field, a
+    negative or non-finite number, or zeta_k >= eta_k. Whether the table fits
+    a network (its hash, its pairs) is checked where the network is known.
+    """
+    fields = {key: raw for key, (_, raw) in read_key_values(text).items()}
     if fields.get("version") != "1":
-        raise SolverError(f"unsupported threshold table version {fields.get('version')!r}")
+        raise ConfigError(f"unsupported threshold table version {fields.get('version')!r}")
     try:
-        lam = float(fields["lambda_star"])
-        ks = frozenset(int(s) for s in fields["kstar"].split(",") if s.strip())
-        zeta = {k: float(fields[f"zeta.{k}"]) for k in ks}
-        eta = {k: float(fields[f"eta.{k}"]) for k in ks}
+        digest, ks = fields["config_hash"], fields["kstar"]
+        kstar = frozenset() if ks == "none" else frozenset(int(s) for s in ks.split(","))
+        keys = ["lambda_star"] + [f"{z}.{k}" for k in sorted(kstar) for z in ("zeta", "eta")]
+        num = {key: float(fields[key]) for key in keys}
     except KeyError as exc:
-        raise SolverError(f"threshold table missing field {exc}") from None
-    return ThresholdTable(lam, ks, zeta, eta, fields.get("config_hash"))
+        raise ConfigError(f"threshold table missing field {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"threshold table: {exc}") from None
+    unknown = sorted(set(fields) - {"version", "config_hash", "kstar", *keys})
+    if unknown:
+        raise ConfigError(f"threshold table has unknown fields {unknown}")
+    lam = num["lambda_star"]
+    zeta = {k: num[f"zeta.{k}"] for k in kstar}
+    eta = {k: num[f"eta.{k}"] for k in kstar}
+    bad = [f"{key} = {x!r}" for key, x in num.items() if not math.isfinite(x)]
+    bad += [f"zeta.{k} >= eta.{k}" for k in sorted(kstar) if not zeta[k] < eta[k]]
+    if lam < 0.0:
+        bad.append("lambda_star < 0")
+    if bad:
+        raise ConfigError(f"threshold table out of range: {', '.join(bad)}")
+    return ThresholdTable(lam, kstar, zeta, eta, digest)

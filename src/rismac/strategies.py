@@ -29,7 +29,7 @@ from .channel import (direct_cross, linear_budget, pair_tables, rate_direct, ray
                       rayleigh_tail)
 from .config import NetworkConfig
 from .contention import expected_contention_time
-from .numerics import LOG2E, QUAD_TOL, SQRT2, adaptive_panels, bracket_root, scaled_e1
+from .numerics import LOG2E, SQRT2, adaptive_panels, bracket_root, scaled_e1
 from .solver import ThresholdTable, probe_value, solve_max_throughput
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -63,7 +63,6 @@ class Policy:
     thresholds zeta and eta (read-only, indexed by pair - 1) for level 1 and
     the post-probe stopping rate for level 2."""
 
-    kind: PolicyKind
     zeta: np.ndarray
     eta: np.ndarray
     stop_rate: float
@@ -127,7 +126,7 @@ def mean_probe_value(lam: float, cfg: NetworkConfig) -> float:
              np.clip(t - 30.0 * sigma, 0.0, h_hi),
              np.clip(t + 30.0 * sigma, 0.0, h_hi),
              h_hi]
-    value = adaptive_panels(integrand, edges, QUAD_TOL)
+    value = adaptive_panels(integrand, edges)
     return value / cfg.K
 
 
@@ -182,7 +181,7 @@ def no_wait_ris_throughput(cfg: NetworkConfig) -> float:
              np.minimum(root_v, h_hi),
              np.minimum(3.0 * root_v, h_hi),
              h_hi]
-    mean_rate = adaptive_panels(integrand, edges, QUAD_TOL) / cfg.K
+    mean_rate = adaptive_panels(integrand, edges) / cfg.K
     return tau2 * mean_rate / (expected_contention_time(cfg) + tau1)
 
 
@@ -213,7 +212,8 @@ def make_policy(kind: PolicyKind, cfg: NetworkConfig,
     stop_rate = -math.inf
     if kind is PolicyKind.PROPOSED:
         if table is None:
-            raise ValueError("the proposed discipline needs a solved threshold table")
+            raise ValueError("the proposed discipline needs a threshold table: "
+                             "run solve and pass its output")
         rho = linear_budget(cfg)
         zeta[:] = direct_cross(table.lambda_star, rho) if rho > 0.0 else 0.0
         eta[:] = zeta
@@ -227,4 +227,4 @@ def make_policy(kind: PolicyKind, cfg: NetworkConfig,
         stop_rate = solve_lambda_b(cfg)
     zeta.flags.writeable = False
     eta.flags.writeable = False
-    return Policy(kind, zeta, eta, stop_rate)
+    return Policy(zeta, eta, stop_rate)

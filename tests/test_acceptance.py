@@ -22,7 +22,6 @@ from rismac import (
     replace_config,
     run_campaign,
     run_round,
-    simulate_contention_batch,
     simulate_rounds,
     solve_max_throughput,
     solve_max_throughput_fixed_point,
@@ -31,6 +30,7 @@ from rismac import (
 )
 from rismac.channel import draw_cascaded, draw_direct, linear_budget, pair_tables, rate_direct
 from rismac.config import dbm_to_watt
+from rismac.contention import contention_time, draw_contention, split_failed_slots
 from rismac.solver import admissible_step_band
 from rismac.harness import cmd_sweep
 
@@ -140,7 +140,8 @@ def test_criterion_4_contention_analytics(cfg):
     and the winner distribution is uniform by chi-square at the 1% level."""
     tau_o = expected_contention_time(cfg)
     rng = np.random.default_rng(4040)
-    winners, elapsed, _, _ = simulate_contention_batch(rng, cfg, 1_000_000)
+    winners, fails = draw_contention(rng, cfg, 1_000_000)
+    elapsed = contention_time(cfg, 1, *split_failed_slots(rng, cfg, fails))
     rel = abs(elapsed.mean() - tau_o) / tau_o
     counts = np.bincount(winners - 1, minlength=cfg.K)
     pval = float(stats.chisquare(counts).pvalue)

@@ -4,7 +4,8 @@ import warnings
 
 import pytest
 
-from rismac import default_config, parse_threshold_table, replace_config
+from rismac import (default_config, parse_threshold_table, replace_config,
+                    serialize_threshold_table)
 from rismac.cli import main
 from rismac.config import config_hash
 from rismac.harness import CSV_HEADER
@@ -66,6 +67,37 @@ def test_table_config_mismatch_rejected(tmp_path, capsys):
                        "--table", str(out), "--set", "pt=26 dBm")
     assert code == 2
     assert "hash" in err
+
+
+def _drop(prefix):
+    return lambda text: "".join(line for line in text.splitlines(keepends=True)
+                                if not line.startswith(prefix))
+
+
+def _with_pair_9(text):
+    # pair 9 copies pair 8's thresholds, so only K = 8 rules it out
+    extra = [line.replace(".8 =", ".9 =") for line in text.splitlines(keepends=True)
+             if line.startswith(("zeta.8", "eta.8"))]
+    return text.replace("kstar = 1,2,3,4,5,6,7,8", "kstar = 1,2,3,4,5,6,7,8,9") + "".join(extra)
+
+
+@pytest.mark.parametrize("edit,extra", [
+    (lambda text: text.replace("version = 1", "version = 2"), ()),
+    (_drop("zeta.3"), ()),
+    (_drop("config_hash"), ("--set", "pt=20 dBm")),
+    (_with_pair_9, ()),
+    (lambda text: _drop("lambda_star")(text) + "lambda_star = nan\n", ("--strict", "0.01")),
+    (lambda text: _drop("zeta.2")(text) + "zeta.2 = 1e9\n", ()),
+    (lambda text: text + "this line is no table field\n", ()),
+], ids=["version-2", "missing-zeta", "missing-hash", "pair-outside-K", "nan-lambda",
+        "zeta-above-eta", "garbage-line"])
+def test_malformed_table_rejected(tmp_path, capsys, table, edit, extra):
+    path = tmp_path / "table.txt"
+    path.write_text(edit(serialize_threshold_table(table)))
+    code, _, err = run(capsys, "simulate", "--policy", "proposed", "--rounds", "1000",
+                       "--seed", "1", "--table", str(path), *extra)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_simulate_strict_failure(capsys):

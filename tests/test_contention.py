@@ -6,12 +6,13 @@ from scipy import stats
 
 from rismac import (
     ConfigError,
+    apply_overrides,
     expected_contention_time,
     replace_config,
     simulate_contention,
-    simulate_contention_batch,
 )
-from rismac.contention import idle_probability, success_probability, winner_weights
+from rismac.contention import (contention_time, draw_contention, idle_probability,
+                               split_failed_slots, success_probability, winner_weights)
 
 # frozen oracles from independent arithmetic
 TAU_O_DEFAULT = 0.0002956803497712527
@@ -46,6 +47,24 @@ def test_expected_contention_time_oracles(cfg):
     assert expected_contention_time(het) == pytest.approx(TAU_O_HET, rel=1e-12)
 
 
+# float.hex of expected_contention_time: the default config and p = 0.1 ... 0.8
+TAU_O_HEX = {
+    None: "0x1.360b16eada977p-12",
+    0.1: "0x1.3fea087046e5ep-13", 0.2: "0x1.8724a8c154c96p-13",
+    0.3: "0x1.360b16eada977p-12", 0.4: "0x1.3c652668c909fp-11",
+    0.5: "0x1.afb7e90ff9725p-10", 0.6: "0x1.a3ce932ed4b7ep-8",
+    0.7: "0x1.4ed7a8d309736p-5", 0.8: "0x1.38867381d7dc9p-1",
+}
+
+
+@pytest.mark.parametrize("p", list(TAU_O_HEX))
+def test_expected_contention_time_is_pinned(cfg, p):
+    # the value feeds every root and baseline: a reordered product in the slot
+    # law would move lambda* in its last bits
+    c = cfg if p is None else apply_overrides(cfg, [f"p={p}"])
+    assert expected_contention_time(c).hex() == TAU_O_HEX[p]
+
+
 def test_certain_collision_rejected(cfg):
     jam = replace_config(cfg, K=2, p=(1.0, 1.0),
                          sources=cfg.sources[:2], dests=cfg.dests[:2])
@@ -69,10 +88,18 @@ def test_scalar_slot_simulation(cfg):
     assert abs(elapsed.mean() - TAU_O_DEFAULT) < 5 * se
 
 
+def engine_contentions(rng, cfg, n):
+    """n contentions through the engine's steps: winners, elapsed, n_idle,
+    n_collisions (the engine splits the failed slots once per round)."""
+    winners, fails = draw_contention(rng, cfg, n)
+    n_idle, n_coll = split_failed_slots(rng, cfg, fails)
+    return winners, contention_time(cfg, 1, n_idle, n_coll), n_idle, n_coll
+
+
 def test_batch_slot_simulation(cfg):
     rng = np.random.default_rng(9)
     n = 200_000
-    winners, elapsed, n_idle, n_coll = simulate_contention_batch(rng, cfg, n)
+    winners, elapsed, n_idle, n_coll = engine_contentions(rng, cfg, n)
     assert np.array_equal(
         elapsed, cfg.tau_m1 + n_idle * cfg.delta + n_coll * cfg.tau_r)
     se = elapsed.std(ddof=1) / math.sqrt(n)
@@ -82,8 +109,8 @@ def test_batch_slot_simulation(cfg):
 
 
 def test_batch_determinism(cfg):
-    a = simulate_contention_batch(np.random.default_rng(5), cfg, 4096)
-    b = simulate_contention_batch(np.random.default_rng(5), cfg, 4096)
+    a = engine_contentions(np.random.default_rng(5), cfg, 4096)
+    b = engine_contentions(np.random.default_rng(5), cfg, 4096)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
 
@@ -92,7 +119,7 @@ def test_batch_vs_scalar_distribution(cfg):
     rng = np.random.default_rng(31)
     n_s = 8000
     scalar = np.array([simulate_contention(rng, cfg).elapsed for _ in range(n_s)])
-    _, batch, _, _ = simulate_contention_batch(np.random.default_rng(32), cfg, 64000)
+    _, batch, _, _ = engine_contentions(np.random.default_rng(32), cfg, 64000)
     se = math.hypot(scalar.std(ddof=1) / math.sqrt(n_s),
                     batch.std(ddof=1) / math.sqrt(batch.size))
     assert abs(scalar.mean() - batch.mean()) < 5 * se

@@ -16,7 +16,7 @@ PACKAGE = Path(rismac.__file__).parent
 PUBLIC = sorted([
     "ConfigError", "NetworkConfig", "apply_overrides", "default_config",
     "parse_config", "replace_config",
-    "expected_contention_time", "simulate_contention", "simulate_contention_batch",
+    "expected_contention_time", "simulate_contention",
     "SimulationError", "run_campaign", "run_round", "simulate_rounds",
     "SolverError", "ThresholdTable", "attempt_value", "build_threshold_table",
     "effective_probe_snr", "parse_threshold_table", "probe_value", "probe_value_mc",

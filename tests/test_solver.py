@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate, optimize, special
 
 from rismac import (
+    ConfigError,
     PolicyKind,
     SolverError,
     analytic_throughput,
@@ -148,11 +149,10 @@ def test_attempt_value_monotone_decreasing(cfg):
 
 
 def test_residual_sign_structure(cfg):
-    tau_o = expected_contention_time(cfg)
     lam_star = solve_max_throughput(cfg)
-    assert throughput_residual(0.0, cfg, tau_o) > 0.0
-    assert throughput_residual(lam_star * 0.5, cfg, tau_o) > 0.0
-    assert throughput_residual(lam_star * 1.5, cfg, tau_o) < 0.0
+    assert throughput_residual(0.0, cfg) > 0.0
+    assert throughput_residual(lam_star * 0.5, cfg) > 0.0
+    assert throughput_residual(lam_star * 1.5, cfg) < 0.0
 
 
 def test_fixed_point_agrees_with_bisection(cfg):
@@ -215,7 +215,7 @@ def test_root_is_relative_across_power_and_coherence(cfg, pt, tau_d):
     lam = solve_max_throughput(c)
     # the root is at most attempt_value(0) / tau_o, and no rate here reaches 64
     hi = min(attempt_value(0.0, c) / tau_o, 64.0)
-    ref = optimize.brentq(lambda l: throughput_residual(l, c, tau_o), 0.0, hi,
+    ref = optimize.brentq(lambda l: throughput_residual(l, c), 0.0, hi,
                           xtol=1e-300, rtol=1e-12)
     assert abs(lam - ref) <= 1e-6 * ref
     for kind in (PolicyKind.NO_WAIT_DIRECT, PolicyKind.NO_WAIT_RIS,
@@ -248,21 +248,25 @@ def test_threshold_invariants(cfg, table):
         assert float(probe_value(lam, zeta * (1 + 1e-9), k, cfg)) > 0.0
 
 
-def test_table_round_trip_bitwise(table):
+def test_table_round_trip_bitwise(cfg, table):
     text = serialize_threshold_table(table)
     back = parse_threshold_table(text)
     assert back.lambda_star == table.lambda_star
     assert back.kstar == table.kstar
     assert back.zeta == table.zeta and back.eta == table.eta
     assert back.config_hash == table.config_hash
+    # no surface, no probe-worthy pair: kstar is written as 'none'
+    empty = build_threshold_table(replace_config(cfg, M=0))
+    assert "kstar = none" in serialize_threshold_table(empty)
+    assert parse_threshold_table(serialize_threshold_table(empty)) == empty
 
 
 def test_table_parse_errors(table):
-    with pytest.raises(SolverError, match="version"):
+    with pytest.raises(ConfigError, match="version"):
         parse_threshold_table("version = 9\nlambda_star = 1.0\nkstar = 1\n")
     text = serialize_threshold_table(table)
     broken = "\n".join(l for l in text.splitlines() if not l.startswith("zeta.3"))
-    with pytest.raises(SolverError, match="missing"):
+    with pytest.raises(ConfigError, match="missing"):
         parse_threshold_table(broken)
 
 
@@ -294,7 +298,7 @@ def test_non_finite_integrand_fails_at_once(bad):
     """Halving cannot repair a NaN or infinite integrand; the quadrature must
     give up on the first one instead of refining until memory runs out."""
     with pytest.raises(SolverError, match="non-finite"):
-        adaptive_panels(lambda rows, h: np.full_like(h, bad), [[0.0], [1.0]], 1e-11)
+        adaptive_panels(lambda rows, h: np.full_like(h, bad), [[0.0], [1.0]])
 
 
 def test_zeroin_finds_sign_change_of_smooth_kinked_and_step():
@@ -402,7 +406,7 @@ def test_quadrature_panel_cap():
     of doubling its panels for every remaining round."""
     rng = np.random.default_rng(3)
     with pytest.raises(SolverError, match="stalled"):
-        adaptive_panels(lambda rows, h: rng.random(h.shape), [[0.0], [1.0]], 1e-11)
+        adaptive_panels(lambda rows, h: rng.random(h.shape), [[0.0], [1.0]])
 
 
 def test_root_at_extreme_power_stays_below_its_bound(cfg):
