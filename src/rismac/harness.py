@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (
-    NetworkConfig,
-    config_hash,
-    dbm_to_watt,
-    replace_config,
-)
+from .config import NetworkConfig, dbm_to_watt, replace_config
 from .simulator import ThroughputEstimate, run_campaign
 from .solver import (
     ThresholdTable,
@@ -40,7 +35,7 @@ ROOT_RTOL = 1e-6  # relative distance to the root that validate accepts for lamb
 
 
 class UsageError(ValueError):
-    """Bad invocation: unknown axis, a table solved for another network."""
+    """Bad invocation: an unknown sweep axis, or missing or malformed axis values."""
 
 
 def _axis_pt_dbm(cfg: NetworkConfig, value: float) -> NetworkConfig:
@@ -76,18 +71,6 @@ class SimResult:
     analytic: float
 
 
-def _check_table(cfg: NetworkConfig, table: ThresholdTable | None) -> None:
-    if table is None:
-        return
-    if table.config_hash != config_hash(cfg):
-        raise UsageError(
-            "threshold table was solved for a different configuration "
-            "(hash mismatch); re-run solve for this one")
-    outside = sorted(k for k in table.kstar if not 1 <= k <= cfg.K)
-    if outside:
-        raise UsageError(f"threshold table names pairs outside 1..{cfg.K}: {outside}")
-
-
 def _bind(kind: PolicyKind, cfg: NetworkConfig,
           table: ThresholdTable | None) -> tuple[Policy, float]:
     """The bound policy and its model throughput (only the proposed discipline
@@ -103,7 +86,6 @@ def cmd_simulate(cfg: NetworkConfig, policy_name: str, n_rounds: int, seed: int,
                  table: ThresholdTable | None = None,
                  workers: int | None = None) -> SimResult:
     kind = policy_from_name(policy_name)
-    _check_table(cfg, table)
     policy, analytic = _bind(kind, cfg, table)
     est = run_campaign(cfg, policy, n_rounds, seed, workers=workers)
     return SimResult(kind.value, est, analytic)

@@ -18,8 +18,7 @@ LN2 = math.log(2.0)
 LOG2E = 1.0 / LN2
 SQRT2 = math.sqrt(2.0)
 
-QUAD_TOL = 1e-11     # absolute tolerance of every value integral...
-QUAD_RTOL = 1e-9     # ...tightened to this share of the integral's magnitude
+QUAD_RTOL = 1e-9     # tolerance of every value integral, relative to its magnitude
 ROOT_XTOL = 1e-11    # final root bracket width, relative to the root's bound
 _ORDERS = (16, 32)   # Gauss-Legendre orders compared on each panel
 _MAX_ROUNDS = 40     # panel-halving rounds before the quadrature gives up
@@ -66,14 +65,15 @@ def adaptive_panels(fvec, edges):
     panels are [edges[j][i], edges[j+1][i]] for consecutive j, and must not
     be reversed. fvec(row_idx, h) evaluates the integrand vectorized; each
     panel is judged by comparing two Gauss-Legendre orders and halved until
-    its share of the tolerance is met. The tolerance is QUAD_TOL or QUAD_RTOL
-    times the first round's sum of |panel integrals|, whichever is smaller,
-    so tiny integrals keep their relative precision. Returns the integral
-    total. A NaN or infinite integrand value raises SolverError at once;
-    halving cannot fix it, and neither can more than _MAX_PANELS panels in
-    all rounds, which bounds the last round to about 6M nodes. (The value
-    integrals of the default 8 pairs evaluate up to 200k panels at
-    tau_d = 100 s.)
+    its share of the tolerance is met. The tolerance is QUAD_RTOL times the
+    first round's sum of |panel integrals|, so it scales with the integrand.
+    Only the floor that passes any panel whose error estimate is below 1e-18
+    is absolute: without it, an integral that is zero to rounding (the probe
+    gain at lam = 0) stalls. Returns the integral total. A NaN or infinite
+    integrand value raises SolverError at once; halving cannot fix it, and
+    neither can more than _MAX_PANELS panels in all rounds, which bounds the
+    last round to about 6M nodes. (A lambda* solve of the default 8 pairs at
+    tau_d = 100 s evaluates about 1,000 panels in all.)
     """
     rows = np.tile(np.arange(len(edges[0])), len(edges) - 1)
     lo = np.concatenate(edges[:-1])
@@ -104,7 +104,7 @@ def adaptive_panels(fvec, edges):
         i2 = half * (vals[:, n1:] @ w2)
         err = np.abs(i2 - i1)
         if r == 0:
-            tol = min(QUAD_TOL, QUAD_RTOL * float(np.abs(i2).sum()))
+            tol = QUAD_RTOL * float(np.abs(i2).sum())
         budget = tol * np.maximum(hi - lo, 1e-300) / width_total
         good = err <= np.maximum(budget, 1e-18)
         total += float(i2[good].sum())

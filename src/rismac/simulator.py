@@ -208,14 +208,13 @@ def _simulate_block(seed: int, block: int, n_rounds: int, cfg: NetworkConfig,
 def _run_blocks(cfg: NetworkConfig, policy: Policy, n_rounds: int, seed: int,
                 workers: int | None, reduce) -> list:
     """reduce(RoundArrays) of every block of an n_rounds campaign, in block
-    order, on up to `workers` threads (RISMAC_THREADS, else min(4, CPUs))."""
+    order, on up to `workers` threads (default min(4, CPUs))."""
     if n_rounds <= 0:
         raise ValueError("n_rounds must be positive")
     full, rem = divmod(n_rounds, BLOCK_ROUNDS)
     plan = [(i, BLOCK_ROUNDS) for i in range(full)] + ([(full, rem)] if rem else [])
     if workers is None:
-        env = os.environ.get("RISMAC_THREADS")
-        workers = int(env) if env else min(4, os.cpu_count() or 1)
+        workers = min(4, os.cpu_count() or 1)
     nw = max(1, min(workers, len(plan)))
 
     def one(item):

@@ -29,7 +29,7 @@ from scipy import special
 
 from .channel import direct_cross, draw_cascaded, pair_tables, rayleigh_pdf
 from .config import ConfigError, NetworkConfig, config_hash, read_key_values
-from .contention import expected_contention_time
+from .contention import expected_contention_time, winner_weights
 from .numerics import (
     LN2,
     LOG2E,
@@ -126,8 +126,9 @@ def probe_value_mc(lam, h_s, k: int, cfg: NetworkConfig, n_samples: int,
     return MCEstimate(mean, math.sqrt(var / n), n)
 
 
-def _direct_value_term(lam: float, w, tau1: float):
-    """tau1 * E[(log2(1+W) - lam)^+] for W ~ Exp(mean w), exact via E1."""
+def direct_value_term(lam: float, w, tau1: float):
+    """tau1 * E[(log2(1+W) - lam)^+] for W ~ Exp(mean w), exact via E1; at
+    lam = 0 the mean direct bits of one transmission."""
     c = snr_floor(lam)
     w = np.asarray(w, dtype=float)
     out = np.zeros_like(w)
@@ -190,10 +191,11 @@ def _thresholds(lam: float, cfg: NetworkConfig, act: np.ndarray, steps: int):
 def attempt_value(lam: float, cfg: NetworkConfig) -> float:
     """Mean best-action value of one resolved contention at time price lam.
 
-    Averages max(direct stop value, probe value, 0) over the pair index and
-    the direct fading law. Decomposed as an exact direct part (E1 closed
-    form over the full tail) plus a probe correction supported only where
-    probing beats both alternatives, so no truncation error enters.
+    Averages max(direct stop value, probe value, 0) over the winning pair,
+    weighted by contention.winner_weights, and the direct fading law.
+    Decomposed as an exact direct part (E1 closed form over the full tail)
+    plus a probe correction supported only where probing beats both
+    alternatives, so no truncation error enters.
     """
     lam = float(lam)
     rho, v, mu, sigma, _, _ = pair_tables(cfg)
@@ -201,19 +203,21 @@ def attempt_value(lam: float, cfg: NetworkConfig) -> float:
     tau2 = cfg.tau_d - cfg.tau_m2
     if rho == 0.0:
         return 0.0
-    total = float(_direct_value_term(lam, rho * v, tau1).sum())
+    w = winner_weights(cfg.p)
+    total = float(w @ direct_value_term(lam, rho * v, tau1))
     h_cross = direct_cross(lam, rho)
 
     act = _probe_worthy(lam, cfg)
     if act.size:
-        mu_a, sig_a, v_a = mu[act], sigma[act], v[act]
+        mu_a, sig_a, v_a, w_a = mu[act], sigma[act], v[act], w[act]
         # 18 steps suffice here: the roots only place panel edges
         zeta, eta = _thresholds(lam, cfg, act, 18)
 
         def integrand(rows, h):
             lb = _probe_value_raw(lam, h, mu_a[rows], sig_a[rows], rho, tau1, tau2)
             a_val = tau1 * (np.log2(1.0 + rho * h * h) - lam)
-            return np.maximum(lb - np.maximum(a_val, 0.0), 0.0) * rayleigh_pdf(h, v_a[rows])
+            gain = np.maximum(lb - np.maximum(a_val, 0.0), 0.0)
+            return rayleigh_pdf(h, v_a[rows], w_a[rows] * gain)
 
         # panel edges: the give-up and overtake roots, the floor crossing of
         # the Gaussian surrogate (h_cross - mu, width sigma), and h_cross
@@ -221,7 +225,7 @@ def attempt_value(lam: float, cfg: NetworkConfig) -> float:
         e1 = np.clip(t - 30.0 * sig_a, zeta, h_cross)
         e2 = np.clip(t + 30.0 * sig_a, zeta, h_cross)
         total += adaptive_panels(integrand, [zeta, e1, e2, np.full(act.size, h_cross), eta])
-    return total / cfg.K
+    return total
 
 
 def throughput_residual(lam: float, cfg: NetworkConfig) -> float:
@@ -332,7 +336,7 @@ def parse_threshold_table(text: str) -> ThresholdTable:
     The file comes from outside the program, so anything else is a
     ConfigError: another version, a missing, unknown or malformed field, a
     negative or non-finite number, or zeta_k >= eta_k. Whether the table fits
-    a network (its hash, its pairs) is checked where the network is known.
+    a network (its hash, its pairs) is checked by strategies.make_policy.
     """
     fields = {key: raw for key, (_, raw) in read_key_values(text).items()}
     if fields.get("version") != "1":

@@ -27,10 +27,10 @@ from numpy.polynomial.hermite import hermgauss
 
 from .channel import (direct_cross, linear_budget, pair_tables, rate_direct, rayleigh_pdf,
                       rayleigh_tail)
-from .config import NetworkConfig
-from .contention import expected_contention_time
-from .numerics import LOG2E, SQRT2, adaptive_panels, bracket_root, scaled_e1
-from .solver import ThresholdTable, probe_value, solve_max_throughput
+from .config import ConfigError, NetworkConfig, config_hash
+from .contention import expected_contention_time, winner_weights
+from .numerics import SQRT2, adaptive_panels, bracket_root
+from .solver import ThresholdTable, direct_value_term, probe_value, solve_max_throughput
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -104,7 +104,8 @@ def decide_level2(rate_ris: float, stop_rate: float) -> Decision:
 
 
 def mean_probe_value(lam: float, cfg: NetworkConfig) -> float:
-    """Unconditional mean of the probe value over pairs and direct fading.
+    """Unconditional mean of the probe value over the winning pair (weighted
+    by contention.winner_weights) and direct fading.
 
     The balance curve of the always-probe discipline (no direct stops, no
     free release): its threshold solves mean_probe_value(lam) = lam*tau_o.
@@ -114,9 +115,10 @@ def mean_probe_value(lam: float, cfg: NetworkConfig) -> float:
     if rho == 0.0:
         return -lam * (cfg.tau_p + cfg.tau_c)
     h_cross = direct_cross(lam, rho)
+    w = winner_weights(cfg.p)
 
     def integrand(rows, h):
-        return rayleigh_pdf(h, v[rows], probe_value(lam, h, rows + 1, cfg))
+        return rayleigh_pdf(h, v[rows], w[rows] * probe_value(lam, h, rows + 1, cfg))
 
     # edges bracket the floor-crossing band of the Gaussian surrogate,
     # centered at h_cross - mu with width sigma
@@ -126,8 +128,7 @@ def mean_probe_value(lam: float, cfg: NetworkConfig) -> float:
              np.clip(t - 30.0 * sigma, 0.0, h_hi),
              np.clip(t + 30.0 * sigma, 0.0, h_hi),
              h_hi]
-    value = adaptive_panels(integrand, edges)
-    return value / cfg.K
+    return adaptive_panels(integrand, edges)
 
 
 def solve_lambda_b(cfg: NetworkConfig) -> float:
@@ -142,18 +143,12 @@ def solve_lambda_b(cfg: NetworkConfig) -> float:
 
 
 def no_wait_direct_throughput(cfg: NetworkConfig) -> float:
-    """Long-run throughput when every winner transmits directly at once.
-
-    Renewal ratio in closed form: the mean direct rate of an exponential SNR
-    is log2(e) * exp(1/w) * E1(1/w).
-    """
+    """Long-run throughput when every winner transmits directly at once:
+    the winner-weighted mean direct bits over one round's time."""
     rho, v, _, _, _, _ = pair_tables(cfg)
-    if rho == 0.0:
-        return 0.0
     tau1 = cfg.tau_d - cfg.tau_m1
-    w = rho * v
-    mean_rate = float(np.mean(LOG2E * scaled_e1(1.0 / w, 1.0 / w)))
-    return tau1 * mean_rate / (expected_contention_time(cfg) + tau1)
+    bits = float(winner_weights(cfg.p) @ direct_value_term(0.0, rho * v, tau1))
+    return bits / (expected_contention_time(cfg) + tau1)
 
 
 def no_wait_ris_throughput(cfg: NetworkConfig) -> float:
@@ -169,11 +164,12 @@ def no_wait_ris_throughput(cfg: NetworkConfig) -> float:
     tau1 = cfg.tau_d - cfg.tau_m1
     tau2 = cfg.tau_d - cfg.tau_m2
     tg, wg = hermgauss(64)
+    w = winner_weights(cfg.p)
 
     def integrand(rows, h):
         shift = mu[rows][:, None] + SQRT2 * sigma[rows][:, None] * tg[None, :]
         rates = np.log2(1.0 + rho * np.square(h[:, None] + shift))
-        return (rates @ wg) / _SQRT_PI * rayleigh_pdf(h, v[rows])
+        return (rates @ wg) / _SQRT_PI * rayleigh_pdf(h, v[rows], w[rows])
 
     h_hi = rayleigh_tail(v)
     root_v = np.sqrt(v)
@@ -181,7 +177,7 @@ def no_wait_ris_throughput(cfg: NetworkConfig) -> float:
              np.minimum(root_v, h_hi),
              np.minimum(3.0 * root_v, h_hi),
              h_hi]
-    mean_rate = adaptive_panels(integrand, edges) / cfg.K
+    mean_rate = adaptive_panels(integrand, edges)
     return tau2 * mean_rate / (expected_contention_time(cfg) + tau1)
 
 
@@ -200,13 +196,21 @@ def analytic_throughput(kind: PolicyKind, cfg: NetworkConfig,
 def make_policy(kind: PolicyKind, cfg: NetworkConfig,
                 table: ThresholdTable | None = None) -> Policy:
     """Bind a discipline to its thresholds for this network (only the
-    proposed discipline reads the table).
+    proposed discipline reads the table). A table solved for another
+    configuration, or naming a pair outside 1..K, is a ConfigError.
 
     proposed: the table's zeta_k and eta_k on probe-worthy pairs; elsewhere
     both sit at the direct cutoff h_cross(lam*), so the pair transmits or
     releases. no-wait-direct: eta = -inf. no-wait-ris and optimal-ris-stop:
     zeta = -inf and eta = +inf, stopping at any rate or at lambda_b.
     """
+    if table is not None:
+        if table.config_hash != config_hash(cfg):
+            raise ConfigError("threshold table was solved for a different configuration "
+                              "(hash mismatch); re-run solve for this one")
+        outside = sorted(k for k in table.kstar if not 1 <= k <= cfg.K)
+        if outside:
+            raise ConfigError(f"threshold table names pairs outside 1..{cfg.K}: {outside}")
     zeta = np.full(cfg.K, -math.inf)
     eta = np.full(cfg.K, math.inf)
     stop_rate = -math.inf

@@ -107,6 +107,14 @@ def test_simulate_strict_failure(capsys):
     assert "strict" in err
 
 
+def test_simulate_strict_at_heterogeneous_p(capsys):
+    # the model weighs the pairs as the contention draws its winners
+    code, out, err = run(capsys, "simulate", "--policy", "no-wait-ris",
+                         "--set", "p=0.05,0.6,0.05,0.05,0.6,0.05,0.05,0.05",
+                         "--rounds", "200000", "--seed", "3", "--strict", "0.01")
+    assert code == 0, out + err
+
+
 def test_sweep_csv_contract(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     argv = ("sweep", "--axis", "pt_dbm", "--values", "28,30",

@@ -1,11 +1,12 @@
-"""The harness's relative gap, root check on near-zero models and its
-one lambda_b solve per sweep point."""
+"""The harness's relative gap, root check on near-zero models, its one
+lambda_b solve per sweep point and its model values under a non-uniform
+winner law."""
 
 import math
 
 from rismac import apply_overrides, default_config, make_policy, run_campaign, solve_lambda_b
 from rismac import strategies
-from rismac.harness import AXES, cmd_sweep, cmd_validate, relative_gap
+from rismac.harness import AXES, cmd_simulate, cmd_solve, cmd_sweep, cmd_validate, relative_gap
 from rismac.strategies import PolicyKind
 
 
@@ -42,3 +43,16 @@ def test_sweep_solves_lambda_b_once_per_point(monkeypatch):
         est = run_campaign(cfg_i, make_policy(kind, cfg_i), 2000, row["seed"])
         assert row["analytic_lambda"] == strategies.analytic_throughput(kind, cfg_i)
         assert (row["simulated_mean"], row["ci_halfwidth"]) == (est.mean, est.ci_halfwidth)
+
+
+def test_model_values_follow_the_winner_law():
+    # winner weights 0.016 and 0.452: averaging the pairs uniformly put three
+    # of the four model values 2.1-2.8% above their campaigns
+    cfg = apply_overrides(default_config(), ["p=0.05,0.6,0.05,0.05,0.6,0.05,0.05,0.05"])
+    table, _ = cmd_solve(cfg)
+    for kind in PolicyKind:
+        result = cmd_simulate(cfg, kind.value, 200_000, 3,
+                              table=table if kind is PolicyKind.PROPOSED else None)
+        est = result.estimate
+        margin = max(3.0 * est.ci_halfwidth, 5e-3 * result.analytic)
+        assert abs(est.mean - result.analytic) <= margin, (kind, est, result.analytic)

@@ -196,12 +196,12 @@ def test_no_surface_makes_probing_worthless(cfg):
     assert probe_worthy_pairs(off, lam) == frozenset()
     assert lam < solve_max_throughput(cfg)
     # with no probe branch the value is the pure direct part
-    from rismac.solver import _direct_value_term
+    from rismac.solver import direct_value_term
 
     rho = linear_budget(off)
     v = pair_tables(off).v
     for l in (2.0, 5.0):
-        direct = float(_direct_value_term(l, rho * v, off.tau_d - off.tau_m1).sum())
+        direct = float(direct_value_term(l, rho * v, off.tau_d - off.tau_m1).sum())
         assert attempt_value(l, off) == pytest.approx(direct / off.K, rel=1e-12)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 from scipy import integrate
 
 from rismac import (
+    ConfigError,
     Decision,
     PolicyKind,
     analytic_throughput,
+    apply_overrides,
     decide_level1_reference,
     decide_level1_threshold,
     decide_level2,
@@ -121,6 +124,20 @@ def test_make_policy_contracts(cfg, table):
         assert np.all(always_probe.zeta == -math.inf) and np.all(always_probe.eta == math.inf)
 
 
+def test_make_policy_rejects_a_table_of_another_network(cfg, table):
+    # a table solved at 30 dBm must not bind to a 20 dBm network
+    with pytest.raises(ConfigError, match="hash mismatch"):
+        make_policy(PolicyKind.PROPOSED, apply_overrides(cfg, ["pt=20 dBm"]), table)
+
+
+def test_make_policy_rejects_pairs_outside_k(cfg, table):
+    nine = dataclasses.replace(table, kstar=table.kstar | {9},
+                               zeta={**table.zeta, 9: table.zeta[8]},
+                               eta={**table.eta, 9: table.eta[8]})
+    with pytest.raises(ConfigError, match=r"outside 1\.\.8: \[9\]"):
+        make_policy(PolicyKind.PROPOSED, cfg, nine)
+
+
 def test_policy_thresholds_are_read_only(cfg, table):
     for kind in PolicyKind:
         policy = make_policy(kind, cfg, table)
@@ -196,3 +213,34 @@ def test_analytic_throughput_dispatch(cfg, table):
     lam_star = solve_max_throughput(cfg)
     assert (no_wait_direct_throughput(cfg) < no_wait_ris_throughput(cfg)
             < lam_star)
+
+
+HET_P = "p=0.05,0.6,0.05,0.05,0.6,0.05,0.05,0.05"
+# float.hex of lambda*, lambda_b, no-wait-direct and no-wait-ris: every pair
+# average weighs by the winner law, so a change of that law, of a closed form
+# or of the quadrature tolerance moves these bits
+MODEL_HEX = {
+    "default": ("0x1.8c9ceda158903p+2", "0x1.75b2d1054009ep+2",
+                "0x1.0a6b2376f1d9ep+2", "0x1.56263c886f558p+2"),
+    "p=0.1": ("0x1.9e6de990033dep+2", "0x1.7d3636f87cea3p+2",
+              "0x1.0cf3ad2333761p+2", "0x1.59671fde93f58p+2"),
+    "K=5": ("0x1.8ec05e92565dap+2", "0x1.6e882f416a9dap+2",
+            "0x1.0c83420c8ee7cp+2", "0x1.48d72c218c120p+2"),
+    HET_P: ("0x1.93fdd513ab85ap+2", "0x1.73bf3273162f2p+2",
+            "0x1.0ca0e0fca13e6p+2", "0x1.4f53c3ab0c8cfp+2"),
+}
+
+
+def _pin_config(cfg, name):
+    if name == "K=5":
+        return replace_config(cfg, K=5, p=(0.3,) * 5,
+                              sources=cfg.sources[:5], dests=cfg.dests[:5])
+    return cfg if name == "default" else apply_overrides(cfg, [name])
+
+
+@pytest.mark.parametrize("name", list(MODEL_HEX))
+def test_model_values_are_pinned(cfg, name):
+    c = _pin_config(cfg, name)
+    values = (solve_max_throughput(c), solve_lambda_b(c),
+              no_wait_direct_throughput(c), no_wait_ris_throughput(c))
+    assert tuple(x.hex() for x in values) == MODEL_HEX[name]
