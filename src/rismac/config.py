@@ -107,6 +107,21 @@ class NetworkConfig:
         """Overhead of a probe-then-stop round: tau_m1 + probing + feedback."""
         return self.tau_m1 + self.tau_p + self.tau_c
 
+    @property
+    def tau1(self) -> float:
+        """Payload window of a direct stop: tau_d - tau_m1."""
+        return self.tau_d - self.tau_m1
+
+    @property
+    def tau2(self) -> float:
+        """Payload window of an assisted stop: tau_d - tau_m2."""
+        return self.tau_d - self.tau_m2
+
+    @property
+    def tau_pc(self) -> float:
+        """Cost of one probe: probing plus its feedback slot."""
+        return self.tau_p + self.tau_c
+
 
 def _scalars(value):
     """The numbers in a field value: itself, or the leaves of nested tuples."""
@@ -117,31 +132,27 @@ def _scalars(value):
         yield value
 
 
-# key -> (kind, required). Kinds drive unit handling in _parse_value.
+# key -> kind. Every key is required except fc, which keeps its default.
 _SCHEMA = {
-    "K": ("int", True),
-    "M": ("int", True),
-    "pt": ("power", True),
-    "gt": ("gain", True),
-    "gr": ("gain", True),
-    "beta0": ("gain", True),
-    "n0": ("power", True),
-    "alpha1": ("float", True),
-    "alpha2": ("float", True),
-    "p": ("problist", True),
-    "delta": ("duration", True),
-    "tau_r": ("duration", True),
-    "tau_c": ("duration", True),
-    "tau_p": ("duration", True),
-    "tau_d": ("duration", True),
-    "fc": ("frequency", False),
-    "sources": ("points", True),
-    "dests": ("points", True),
-    "ris": ("point", True),
+    "K": "int", "M": "int",
+    "pt": "power", "gt": "gain", "gr": "gain", "beta0": "gain", "n0": "power",
+    "alpha1": "float", "alpha2": "float",
+    "p": "problist",
+    "delta": "duration", "tau_r": "duration", "tau_c": "duration",
+    "tau_p": "duration", "tau_d": "duration",
+    "fc": "frequency",
+    "sources": "points", "dests": "points", "ris": "point",
 }
 
-_DURATION_EXP = {"s": 0, "ms": -3, "us": -6}
-_FREQ_EXP = {"hz": 0, "khz": 3, "mhz": 6, "ghz": 9}
+# kind -> unit suffix (lower case, "" for none) -> decimal exponent or converter
+_UNITS = {
+    "int": {"": 0},
+    "float": {"": 0},
+    "power": {"": 0, "w": 0, "mw": -3, "dbm": dbm_to_watt},
+    "gain": {"": 0, "db": db_to_linear, "dbi": db_to_linear},
+    "duration": {"": 0, "s": 0, "ms": -3, "us": -6},
+    "frequency": {"": 0, "hz": 0, "khz": 3, "mhz": 6, "ghz": 9},
+}
 
 
 def _num(token: str, key: str) -> float:
@@ -162,53 +173,27 @@ def _scale_decimal(token: str, exp10: int, key: str) -> float:
 
 
 def _parse_value(key: str, kind: str, raw: str):
-    parts = raw.split()
-    if kind == "int":
-        v = _num(parts[0], key)
-        if len(parts) != 1 or v != int(v):
-            raise ConfigError(f"{key}: expected a bare integer, got {raw!r}")
-        return int(v)
-    if kind == "float":
-        if len(parts) != 1:
-            raise ConfigError(f"{key}: expected a bare number, got {raw!r}")
-        return _num(parts[0], key)
-    if kind == "power":
-        v = _num(parts[0], key)
-        unit = parts[1].lower() if len(parts) > 1 else "w"
-        if unit == "dbm":
-            return dbm_to_watt(v)
-        if unit == "w":
-            return v
-        if unit == "mw":
-            return _scale_decimal(parts[0], -3, key)
-        raise ConfigError(f"{key}: unknown power unit {unit!r} (use dBm, W, mW)")
-    if kind == "gain":
-        v = _num(parts[0], key)
-        unit = parts[1].lower() if len(parts) > 1 else None
-        if unit is None:
-            return v
-        if unit in ("db", "dbi"):
-            return db_to_linear(v)
-        raise ConfigError(f"{key}: unknown gain unit {unit!r} (use dB or bare linear)")
-    if kind == "duration":
-        unit = parts[1].lower() if len(parts) > 1 else "s"
-        if unit not in _DURATION_EXP:
-            raise ConfigError(f"{key}: unknown duration unit {unit!r} (use us, ms, s)")
-        return _scale_decimal(parts[0], _DURATION_EXP[unit], key)
-    if kind == "frequency":
-        unit = parts[1].lower() if len(parts) > 1 else "hz"
-        if unit not in _FREQ_EXP:
-            raise ConfigError(f"{key}: unknown frequency unit {unit!r}")
-        return _scale_decimal(parts[0], _FREQ_EXP[unit], key)
     if kind == "problist":
-        toks = [t for t in raw.replace(",", " ").split() if t]
-        return tuple(_num(t, key) for t in toks)
+        return tuple(_num(t, key) for t in raw.replace(",", " ").split())
     if kind == "point":
         return _parse_point(raw, key)
     if kind == "points":
-        items = [s.strip() for s in raw.split(";") if s.strip()]
-        return tuple(_parse_point(s, key) for s in items)
-    raise AssertionError(kind)
+        return tuple(_parse_point(s.strip(), key) for s in raw.split(";") if s.strip())
+    # every other kind is one 'number [unit]', converted by the unit's _UNITS entry
+    units = _UNITS[kind]
+    parts = raw.split()
+    unit = parts[1].lower() if len(parts) == 2 else ""
+    if len(parts) > 2 or unit not in units:
+        allowed = ", ".join(u for u in units if u) or "none"
+        raise ConfigError(f"{key}: expected 'number [unit]' with unit in ({allowed}), "
+                          f"got {raw!r}")
+    conv = units[unit]
+    v = conv(_num(parts[0], key)) if callable(conv) else _scale_decimal(parts[0], conv, key)
+    if kind != "int":
+        return v
+    if not (math.isfinite(v) and v == int(v)):
+        raise ConfigError(f"{key}: expected an integer, got {raw!r}")
+    return int(v)
 
 
 def _parse_point(text: str, key: str) -> tuple[float, float]:
@@ -243,7 +228,7 @@ def read_key_values(text: str) -> dict[str, tuple[int, str]]:
 def _parse_fields(raw: dict[str, str], K: int | None = None) -> dict:
     """Each raw value parsed by its _SCHEMA kind; a scalar p broadcasts across
     the K pairs (the K among the values, else the one given)."""
-    values = {key: _parse_value(key, _SCHEMA[key][0], text) for key, text in raw.items()}
+    values = {key: _parse_value(key, _SCHEMA[key], text) for key, text in raw.items()}
     p = values.get("p")
     if p is not None and len(p) == 1:
         values["p"] = p * values.get("K", K)
@@ -256,7 +241,7 @@ def parse_config_text(text: str) -> NetworkConfig:
     for key, (lineno, _) in entries.items():
         if key not in _SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-    missing = [k for k, (_, req) in _SCHEMA.items() if req and k not in entries]
+    missing = [k for k in _SCHEMA if k != "fc" and k not in entries]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
     return NetworkConfig(**_parse_fields({key: raw for key, (_, raw) in entries.items()}))
@@ -284,7 +269,7 @@ def emit_config(cfg: NetworkConfig) -> str:
     parse_config_text(emit_config(cfg)) reproduces cfg bit for bit.
     """
     return "".join(f"{key} = {_emit_value(kind, getattr(cfg, key))}\n"
-                   for key, (kind, _) in _SCHEMA.items())
+                   for key, kind in _SCHEMA.items())
 
 
 def config_hash(cfg: NetworkConfig) -> str:

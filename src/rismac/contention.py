@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,46 +31,48 @@ class ContentionOutcome:
     n_collisions: int
 
 
-def idle_probability(p) -> float:
-    out = 1.0
-    for pk in p:
-        out *= 1.0 - pk
-    return out
+class SlotLaw(NamedTuple):
+    """Slot statistics of one probability vector (arrays read-only)."""
 
-
-def success_probability(p) -> float:
-    """P(exactly one sender in a slot) = sum_k p_k prod_{i != k} (1 - p_i)."""
-    total = 0.0
-    for k, pk in enumerate(p):
-        term = pk
-        for i, pi in enumerate(p):
-            if i != k:
-                term *= 1.0 - pi
-        total += term
-    return total
-
-
-def winner_weights(p) -> np.ndarray:
-    """Distribution of the winning pair conditioned on a single-sender slot."""
-    ps = success_probability(p)
-    if ps <= 0.0:
-        raise ConfigError("no slot can have exactly one sender (p_s = 0)")
-    w = np.array([pk * idle_probability([pi for i, pi in enumerate(p) if i != k])
-                  for k, pk in enumerate(p)])
-    return w / w.sum()
+    p_s: float  # P(exactly one sender)
+    p_idle: float  # P(no sender)
+    idle_share: float  # P(idle | the slot failed)
+    weights: np.ndarray  # winning pair's law, given a single-sender slot
+    cum_weights: np.ndarray
 
 
 @lru_cache(maxsize=32)
-def _slot_law(p: tuple[float, ...]):
-    """(p_s, p_idle, idle share of failed slots, cumulative winner weights)
-    for one probability vector; success_probability is O(K^2) in Python.
-    Raises ConfigError when p_s = 0."""
-    p_s = success_probability(p)
-    cum_weights = np.cumsum(winner_weights(p))
+def slot_law(p: tuple[float, ...]) -> SlotLaw:
+    """The slot law of p, computed once per vector (O(K^2) in Python).
+
+    p_s sums p_k * prod_{i != k} (1 - p_i) left to right; each winner weight
+    is p_k times its product of the others, normalized. Raises ConfigError
+    when p_s = 0.
+    """
+    p_s, p_idle, terms = 0.0, 1.0, []
+    for k, pk in enumerate(p):
+        term, others = pk, 1.0
+        for i, pi in enumerate(p):
+            if i != k:
+                term, others = term * (1.0 - pi), others * (1.0 - pi)
+        p_s += term
+        p_idle *= 1.0 - pk
+        terms.append(pk * others)
+    if p_s <= 0.0:
+        raise ConfigError("no slot can have exactly one sender (p_s = 0)")
+    w = np.array(terms)
+    weights = w / w.sum()
+    cum_weights = np.cumsum(weights)
+    weights.flags.writeable = False
     cum_weights.flags.writeable = False
-    p_idle = idle_probability(p)
-    idle_frac = p_idle / (1.0 - p_s) if p_s < 1.0 else 0.0
-    return p_s, p_idle, idle_frac, cum_weights
+    idle_share = p_idle / (1.0 - p_s) if p_s < 1.0 else 0.0
+    return SlotLaw(p_s, p_idle, idle_share, weights, cum_weights)
+
+
+def winner_weights(p) -> np.ndarray:
+    """Distribution of the winning pair conditioned on a single-sender slot
+    (the cached, read-only slot_law weights)."""
+    return slot_law(tuple(p)).weights
 
 
 def expected_contention_time(cfg: NetworkConfig) -> float:
@@ -79,16 +82,16 @@ def expected_contention_time(cfg: NetworkConfig) -> float:
     is an idle (delta) or a collision (tau_r) in proportion to its slot
     probability, and the closing slot costs tau_m1.
     """
-    ps, pi0, _, _ = _slot_law(tuple(cfg.p))
-    p_coll = 1.0 - pi0 - ps
-    return cfg.tau_m1 + (pi0 * cfg.delta + p_coll * cfg.tau_r) / ps
+    law = slot_law(cfg.p)
+    p_coll = 1.0 - law.p_idle - law.p_s
+    return cfg.tau_m1 + (law.p_idle * cfg.delta + p_coll * cfg.tau_r) / law.p_s
 
 
 def simulate_contention(rng: np.random.Generator, cfg: NetworkConfig) -> ContentionOutcome:
     """Slot-by-slot contention until exactly one pair sends (the scalar
     reference, kept for tests and run_round)."""
     p = np.asarray(cfg.p)
-    _slot_law(tuple(cfg.p))  # raises ConfigError when p_s = 0
+    slot_law(cfg.p)  # raises ConfigError when p_s = 0
     n_idle = 0
     n_coll = 0
     while True:
@@ -108,16 +111,16 @@ def draw_contention(rng: np.random.Generator, cfg: NetworkConfig, n: int):
     """n independent contentions: 1-based winners, drawn from the conditional
     winner CDF, and the geometric count of failed slots before each win,
     which is independent of the winner."""
-    p_s, _, _, cum_weights = _slot_law(tuple(cfg.p))
-    fails = rng.geometric(p_s, n) - 1
-    winners = np.searchsorted(cum_weights, rng.random(n), side="right")
+    law = slot_law(cfg.p)
+    fails = rng.geometric(law.p_s, n) - 1
+    winners = np.searchsorted(law.cum_weights, rng.random(n), side="right")
     return np.minimum(winners, cfg.K - 1) + 1, fails
 
 
 def split_failed_slots(rng: np.random.Generator, cfg: NetworkConfig, fails):
     """(n_idle, n_collisions): each failed slot is idle with the same chance,
     independently, so a count summed over contentions splits in one draw."""
-    n_idle = rng.binomial(fails, _slot_law(tuple(cfg.p))[2])
+    n_idle = rng.binomial(fails, slot_law(cfg.p).idle_share)
     return n_idle, fails - n_idle
 
 

@@ -87,9 +87,6 @@ def run_round(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy) -> R
     The scalar reference for the block engine, kept for tests.
     """
     rho = linear_budget(cfg)
-    tau1 = cfg.tau_d - cfg.tau_m1
-    tau2 = cfg.tau_d - cfg.tau_m2
-    tau_pc = cfg.tau_p + cfg.tau_c
     path: list[Decision] = []
     cont_total = 0.0
     probe_rels = 0
@@ -101,20 +98,20 @@ def run_round(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy) -> R
         d1 = decide_level1_threshold(h, k, policy)
         path.append(d1)
         if d1 is Decision.STOP_DIRECT:
-            bits = tau1 * rate_direct(rho, h)
+            bits = cfg.tau1 * rate_direct(rho, h)
             break
         if d1 is Decision.CONTINUE:
             continue
         rr = rate_ris(rho, h, draw_cascaded(rng, cfg, k))
         path.append(decide_level2(rr, policy.stop_rate))
         if path[-1] is Decision.STOP_RIS:
-            bits = tau2 * rr
+            bits = cfg.tau2 * rr
             break
         probe_rels += 1
     else:
         raise SimulationError(f"round did not terminate in {_MAX_ATTEMPTS} attempts")
-    probe_time = probe_rels * tau_pc
-    total = cont_total + probe_time + tau1
+    probe_time = probe_rels * cfg.tau_pc
+    total = cont_total + probe_time + cfg.tau1
     return RoundLedger(tuple(path), float(bits), total, cont_total, probe_time,
                        attempt, k)
 
@@ -150,7 +147,7 @@ def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy,
     terminal = np.zeros(m, dtype=np.uint8)
     released = np.zeros(m, dtype=bool)
     direct = codes == 0
-    bits[direct] = (cfg.tau_d - cfg.tau_m1) * np.log2(1.0 + rho * np.square(h[direct]))
+    bits[direct] = cfg.tau1 * np.log2(1.0 + rho * np.square(h[direct]))
     terminal[direct] = 1
     rows = np.flatnonzero(codes == 1)
     if rows.size:
@@ -158,7 +155,7 @@ def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy,
         casc = cascaded_sums(rng, tab.ms1[ww], tab.ms2[ww], cfg.M)
         rr = np.log2(1.0 + rho * np.square(h[rows] + casc))
         stop = rr >= policy.stop_rate
-        bits[rows[stop]] = (cfg.tau_d - cfg.tau_m2) * rr[stop]
+        bits[rows[stop]] = cfg.tau2 * rr[stop]
         terminal[rows[stop]] = 2
         released[rows[~stop]] = True
     return fails, bits, terminal, released
@@ -201,7 +198,7 @@ def _simulate_block(seed: int, block: int, n_rounds: int, cfg: NetworkConfig,
         size = min(BLOCK_ROUNDS, -(-(n_rounds - done) * drawn // max(done, 1)))
     bits, fails, releases, attempts, terminal = (np.concatenate(c) for c in zip(*parts))
     cont_time = contention_time(cfg, attempts, *split_failed_slots(rng, cfg, fails))
-    total = cont_time + releases * (cfg.tau_p + cfg.tau_c) + (cfg.tau_d - cfg.tau_m1)
+    total = cont_time + releases * cfg.tau_pc + cfg.tau1
     return RoundArrays(bits, total, cont_time, releases, attempts, terminal)
 
 
@@ -215,7 +212,9 @@ def _run_blocks(cfg: NetworkConfig, policy: Policy, n_rounds: int, seed: int,
     plan = [(i, BLOCK_ROUNDS) for i in range(full)] + ([(full, rem)] if rem else [])
     if workers is None:
         workers = min(4, os.cpu_count() or 1)
-    nw = max(1, min(workers, len(plan)))
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    nw = min(workers, len(plan))
 
     def one(item):
         return reduce(_simulate_block(seed, item[0], item[1], cfg, policy))

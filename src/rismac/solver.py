@@ -79,9 +79,9 @@ def effective_probe_snr(lam, h_s, mu, sigma, rho_bar):
     return float(out) if out.ndim == 0 else out
 
 
-def _probe_value_raw(lam, h_s, mu, sigma, rho, tau1, tau2):
+def _probe_value_raw(lam, h_s, mu, sigma, rho, cfg: NetworkConfig):
     om = effective_probe_snr(lam, h_s, mu, sigma, rho)
-    return tau2 * np.log2(1.0 + om) - lam * tau1
+    return cfg.tau2 * np.log2(1.0 + om) - lam * cfg.tau1
 
 
 def probe_value(lam, h_s, k, cfg: NetworkConfig):
@@ -94,8 +94,7 @@ def probe_value(lam, h_s, k, cfg: NetworkConfig):
     """
     tab = pair_tables(cfg)
     i = k - 1
-    return _probe_value_raw(lam, h_s, tab.mu[i], tab.sigma[i], tab.rho,
-                            cfg.tau_d - cfg.tau_m1, cfg.tau_d - cfg.tau_m2)
+    return _probe_value_raw(lam, h_s, tab.mu[i], tab.sigma[i], tab.rho, cfg)
 
 
 def probe_value_mc(lam, h_s, k: int, cfg: NetworkConfig, n_samples: int,
@@ -106,16 +105,14 @@ def probe_value_mc(lam, h_s, k: int, cfg: NetworkConfig, n_samples: int,
     An oracle for the closed form, kept for tests.
     """
     rho = pair_tables(cfg).rho
-    tau1 = cfg.tau_d - cfg.tau_m1
-    tau2 = cfg.tau_d - cfg.tau_m2
-    floor = -lam * (cfg.tau_p + cfg.tau_c)
+    floor = -lam * cfg.tau_pc
     acc = 0.0
     acc2 = 0.0
     left = int(n_samples)
     while left > 0:
         m = min(_MC_CHUNK, left)
         x = draw_cascaded(rng, cfg, k, m).sum(axis=1)
-        val = np.maximum(tau2 * np.log2(1.0 + rho * np.square(h_s + x)) - lam * tau1,
+        val = np.maximum(cfg.tau2 * np.log2(1.0 + rho * np.square(h_s + x)) - lam * cfg.tau1,
                          floor)
         acc += val.sum()
         acc2 += np.square(val).sum()
@@ -146,9 +143,7 @@ def _probe_worthy(lam: float, cfg: NetworkConfig) -> np.ndarray:
     not positive even there, it is dominated for every magnitude.
     """
     rho, _, mu, sigma, _, _ = pair_tables(cfg)
-    lb_cross = np.atleast_1d(_probe_value_raw(
-        lam, direct_cross(lam, rho), mu, sigma, rho,
-        cfg.tau_d - cfg.tau_m1, cfg.tau_d - cfg.tau_m2))
+    lb_cross = np.atleast_1d(_probe_value_raw(lam, direct_cross(lam, rho), mu, sigma, rho, cfg))
     return np.flatnonzero(lb_cross > 0.0)
 
 
@@ -161,8 +156,6 @@ def _thresholds(lam: float, cfg: NetworkConfig, act: np.ndarray, steps: int):
     vector bisection steps.
     """
     rho, _, mu, sigma, _, _ = pair_tables(cfg)
-    tau1 = cfg.tau_d - cfg.tau_m1
-    tau2 = cfg.tau_d - cfg.tau_m2
     h_cross = direct_cross(lam, rho)
     n = act.size
     # both roots in one vector bisection, zeta's rows first, then eta's: one
@@ -171,8 +164,8 @@ def _thresholds(lam: float, cfg: NetworkConfig, act: np.ndarray, steps: int):
     upper = np.arange(2 * n) >= n
 
     def gap(h):
-        lb = _probe_value_raw(lam, h, mu2, sig2, rho, tau1, tau2)
-        return np.where(upper, tau1 * (np.log2(1.0 + rho * h * h) - lam) - lb, lb)
+        lb = _probe_value_raw(lam, h, mu2, sig2, rho, cfg)
+        return np.where(upper, cfg.tau1 * (np.log2(1.0 + rho * h * h) - lam) - lb, lb)
 
     lo = np.concatenate([np.zeros(n), np.full(n, h_cross)])
     hi = np.concatenate([np.full(n, h_cross),
@@ -199,8 +192,7 @@ def attempt_value(lam: float, cfg: NetworkConfig) -> float:
     """
     lam = float(lam)
     rho, v, mu, sigma, _, _ = pair_tables(cfg)
-    tau1 = cfg.tau_d - cfg.tau_m1
-    tau2 = cfg.tau_d - cfg.tau_m2
+    tau1 = cfg.tau1
     if rho == 0.0:
         return 0.0
     w = winner_weights(cfg.p)
@@ -214,7 +206,7 @@ def attempt_value(lam: float, cfg: NetworkConfig) -> float:
         zeta, eta = _thresholds(lam, cfg, act, 18)
 
         def integrand(rows, h):
-            lb = _probe_value_raw(lam, h, mu_a[rows], sig_a[rows], rho, tau1, tau2)
+            lb = _probe_value_raw(lam, h, mu_a[rows], sig_a[rows], rho, cfg)
             a_val = tau1 * (np.log2(1.0 + rho * h * h) - lam)
             gain = np.maximum(lb - np.maximum(a_val, 0.0), 0.0)
             return rayleigh_pdf(h, v_a[rows], w_a[rows] * gain)
@@ -238,7 +230,7 @@ def admissible_step_band(cfg: NetworkConfig, eps: float) -> tuple[float, float]:
     if eps <= 0.0:
         raise SolverError("eps must be positive")
     tau_o = expected_contention_time(cfg)
-    hi = (2.0 - eps) / (tau_o + cfg.tau_d - cfg.tau_m1)
+    hi = (2.0 - eps) / (tau_o + cfg.tau1)
     if hi < eps:
         raise SolverError(f"empty step band: eps={eps} exceeds upper end {hi:g}")
     return eps, hi
@@ -249,7 +241,7 @@ def solve_max_throughput(cfg: NetworkConfig) -> float:
     to a precision relative to lam*. No branch of the value falls faster than
     the direct stop's tau_d - tau_m1 per unit lam."""
     return bracket_root(lambda lam: attempt_value(lam, cfg), expected_contention_time(cfg),
-                        cfg.tau_d - cfg.tau_m1)
+                        cfg.tau1)
 
 
 def solve_max_throughput_fixed_point(cfg: NetworkConfig, alpha: float | None = None,
@@ -261,7 +253,7 @@ def solve_max_throughput_fixed_point(cfg: NetworkConfig, alpha: float | None = N
     tau_o = expected_contention_time(cfg)
     band = admissible_step_band(cfg, eps)
     if alpha is None:
-        alpha = 1.0 / (tau_o + cfg.tau_d - cfg.tau_m1)
+        alpha = 1.0 / (tau_o + cfg.tau1)
     if not band[0] <= alpha <= band[1]:
         raise SolverError(f"step {alpha:g} outside admissible band [{band[0]:g}, {band[1]:g}]")
     lam = float(lam0)

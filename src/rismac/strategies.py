@@ -77,7 +77,7 @@ def decide_level1_reference(h_mag: float, k: int, lam_star: float,
     releasing; release when neither action has positive worth; probe otherwise.
     """
     rho = linear_budget(cfg)
-    a = (cfg.tau_d - cfg.tau_m1) * (rate_direct(rho, h_mag) - lam_star)
+    a = cfg.tau1 * (rate_direct(rho, h_mag) - lam_star)
     b = float(probe_value(lam_star, h_mag, k, cfg))
     if a >= b and a >= 0.0:
         return Decision.STOP_DIRECT
@@ -113,7 +113,7 @@ def mean_probe_value(lam: float, cfg: NetworkConfig) -> float:
     lam = float(lam)
     rho, v, mu, sigma, _, _ = pair_tables(cfg)
     if rho == 0.0:
-        return -lam * (cfg.tau_p + cfg.tau_c)
+        return -lam * cfg.tau_pc
     h_cross = direct_cross(lam, rho)
     w = winner_weights(cfg.p)
 
@@ -139,16 +139,15 @@ def solve_lambda_b(cfg: NetworkConfig) -> float:
     releases before probing. It falls by at most tau_d - tau_m1 per unit lam.
     """
     return bracket_root(lambda lam: mean_probe_value(lam, cfg), expected_contention_time(cfg),
-                        cfg.tau_d - cfg.tau_m1)
+                        cfg.tau1)
 
 
 def no_wait_direct_throughput(cfg: NetworkConfig) -> float:
     """Long-run throughput when every winner transmits directly at once:
     the winner-weighted mean direct bits over one round's time."""
     rho, v, _, _, _, _ = pair_tables(cfg)
-    tau1 = cfg.tau_d - cfg.tau_m1
-    bits = float(winner_weights(cfg.p) @ direct_value_term(0.0, rho * v, tau1))
-    return bits / (expected_contention_time(cfg) + tau1)
+    bits = float(winner_weights(cfg.p) @ direct_value_term(0.0, rho * v, cfg.tau1))
+    return bits / (expected_contention_time(cfg) + cfg.tau1)
 
 
 def no_wait_ris_throughput(cfg: NetworkConfig) -> float:
@@ -161,8 +160,6 @@ def no_wait_ris_throughput(cfg: NetworkConfig) -> float:
     rho, v, mu, sigma, _, _ = pair_tables(cfg)
     if rho == 0.0:
         return 0.0
-    tau1 = cfg.tau_d - cfg.tau_m1
-    tau2 = cfg.tau_d - cfg.tau_m2
     tg, wg = hermgauss(64)
     w = winner_weights(cfg.p)
 
@@ -178,7 +175,7 @@ def no_wait_ris_throughput(cfg: NetworkConfig) -> float:
              np.minimum(3.0 * root_v, h_hi),
              h_hi]
     mean_rate = adaptive_panels(integrand, edges)
-    return tau2 * mean_rate / (expected_contention_time(cfg) + tau1)
+    return cfg.tau2 * mean_rate / (expected_contention_time(cfg) + cfg.tau1)
 
 
 def analytic_throughput(kind: PolicyKind, cfg: NetworkConfig,

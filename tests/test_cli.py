@@ -195,6 +195,23 @@ def test_non_finite_override_rejected(capsys):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("item", ["K=inf", "M=1e400", "K=nan", "pt=30 dBm junk",
+                                  "tau_d=15 ms 99"])
+def test_malformed_number_override_rejected(capsys, item):
+    code, _, err = run(capsys, "solve", "--set", item)
+    assert code == 2
+    assert err.startswith(f"error: {item.split('=')[0]}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_simulate_rejects_workers_below_one(capsys, workers):
+    code, _, err = run(capsys, "simulate", "--policy", "no-wait-direct", "--rounds", "100",
+                       "--seed", "1", "--workers", workers)
+    assert code == 2
+    assert "workers must be at least 1" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("solve", "--set", "pt=4000 dBm"),
     ("solve", "--set", "gt=4000 dB"),

@@ -162,3 +162,19 @@ def test_apply_overrides(cfg):
         apply_overrides(cfg, ["pt"])
     # scalar p override broadcasts
     assert apply_overrides(cfg, ["p=0.5"]).p == (0.5,) * 8
+
+
+@pytest.mark.parametrize("item", ["K=inf", "M=1e400", "K=nan", "M=-inf"])
+def test_integer_field_out_of_range_names_its_key(cfg, item):
+    # inf and 1e400 used to raise OverflowError from int(), nan a ValueError
+    # that did not say which key was wrong
+    key = item.split("=")[0]
+    with pytest.raises(ConfigError, match=f"^{key}: expected an integer"):
+        apply_overrides(cfg, [item])
+
+
+@pytest.mark.parametrize("item", ["pt=30 dBm junk", "tau_d=15 ms 99", "gt=0 dB 3"])
+def test_trailing_tokens_rejected(cfg, item):
+    # one value holds at most one unit; extra tokens were silently dropped
+    with pytest.raises(ConfigError, match="number \\[unit\\]"):
+        apply_overrides(cfg, [item])

@@ -11,8 +11,8 @@ from rismac import (
     replace_config,
     simulate_contention,
 )
-from rismac.contention import (contention_time, draw_contention, idle_probability,
-                               split_failed_slots, success_probability, winner_weights)
+from rismac.contention import (contention_time, draw_contention, slot_law, split_failed_slots,
+                               winner_weights)
 
 # frozen oracles from independent arithmetic
 TAU_O_DEFAULT = 0.0002956803497712527
@@ -21,8 +21,8 @@ TAU_O_HET = 0.00013636363636363637   # p = (0.2, 0.4)
 
 
 def test_idle_and_success_oracles(cfg):
-    assert idle_probability(cfg.p) == pytest.approx(0.7 ** 8, rel=1e-13)
-    assert success_probability(cfg.p) == pytest.approx(8 * 0.3 * 0.7 ** 7, rel=1e-13)
+    assert slot_law(cfg.p).p_idle == pytest.approx(0.7 ** 8, rel=1e-13)
+    assert slot_law(cfg.p).p_s == pytest.approx(8 * 0.3 * 0.7 ** 7, rel=1e-13)
 
 
 def test_winner_weights_uniform(cfg):

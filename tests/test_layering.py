@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import rismac
+from rismac.contention import winner_weights
 
 PACKAGE = Path(rismac.__file__).parent
 
@@ -73,6 +74,20 @@ def test_one_rayleigh_density_site():
     sites = [path.name for path in sorted(PACKAGE.glob("*.py"))
              if "np.exp(-h * h" in path.read_text(encoding="utf-8")]
     assert sites == ["channel.py"]
+
+
+def test_one_payload_window_site():
+    # the windows left after a direct or an assisted stop are NetworkConfig's
+    # tau1 and tau2, so every layer reads the same two numbers
+    sites = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if ".tau_d - " in path.read_text(encoding="utf-8")]
+    assert sites == ["config.py"]
+
+
+def test_slot_law_computed_once():
+    # the O(K^2) winner law is built once per probability vector and shared
+    p = (0.2, 0.4, 0.3)
+    assert winner_weights(p) is winner_weights(p)
 
 
 def test_simulator_never_branches_on_policy_kind():

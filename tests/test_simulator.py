@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -170,6 +171,15 @@ def test_partial_block_and_argument_validation(cfg, policies):
         run_campaign(cfg, policies[PolicyKind.NO_WAIT_DIRECT], 0, seed=3)
     with pytest.raises(ValueError):
         simulate_rounds(cfg, policies[PolicyKind.NO_WAIT_DIRECT], -1, seed=3)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_worker_count_below_one_rejected(cfg, policies, workers):
+    # such a count used to run one worker; it is refused before any thread starts
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        run_campaign(cfg, policies[PolicyKind.NO_WAIT_DIRECT], 8192, seed=3, workers=workers)
+    assert threading.active_count() == threads
 
 
 def test_no_surface_round_trip(cfg):
