@@ -27,10 +27,13 @@ def linear_budget(cfg: NetworkConfig) -> float:
     return cfg.pt * cfg.gt * cfg.gr * cfg.beta0 / cfg.n0
 
 
-def rayleigh(rng: np.random.Generator, mean_square, size=None):
-    """Rayleigh magnitudes with E[|h|^2] = mean_square (broadcast against size)."""
+def rayleigh(rng: np.random.Generator, mean_square, size=None, floor=0.0):
+    """Rayleigh magnitudes with E[|h|^2] = mean_square (broadcast against size),
+    conditioned on exceeding floor >= 0: |h|^2 is exponential and so
+    memoryless, and past floor^2 it is floor^2 plus a fresh exponential.
+    A zero floor adds 0.0, which leaves every draw unchanged."""
     # |h|^2 / v is Exp(1), drawn by numpy's ziggurat (Marsaglia and Tsang 2000)
-    return np.sqrt(mean_square * rng.standard_exponential(size))
+    return np.sqrt(np.square(floor) + mean_square * rng.standard_exponential(size))
 
 
 def rayleigh_pdf(h, mean_square, weight=1.0):
@@ -38,6 +41,16 @@ def rayleigh_pdf(h, mean_square, weight=1.0):
     weight. The weight is applied first, as weight * (2 h / v) * exp(-h^2 / v)
     left to right, which is how a weighted integrand rounds its product."""
     return weight * (2.0 * h / mean_square) * np.exp(-h * h / mean_square)
+
+
+def rayleigh_cdf(h, mean_square):
+    """P(|h'| <= h) for the Rayleigh magnitude h' with E[|h'|^2] = mean_square:
+    1 - exp(-max(h, 0)^2 / v), zero for every h <= 0. A mean square that
+    underflowed to 0 puts all mass at 0, so P = 1 for every h > 0."""
+    x = np.maximum(h, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = -np.expm1(-np.square(x) / mean_square)
+    return np.where(x > 0.0, p, 0.0)
 
 
 def rayleigh_tail(mean_square):

@@ -17,6 +17,11 @@ class ConfigError(ValueError):
     """Raised for malformed, inconsistent, or physically invalid configs."""
 
 
+# the largest surface at which lambda* is checked against a nested quadrature
+# of its model; at 10^6 elements the root leaves a residual of 2.5 relative
+M_MAX = 65_536
+
+
 def _exp10(x: float, what: str) -> float:
     """10^x; a value past the float range is a ConfigError, not an OverflowError."""
     try:
@@ -38,7 +43,7 @@ class NetworkConfig:
     """One network instance: K source-destination pairs plus one RIS.
 
     K: number of contending pairs.
-    M: number of reflecting elements (0 disables the surface).
+    M: number of reflecting elements, 0 to M_MAX (0 disables the surface).
     pt: transmit power (W); gt, gr: antenna gains (linear).
     beta0: reference path gain at 1 m (linear); n0: noise power (W).
     alpha1 / alpha2: path-loss exponents of the direct and RIS links.
@@ -77,6 +82,9 @@ class NetworkConfig:
             raise ConfigError("K must be >= 1")
         if self.M < 0:
             raise ConfigError("M must be >= 0")
+        if self.M > M_MAX:
+            raise ConfigError(f"M = {float(self.M):g} exceeds {M_MAX} reflecting elements, "
+                              "the largest surface the solver is checked at")
         if not (self.pt > 0 and self.n0 > 0 and self.beta0 > 0):
             raise ConfigError("pt, n0, beta0 must be positive")
         if self.gt < 0 or self.gr < 0:

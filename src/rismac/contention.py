@@ -107,14 +107,28 @@ def simulate_contention(rng: np.random.Generator, cfg: NetworkConfig) -> Content
             n_coll += 1
 
 
-def draw_contention(rng: np.random.Generator, cfg: NetworkConfig, n: int):
-    """n independent contentions: 1-based winners, drawn from the conditional
-    winner CDF, and the geometric count of failed slots before each win,
-    which is independent of the winner."""
+def draw_contention(rng: np.random.Generator, cfg: NetworkConfig, n: int,
+                    cum_weights=None):
+    """n independent contentions: 1-based winners, drawn from the winner CDF
+    cum_weights (default: the slot law's), and the geometric count of failed
+    slots before each win, which is independent of the winner."""
     law = slot_law(cfg.p)
+    if cum_weights is None:
+        cum_weights = law.cum_weights
     fails = rng.geometric(law.p_s, n) - 1
-    winners = np.searchsorted(law.cum_weights, rng.random(n), side="right")
+    winners = np.searchsorted(cum_weights, rng.random(n), side="right")
     return np.minimum(winners, cfg.K - 1) + 1, fails
+
+
+def failed_slots(rng: np.random.Generator, cfg: NetworkConfig, wins):
+    """Failed slots summed over each entry's count of further contention wins:
+    the failures before wins successes are negative binomial, drawn once per
+    nonzero count (zero where wins = 0)."""
+    out = np.zeros_like(wins)
+    some = np.flatnonzero(wins)
+    if some.size:
+        out[some] = rng.negative_binomial(wins[some], slot_law(cfg.p).p_s)
+    return out
 
 
 def split_failed_slots(rng: np.random.Generator, cfg: NetworkConfig, fails):

@@ -17,15 +17,21 @@ disciplines are its degenerate thresholds (eta = -inf transmits at once,
 zeta = -inf with eta = +inf always probes), so neither path below looks at
 which discipline it runs.
 
-Two implementations of the same process: a scalar reference that walks one
-round at a time through the per-decision functions, and a block engine built
-on the fact that, under a fixed policy, attempts are i.i.d. The engine draws
-a stream of attempts in vectorized chunks (contention winner and failed
-slots, direct draw, level-1 code, cascaded draw where it probes) and cuts it
-after each terminal attempt: a round is the run of attempts up to the first
-that transmits, and its counters are sums over that run, its failed slots
-split into idle and collision slots once. Each block of up to 4096 rounds
-owns a PCG64 stream seeded by (seed, block), so campaign results are
+Two implementations of the same process: run_round, the scalar oracle that
+walks every attempt, and a block engine built on attempts being i.i.d. under
+a fixed policy. An attempt releases at level 1 with the closed-form
+probability q = sum_k w_k P(h_k <= zeta_k) (w the winner law), so the engine
+draws only acting attempts, those that transmit directly or probe, in
+vectorized chunks: winner from w_k (1 - r_k) / (1 - q) with failed slots,
+direct magnitude past zeta_k (|h|^2 is memoryless), code (direct at or above
+eta_k, else probe) and, where it probes, the cascaded draw; before each, a
+geometric count of skipped releases (none drawn at q = 0, so the reference
+disciplines, with zeta = -inf, draw no extra numbers). A round is the run of
+acting attempts up to the first that transmits plus the releases skipped
+before them, so it costs O(acting attempts); the skipped releases' failed
+slots are one negative-binomial draw per round, and a round's failed slots
+are split into idle and collision slots once. Each block of up to 4096
+rounds owns a PCG64 stream seeded by (seed, block), so campaign results are
 bit-identical for any worker count.
 """
 
@@ -49,10 +55,11 @@ from .channel import (
     rate_direct,
     rate_ris,
     rayleigh,
+    rayleigh_cdf,
 )
 from .config import NetworkConfig
-from .contention import (contention_time, draw_contention, simulate_contention,
-                         split_failed_slots)
+from .contention import (contention_time, draw_contention, failed_slots, simulate_contention,
+                         slot_law, split_failed_slots)
 from .strategies import Decision, Policy, decide_level1_threshold, decide_level2
 
 BLOCK_ROUNDS = 4096
@@ -84,7 +91,8 @@ class RoundLedger:
 def run_round(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy) -> RoundLedger:
     """Simulate one round at slot fidelity, one decision at a time.
 
-    The scalar reference for the block engine, kept for tests.
+    The scalar oracle of the block engine, kept for tests: it draws every
+    attempt, releases included.
     """
     rho = linear_budget(cfg)
     path: list[Decision] = []
@@ -132,24 +140,50 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy, m: int):
-    """m i.i.d. attempts: contention, direct draw, level-1 code and, where it
-    probes, the cascaded draw. Returns per-attempt (failed slots, bits,
-    terminal code: 0 none, 1 direct, 2 surface; probe released)."""
+def _acting_law(cfg: NetworkConfig, policy: Policy):
+    """The release probability q = sum_k w_k r_k of one attempt, with
+    r_k = P(h_k <= zeta_k), and the winner CDF of an acting attempt (one that
+    transmits directly or probes), w_k (1 - r_k) / (1 - q). At q = 0 that is
+    the slot law's own CDF."""
+    law = slot_law(cfg.p)
+    r = rayleigh_cdf(policy.zeta, pair_tables(cfg).v)
+    q = float(law.weights @ r)
+    if q == 0.0:
+        return law.cum_weights, q
+    acting = np.cumsum(law.weights * (1.0 - r))
+    if q >= 1.0 or acting[-1] <= 0.0:
+        raise SimulationError(f"every attempt releases (q = {q}): rounds did not terminate")
+    return acting / acting[-1], q
+
+
+def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy, m: int,
+                   cum_weights, q: float):
+    """m i.i.d. acting attempts: contention, direct draw past zeta, level-1
+    code and, where it probes, the cascaded draw; before each, the geometric
+    count of releases skipped (none drawn when q = 0). Returns per-attempt
+    (failed slots, bits, terminal code: 0 none, 1 direct, 2 surface; probe
+    released; releases skipped)."""
     tab = pair_tables(cfg)
     rho = tab.rho
-    winners, fails = draw_contention(rng, cfg, m)
+    winners, fails = draw_contention(rng, cfg, m, cum_weights)
     winners -= 1
-    h = rayleigh(rng, tab.v[winners], m)
-    # level-1 codes: 0 transmit direct, 1 probe, 2 release
-    codes = np.where(h >= policy.eta[winners], 0, np.where(h <= policy.zeta[winners], 2, 1))
+    if q:
+        skipped = rng.geometric(1.0 - q, m) - 1
+        if skipped.max() >= _MAX_ATTEMPTS:
+            raise SimulationError(
+                f"a round did not terminate in {_MAX_ATTEMPTS} attempts (q = {q})")
+        floor = np.maximum(policy.zeta[winners], 0.0)
+    else:
+        skipped, floor = np.zeros(m, dtype=np.int64), 0.0
+    h = rayleigh(rng, tab.v[winners], m, floor)
+    # an acting attempt transmits directly at or above eta and probes below
+    direct = h >= policy.eta[winners]
     bits = np.zeros(m)
     terminal = np.zeros(m, dtype=np.uint8)
     released = np.zeros(m, dtype=bool)
-    direct = codes == 0
     bits[direct] = cfg.tau1 * np.log2(1.0 + rho * np.square(h[direct]))
     terminal[direct] = 1
-    rows = np.flatnonzero(codes == 1)
+    rows = np.flatnonzero(~direct)
     if rows.size:
         ww = winners[rows]
         casc = cascaded_sums(rng, tab.ms1[ww], tab.ms2[ww], cfg.M)
@@ -158,45 +192,56 @@ def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy,
         bits[rows[stop]] = cfg.tau2 * rr[stop]
         terminal[rows[stop]] = 2
         released[rows[~stop]] = True
-    return fails, bits, terminal, released
+    return fails, bits, terminal, released, skipped
 
 
 def _simulate_block(seed: int, block: int, n_rounds: int, cfg: NetworkConfig,
                     policy: Policy) -> RoundArrays:
-    """n_rounds rounds cut from one stream of i.i.d. attempts: a round is the
-    run of attempts up to and including its first terminal one.
+    """n_rounds rounds cut from one stream of i.i.d. acting attempts: a round
+    is the run of acting attempts up to and including its first terminal
+    one, plus the releases skipped before each of them.
 
     Each chunk is summed per round as soon as it is drawn, so memory stays
     O(n_rounds); the attempts of the round left open at a chunk's end are
-    held over to the front of the next chunk. Failed slots are split into
-    idle and collision slots per round, once, at the end.
+    held over to the front of the next chunk. The skipped releases' failed
+    slots are drawn per round in one negative-binomial draw, and failed
+    slots are split into idle and collision slots per round, once, at the
+    end.
     """
     rng = _block_rng(seed, block)
+    cum_weights, q = _acting_law(cfg, policy)
     parts = []
     held = ()
     drawn = done = 0
     size = n_rounds
     while done < n_rounds:
-        chunk = _draw_attempts(rng, cfg, policy, size)
+        chunk = _draw_attempts(rng, cfg, policy, size, cum_weights, q)
         if held:
             chunk = [np.concatenate(pair) for pair in zip(held, chunk)]
-        fails, bits, terminal, released = chunk
+        fails, bits, terminal, released, skipped = chunk
         ends = np.flatnonzero(terminal)[:n_rounds - done]
         cut = ends[-1] + 1 if ends.size else 0
         held = [a[cut:] for a in chunk]
-        if held[0].size >= _MAX_ATTEMPTS:
+        if held[0].size + held[4].sum() >= _MAX_ATTEMPTS:
             raise SimulationError(
                 f"block {block}: a round did not terminate in {_MAX_ATTEMPTS} attempts")
         if ends.size:
             starts = np.concatenate(([0], ends[:-1] + 1))
             parts.append((bits[ends], np.add.reduceat(fails[:cut], starts),
                           np.add.reduceat(released[:cut], starts, dtype=np.int64),
-                          ends - starts + 1, terminal[ends]))
+                          ends - starts + 1, np.add.reduceat(skipped[:cut], starts),
+                          terminal[ends]))
         drawn += size
         done += ends.size
-        # size the next chunk from the attempts per round seen so far
+        # size the next chunk from the acting attempts per round seen so far
         size = min(BLOCK_ROUNDS, -(-(n_rounds - done) * drawn // max(done, 1)))
-    bits, fails, releases, attempts, terminal = (np.concatenate(c) for c in zip(*parts))
+    bits, fails, releases, acting, skipped, terminal = (np.concatenate(c)
+                                                        for c in zip(*parts))
+    attempts = acting + skipped
+    if attempts.max() > _MAX_ATTEMPTS:
+        raise SimulationError(
+            f"block {block}: a round did not terminate in {_MAX_ATTEMPTS} attempts")
+    fails += failed_slots(rng, cfg, skipped)
     cont_time = contention_time(cfg, attempts, *split_failed_slots(rng, cfg, fails))
     total = cont_time + releases * cfg.tau_pc + cfg.tau1
     return RoundArrays(bits, total, cont_time, releases, attempts, terminal)

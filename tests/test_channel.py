@@ -14,6 +14,8 @@ from rismac.channel import (
     pair_tables,
     rate_direct,
     rate_ris,
+    rayleigh,
+    rayleigh_cdf,
 )
 
 # frozen oracles, computed by independent arithmetic from the defaults
@@ -111,6 +113,23 @@ def test_direct_draw_law(cfg):
     ms = np.square(draws)
     se = ms.std(ddof=1) / math.sqrt(n)
     assert abs(ms.mean() - V1) < 5 * se
+
+
+def test_rayleigh_cdf_and_floored_draw():
+    scale = math.sqrt(V1 / 2.0)
+    h = np.array([-1.0, 0.0, 0.5 * H1, H1, 3.0 * H1, math.inf])
+    assert np.allclose(rayleigh_cdf(h, V1), stats.rayleigh.cdf(h, scale=scale),
+                       rtol=1e-13, atol=0.0)
+    assert rayleigh_cdf(-math.inf, V1) == 0.0
+    # a mean square that underflowed to 0: all mass at 0, and no 0/0 warning
+    assert rayleigh_cdf(np.array([-math.inf, 0.0, 1e-3]), 0.0).tolist() == [0.0, 0.0, 1.0]
+    # past the floor the draw is the magnitude conditioned on exceeding it
+    floor = 1.2 * H1
+    draws = rayleigh(np.random.default_rng(5), V1, 20000, floor)
+    assert draws.min() > floor
+    tail = stats.rayleigh.sf(floor, scale=scale)
+    ks = stats.kstest(draws, lambda x: 1.0 - stats.rayleigh.sf(x, scale=scale) / tail)
+    assert ks.pvalue > 0.01
 
 
 def test_cascaded_draw_moments(cfg):

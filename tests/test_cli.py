@@ -230,6 +230,19 @@ def test_out_of_range_input_rejected_without_warnings(capsys, argv):
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize("item", ["M=1000000", "M=1e300"])
+def test_surface_past_its_checked_size_rejected(capsys, item):
+    # past 65,536 elements lambda* used to come out silently wrong (exit 0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "solve", "--set", item)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: M = ") and "65536" in err
+    assert "Warning" not in err
+    assert [str(w.message) for w in caught] == []
+
+
 def test_solve_at_extreme_power_succeeds_without_warnings(capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

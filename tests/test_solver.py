@@ -401,6 +401,17 @@ def test_root_at_tiny_values_matches_nested_quadrature(cfg):
     assert nested_attempt_value(above, c) - above * tau_o <= 0.0
 
 
+def test_root_at_the_largest_surface_matches_nested_quadrature(cfg):
+    """M = 65,536 is the largest surface a config accepts; lambda* is still the
+    root of the nested-quadrature balance there (at 10^6 it was off by 2.5)."""
+    c = replace_config(cfg, M=65_536)
+    lam = solve_max_throughput(c)
+    target = lam * expected_contention_time(c)
+    assert abs(nested_attempt_value(lam, c) - target) <= 1e-9 * target
+    with pytest.raises(ConfigError, match="M = 65537 exceeds 65536"):
+        replace_config(cfg, M=65_537)
+
+
 def test_quadrature_panel_cap():
     """A finite integrand that never converges stops at the panel cap instead
     of doubling its panels for every remaining round."""
