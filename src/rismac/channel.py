@@ -45,18 +45,8 @@ def rayleigh_pdf(h, mean_square, weight=1.0):
 
 def rayleigh_cdf(h, mean_square):
     """P(|h'| <= h) for the Rayleigh magnitude h' with E[|h'|^2] = mean_square:
-    1 - exp(-max(h, 0)^2 / v), zero for every h <= 0. A mean square that
-    underflowed to 0 puts all mass at 0, so P = 1 for every h > 0."""
-    x = np.maximum(h, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = -np.expm1(-np.square(x) / mean_square)
-    return np.where(x > 0.0, p, 0.0)
-
-
-def rayleigh_tail(mean_square):
-    """The 1 - 1e-14 quantile of the magnitude: integrals over the fading law
-    stop here, the mass above it is negligible."""
-    return np.sqrt(mean_square * math.log(1e14))
+    1 - exp(-max(h, 0)^2 / v), zero for every h <= 0."""
+    return -np.expm1(-np.square(np.maximum(h, 0.0)) / mean_square)
 
 
 class PairTables(NamedTuple):
@@ -77,8 +67,8 @@ def pair_tables(cfg: NetworkConfig) -> PairTables:
     d, d1 and d2 are the direct, source->RIS and RIS->destination distances.
     Each cascaded factor is Rayleigh, so a single product |f_m||g_m| has mean
     (pi/4) (d1 d2)^(-alpha2/2) and variance (1 - pi^2/16) (d1 d2)^-alpha2;
-    the M-element sum scales both accordingly. Rejects coincident nodes and
-    a link budget past the float range.
+    the M-element sum scales both accordingly. Rejects coincident nodes, gains
+    past the float range and a direct mean square that underflows to 0.
     """
     rho = linear_budget(cfg)
     if not math.isfinite(rho):
@@ -92,11 +82,19 @@ def pair_tables(cfg: NetworkConfig) -> PairTables:
         d2 = math.hypot(dx - rx, dy - ry)
         if d <= 0 or d1 <= 0 or d2 <= 0:
             raise ConfigError(f"pair {k}: zero-distance geometry")
-        ms1, ms2 = d1 ** -a, d2 ** -a
-        rows.append((d ** -cfg.alpha1,
-                     cfg.M * (math.pi / 4.0) * d1 ** (-a / 2) * d2 ** (-a / 2),
-                     math.sqrt(cfg.M * (1.0 - math.pi**2 / 16.0) * ms1 * ms2),
-                     ms1, ms2))
+        try:
+            ms1, ms2 = d1 ** -a, d2 ** -a
+            row = (d ** -cfg.alpha1,
+                   cfg.M * (math.pi / 4.0) * d1 ** (-a / 2) * d2 ** (-a / 2),
+                   math.sqrt(cfg.M * (1.0 - math.pi**2 / 16.0) * ms1 * ms2),
+                   ms1, ms2)
+        except OverflowError:
+            row = (math.inf,)
+        if not all(map(math.isfinite, row)):
+            raise ConfigError(f"pair {k}: a path gain is past the float range")
+        if row[0] == 0.0:
+            raise ConfigError(f"pair {k}: direct mean-square gain d^-alpha1 underflows to 0")
+        rows.append(row)
     cols = [np.array(col) for col in zip(*rows)]
     for col in cols:
         col.flags.writeable = False

@@ -161,8 +161,8 @@ def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy,
     """m i.i.d. acting attempts: contention, direct draw past zeta, level-1
     code and, where it probes, the cascaded draw; before each, the geometric
     count of releases skipped (none drawn when q = 0). Returns per-attempt
-    (failed slots, bits, terminal code: 0 none, 1 direct, 2 surface; probe
-    released; releases skipped)."""
+    (failed slots, bits, terminal code: 0 probe released, 1 direct,
+    2 surface; releases skipped)."""
     tab = pair_tables(cfg)
     rho = tab.rho
     winners, fails = draw_contention(rng, cfg, m, cum_weights)
@@ -180,7 +180,6 @@ def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy,
     direct = h >= policy.eta[winners]
     bits = np.zeros(m)
     terminal = np.zeros(m, dtype=np.uint8)
-    released = np.zeros(m, dtype=bool)
     bits[direct] = cfg.tau1 * np.log2(1.0 + rho * np.square(h[direct]))
     terminal[direct] = 1
     rows = np.flatnonzero(~direct)
@@ -191,15 +190,16 @@ def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy,
         stop = rr >= policy.stop_rate
         bits[rows[stop]] = cfg.tau2 * rr[stop]
         terminal[rows[stop]] = 2
-        released[rows[~stop]] = True
-    return fails, bits, terminal, released, skipped
+    return fails, bits, terminal, skipped
 
 
 def _simulate_block(seed: int, block: int, n_rounds: int, cfg: NetworkConfig,
                     policy: Policy) -> RoundArrays:
     """n_rounds rounds cut from one stream of i.i.d. acting attempts: a round
     is the run of acting attempts up to and including its first terminal
-    one, plus the releases skipped before each of them.
+    one, plus the releases skipped before each of them. Every acting attempt
+    but the last probes and releases, so a round of n acting attempts has
+    n - 1 probe-then-release outcomes.
 
     Each chunk is summed per round as soon as it is drawn, so memory stays
     O(n_rounds); the attempts of the round left open at a chunk's end are
@@ -218,31 +218,30 @@ def _simulate_block(seed: int, block: int, n_rounds: int, cfg: NetworkConfig,
         chunk = _draw_attempts(rng, cfg, policy, size, cum_weights, q)
         if held:
             chunk = [np.concatenate(pair) for pair in zip(held, chunk)]
-        fails, bits, terminal, released, skipped = chunk
+        fails, bits, terminal, skipped = chunk
         ends = np.flatnonzero(terminal)[:n_rounds - done]
         cut = ends[-1] + 1 if ends.size else 0
         held = [a[cut:] for a in chunk]
-        if held[0].size + held[4].sum() >= _MAX_ATTEMPTS:
+        if held[0].size + held[3].sum() >= _MAX_ATTEMPTS:
             raise SimulationError(
                 f"block {block}: a round did not terminate in {_MAX_ATTEMPTS} attempts")
         if ends.size:
             starts = np.concatenate(([0], ends[:-1] + 1))
             parts.append((bits[ends], np.add.reduceat(fails[:cut], starts),
-                          np.add.reduceat(released[:cut], starts, dtype=np.int64),
                           ends - starts + 1, np.add.reduceat(skipped[:cut], starts),
                           terminal[ends]))
         drawn += size
         done += ends.size
         # size the next chunk from the acting attempts per round seen so far
         size = min(BLOCK_ROUNDS, -(-(n_rounds - done) * drawn // max(done, 1)))
-    bits, fails, releases, acting, skipped, terminal = (np.concatenate(c)
-                                                        for c in zip(*parts))
+    bits, fails, acting, skipped, terminal = (np.concatenate(c) for c in zip(*parts))
     attempts = acting + skipped
     if attempts.max() > _MAX_ATTEMPTS:
         raise SimulationError(
             f"block {block}: a round did not terminate in {_MAX_ATTEMPTS} attempts")
     fails += failed_slots(rng, cfg, skipped)
     cont_time = contention_time(cfg, attempts, *split_failed_slots(rng, cfg, fails))
+    releases = acting - 1
     total = cont_time + releases * cfg.tau_pc + cfg.tau1
     return RoundArrays(bits, total, cont_time, releases, attempts, terminal)
 

@@ -181,42 +181,57 @@ def _thresholds(lam: float, cfg: NetworkConfig, act: np.ndarray, steps: int):
     return np.where(gap(lo)[:n] >= 0.0, 0.0, roots[:n]), roots[n:]
 
 
+def fading_average(cfg: NetworkConfig, f, edges, pairs=None) -> float:
+    """sum_k w_k E[f(k, h_k)] over the direct fading law, w the winner law
+    (contention.winner_weights): the one integral behind every model value.
+
+    pairs picks the rows (0-based, default every pair); f(rows, h) is the
+    vectorized integrand, rows indexing pairs, and edges each row's panel
+    edges. Every edge is cut to [0, sqrt(v ln 1e14)], the magnitude's
+    1 - 1e-14 quantile: a panel reaching far past it leaves both Gauss orders
+    blind to the integrand.
+    """
+    sel = slice(None) if pairs is None else pairs
+    v, w = pair_tables(cfg).v[sel], winner_weights(cfg.p)[sel]
+    tail = np.sqrt(v * math.log(1e14))
+    return adaptive_panels(lambda rows, h: rayleigh_pdf(h, v[rows], w[rows] * f(rows, h)),
+                           [np.clip(e, 0.0, tail) for e in edges])
+
+
 def attempt_value(lam: float, cfg: NetworkConfig) -> float:
     """Mean best-action value of one resolved contention at time price lam.
 
     Averages max(direct stop value, probe value, 0) over the winning pair,
     weighted by contention.winner_weights, and the direct fading law.
     Decomposed as an exact direct part (E1 closed form over the full tail)
-    plus a probe correction supported only where probing beats both
-    alternatives, so no truncation error enters.
+    plus a probe correction, a fading_average supported only where probing
+    beats both alternatives.
     """
     lam = float(lam)
     rho, v, mu, sigma, _, _ = pair_tables(cfg)
     tau1 = cfg.tau1
     if rho == 0.0:
         return 0.0
-    w = winner_weights(cfg.p)
-    total = float(w @ direct_value_term(lam, rho * v, tau1))
+    total = float(winner_weights(cfg.p) @ direct_value_term(lam, rho * v, tau1))
     h_cross = direct_cross(lam, rho)
 
     act = _probe_worthy(lam, cfg)
     if act.size:
-        mu_a, sig_a, v_a, w_a = mu[act], sigma[act], v[act], w[act]
+        mu_a, sig_a = mu[act], sigma[act]
         # 18 steps suffice here: the roots only place panel edges
         zeta, eta = _thresholds(lam, cfg, act, 18)
 
-        def integrand(rows, h):
+        def gain(rows, h):
             lb = _probe_value_raw(lam, h, mu_a[rows], sig_a[rows], rho, cfg)
             a_val = tau1 * (np.log2(1.0 + rho * h * h) - lam)
-            gain = np.maximum(lb - np.maximum(a_val, 0.0), 0.0)
-            return rayleigh_pdf(h, v_a[rows], w_a[rows] * gain)
+            return np.maximum(lb - np.maximum(a_val, 0.0), 0.0)
 
         # panel edges: the give-up and overtake roots, the floor crossing of
         # the Gaussian surrogate (h_cross - mu, width sigma), and h_cross
         t = h_cross - mu_a
         e1 = np.clip(t - 30.0 * sig_a, zeta, h_cross)
         e2 = np.clip(t + 30.0 * sig_a, zeta, h_cross)
-        total += adaptive_panels(integrand, [zeta, e1, e2, np.full(act.size, h_cross), eta])
+        total += fading_average(cfg, gain, [zeta, e1, e2, np.full(act.size, h_cross), eta], act)
     return total
 
 

@@ -25,12 +25,12 @@ from enum import Enum
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .channel import (direct_cross, linear_budget, pair_tables, rate_direct, rayleigh_pdf,
-                      rayleigh_tail)
+from .channel import direct_cross, linear_budget, pair_tables, rate_direct
 from .config import ConfigError, NetworkConfig, config_hash
 from .contention import expected_contention_time, winner_weights
-from .numerics import SQRT2, adaptive_panels, bracket_root
-from .solver import ThresholdTable, direct_value_term, probe_value, solve_max_throughput
+from .numerics import SQRT2, bracket_root
+from .solver import (ThresholdTable, direct_value_term, fading_average, probe_value,
+                     solve_max_throughput)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -111,24 +111,14 @@ def mean_probe_value(lam: float, cfg: NetworkConfig) -> float:
     free release): its threshold solves mean_probe_value(lam) = lam*tau_o.
     """
     lam = float(lam)
-    rho, v, mu, sigma, _, _ = pair_tables(cfg)
+    rho, _, mu, sigma, _, _ = pair_tables(cfg)
     if rho == 0.0:
         return -lam * cfg.tau_pc
-    h_cross = direct_cross(lam, rho)
-    w = winner_weights(cfg.p)
-
-    def integrand(rows, h):
-        return rayleigh_pdf(h, v[rows], w[rows] * probe_value(lam, h, rows + 1, cfg))
-
     # edges bracket the floor-crossing band of the Gaussian surrogate,
     # centered at h_cross - mu with width sigma
-    h_hi = rayleigh_tail(v)
-    t = np.clip(h_cross - mu, 0.0, None)
-    edges = [np.zeros(cfg.K),
-             np.clip(t - 30.0 * sigma, 0.0, h_hi),
-             np.clip(t + 30.0 * sigma, 0.0, h_hi),
-             h_hi]
-    return adaptive_panels(integrand, edges)
+    t = np.clip(direct_cross(lam, rho) - mu, 0.0, None)
+    return fading_average(cfg, lambda rows, h: probe_value(lam, h, rows + 1, cfg),
+                          [0.0, t - 30.0 * sigma, t + 30.0 * sigma, np.inf])
 
 
 def solve_lambda_b(cfg: NetworkConfig) -> float:
@@ -161,21 +151,14 @@ def no_wait_ris_throughput(cfg: NetworkConfig) -> float:
     if rho == 0.0:
         return 0.0
     tg, wg = hermgauss(64)
-    w = winner_weights(cfg.p)
 
-    def integrand(rows, h):
+    def mean_rate(rows, h):
         shift = mu[rows][:, None] + SQRT2 * sigma[rows][:, None] * tg[None, :]
         rates = np.log2(1.0 + rho * np.square(h[:, None] + shift))
-        return (rates @ wg) / _SQRT_PI * rayleigh_pdf(h, v[rows], w[rows])
+        return (rates @ wg) / _SQRT_PI
 
-    h_hi = rayleigh_tail(v)
-    root_v = np.sqrt(v)
-    edges = [np.zeros(cfg.K),
-             np.minimum(root_v, h_hi),
-             np.minimum(3.0 * root_v, h_hi),
-             h_hi]
-    mean_rate = adaptive_panels(integrand, edges)
-    return cfg.tau2 * mean_rate / (expected_contention_time(cfg) + cfg.tau1)
+    rate = fading_average(cfg, mean_rate, [0.0, np.sqrt(v), 3.0 * np.sqrt(v), np.inf])
+    return cfg.tau2 * rate / (expected_contention_time(cfg) + cfg.tau1)
 
 
 def analytic_throughput(kind: PolicyKind, cfg: NetworkConfig,

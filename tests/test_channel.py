@@ -51,6 +51,19 @@ def test_zero_distance_rejected(cfg):
         pair_tables(bad)
 
 
+def test_path_gain_outside_float_range_rejected(cfg):
+    # a 1e-200 m direct or source->surface link overflows its path gain;
+    # alpha1 = 200 underflows d^-alpha1 to 0, which would put every direct
+    # magnitude at 0 and divide by it
+    near = replace_config(cfg, dests=((1e-200, 0.0),) + cfg.dests[1:])
+    with pytest.raises(ConfigError, match="pair 1: a path gain is past the float range"):
+        pair_tables(near)
+    with pytest.raises(ConfigError, match="pair 3: a path gain is past the float range"):
+        pair_tables(replace_config(cfg, ris=(1e-200, 20.0)))
+    with pytest.raises(ConfigError, match="pair 1: direct mean-square gain .* underflows"):
+        pair_tables(replace_config(cfg, alpha1=200.0))
+
+
 @pytest.mark.parametrize("draw", [draw_direct, draw_cascaded])
 def test_draws_reject_pair_outside_range(cfg, draw):
     # a bare table lookup would wrap k = 0 around to pair K
@@ -121,8 +134,7 @@ def test_rayleigh_cdf_and_floored_draw():
     assert np.allclose(rayleigh_cdf(h, V1), stats.rayleigh.cdf(h, scale=scale),
                        rtol=1e-13, atol=0.0)
     assert rayleigh_cdf(-math.inf, V1) == 0.0
-    # a mean square that underflowed to 0: all mass at 0, and no 0/0 warning
-    assert rayleigh_cdf(np.array([-math.inf, 0.0, 1e-3]), 0.0).tolist() == [0.0, 0.0, 1.0]
+    assert rayleigh_cdf(np.array([-math.inf, 0.0]), V1).tolist() == [0.0, 0.0]
     # past the floor the draw is the magnitude conditioned on exceeding it
     floor = 1.2 * H1
     draws = rayleigh(np.random.default_rng(5), V1, 20000, floor)

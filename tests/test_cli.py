@@ -230,6 +230,28 @@ def test_out_of_range_input_rejected_without_warnings(capsys, argv):
     assert [str(w.message) for w in caught] == []
 
 
+_NEAR_DEST = "dests=1e-200,0; 150,10; 150,20; 150,30; 150,40; 150,50; 150,60; 150,70"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # d^-alpha1 past the float range used to end in an OverflowError traceback
+    (("solve", "--set", _NEAR_DEST), "pair 1: a path gain is past the float range"),
+    # a direct gain that underflows to 0 used to exit 4 after RuntimeWarnings,
+    # and no-wait-ris reported a model value of 0.0
+    (("solve", "--set", "alpha1=200"), "pair 1: direct mean-square gain"),
+    (("simulate", "--policy", "no-wait-ris", "--rounds", "5000", "--set", "alpha1=200"),
+     "pair 1: direct mean-square gain"),
+], ids=["gain-overflow", "gain-underflow-solve", "gain-underflow-simulate"])
+def test_path_gain_outside_float_range_rejected(capsys, argv, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert [str(w.message) for w in caught] == []
+
+
 @pytest.mark.parametrize("item", ["M=1000000", "M=1e300"])
 def test_surface_past_its_checked_size_rejected(capsys, item):
     # past 65,536 elements lambda* used to come out silently wrong (exit 0)

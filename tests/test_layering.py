@@ -76,6 +76,22 @@ def test_one_rayleigh_density_site():
     assert sites == ["channel.py"]
 
 
+def test_one_fading_integral_site():
+    # every integral over the direct fading law is a solver.fading_average: the
+    # winner weights, the density product and the tail cut live there alone
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("rayleigh_pdf", "adaptive_panels"):
+                    sites.append((path.name, getattr(stmt, "name", "<module>"), name))
+    assert sorted(sites) == [("solver.py", "fading_average", "adaptive_panels"),
+                             ("solver.py", "fading_average", "rayleigh_pdf")]
+
+
 def test_one_payload_window_site():
     # the windows left after a direct or an assisted stop are NetworkConfig's
     # tau1 and tau2, so every layer reads the same two numbers

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from rismac import (
+    ConfigError,
     Decision,
     PolicyKind,
     SimulationError,
@@ -211,11 +212,12 @@ def test_no_surface_round_trip(cfg):
     assert np.all(arr.probe_releases == 0)
 
 
-def test_direct_gain_underflow_still_simulates(cfg):
-    # alpha1 = 200 puts every direct mean square below the float range (v = 0)
+def test_direct_gain_underflow_rejected(cfg):
+    # alpha1 = 200 puts every direct mean square below the float range (v = 0);
+    # the engine refuses it before drawing, as the model does
     dark = replace_config(cfg, alpha1=200.0)
-    arr = simulate_rounds(dark, make_policy(PolicyKind.NO_WAIT_DIRECT, dark), 4096, seed=2)
-    assert np.all(arr.bits == 0.0) and np.all(arr.attempts == 1)
+    with pytest.raises(ConfigError, match="pair 1: direct mean-square gain"):
+        simulate_rounds(dark, make_policy(PolicyKind.NO_WAIT_DIRECT, dark), 4096, seed=2)
 
 
 def test_round_that_never_ends_raises(cfg):

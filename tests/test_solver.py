@@ -412,6 +412,36 @@ def test_root_at_the_largest_surface_matches_nested_quadrature(cfg):
         replace_config(cfg, M=65_537)
 
 
+@pytest.mark.parametrize("pt", ["-40 dBm", "0 dBm"])
+def test_attempt_value_at_long_coherence_matches_nested_quadrature(cfg, pt):
+    """At tau_d = 10 s the overtake root eta lies past the direct law's tail;
+    probe panels running out to it left attempt_value(lambda*) 7% low at
+    -40 dBm. Cut at the 1 - 1e-14 quantile, it matches the nested value."""
+    c = apply_overrides(cfg, [f"pt={pt}", "tau_d=10 s"])
+    lam = solve_max_throughput(c)
+    ref = nested_attempt_value(lam, c)
+    assert abs(attempt_value(lam, c) - ref) <= 1e-8 * ref
+
+
+def test_root_at_long_coherence_matches_nested_quadrature(cfg):
+    # the uncut probe panels put lambda* 0.31% below the nested root here
+    c = apply_overrides(cfg, ["pt=0 dBm", "tau_d=10 s"])
+    lam = solve_max_throughput(c)
+    tau_o = expected_contention_time(c)
+    root = optimize.brentq(lambda x: nested_attempt_value(x, c) - x * tau_o,
+                           0.99 * lam, 1.01 * lam, xtol=1e-14, rtol=1e-14)
+    assert abs(lam - root) <= 1e-8 * root
+
+
+def test_attempt_value_at_zero_price_past_the_tail(cfg):
+    """At 80 dBm / 10 s / M = 1024 and lam = 0 the probe gain lives below
+    h = 0.015 while eta = 5.04; both Gauss orders used to miss it, and
+    attempt_value(0) came out 206.66 against 294.62."""
+    c = apply_overrides(cfg, ["pt=80 dBm", "tau_d=10 s", "M=1024"])
+    ref = nested_attempt_value(0.0, c)
+    assert abs(attempt_value(0.0, c) - ref) <= 1e-8 * ref
+
+
 def test_quadrature_panel_cap():
     """A finite integrand that never converges stops at the panel cap instead
     of doubling its panels for every remaining round."""
