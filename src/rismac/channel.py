@@ -10,6 +10,7 @@ never materialized.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -20,6 +21,7 @@ from .numerics import snr_floor
 
 
 CASCADE_TILE = 1 << 16  # elements per tile of cascaded_sums
+_W_MIN = 1.0 / sys.float_info.max  # 1 / w overflows for a direct SNR scale w at or below it
 
 
 def linear_budget(cfg: NetworkConfig) -> float:
@@ -68,7 +70,8 @@ def pair_tables(cfg: NetworkConfig) -> PairTables:
     Each cascaded factor is Rayleigh, so a single product |f_m||g_m| has mean
     (pi/4) (d1 d2)^(-alpha2/2) and variance (1 - pi^2/16) (d1 d2)^-alpha2;
     the M-element sum scales both accordingly. Rejects coincident nodes, gains
-    past the float range and a direct mean square that underflows to 0.
+    past the float range and a direct SNR scale rho * d^-alpha1 so small that
+    its reciprocal overflows (a zero link budget included).
     """
     rho = linear_budget(cfg)
     if not math.isfinite(rho):
@@ -92,8 +95,9 @@ def pair_tables(cfg: NetworkConfig) -> PairTables:
             row = (math.inf,)
         if not all(map(math.isfinite, row)):
             raise ConfigError(f"pair {k}: a path gain is past the float range")
-        if row[0] == 0.0:
-            raise ConfigError(f"pair {k}: direct mean-square gain d^-alpha1 underflows to 0")
+        if rho * row[0] <= _W_MIN:
+            raise ConfigError(f"pair {k}: direct mean-square gain d^-alpha1 = {row[0]:g} times "
+                              f"the link budget {rho:g} underflows below 1/float-max")
         rows.append(row)
     cols = [np.array(col) for col in zip(*rows)]
     for col in cols:

@@ -87,8 +87,8 @@ class NetworkConfig:
                               "the largest surface the solver is checked at")
         if not (self.pt > 0 and self.n0 > 0 and self.beta0 > 0):
             raise ConfigError("pt, n0, beta0 must be positive")
-        if self.gt < 0 or self.gr < 0:
-            raise ConfigError("antenna gains must be nonnegative")
+        if not (self.gt > 0 and self.gr > 0):
+            raise ConfigError("antenna gains gt, gr must be positive")
         if self.alpha1 <= 0 or self.alpha2 <= 0:
             raise ConfigError("path-loss exponents must be positive")
         for name in ("delta", "tau_r", "tau_c", "tau_p", "tau_d"):

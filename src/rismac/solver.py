@@ -63,9 +63,6 @@ def effective_probe_snr(lam, h_s, mu, sigma, rho_bar):
     lam = np.asarray(lam, dtype=float)
     c = np.expm1(lam * LN2)
     m = np.asarray(h_s, dtype=float) + mu
-    if rho_bar == 0.0:
-        out = np.broadcast_arrays(c, m, np.asarray(sigma, dtype=float))[0]
-        return float(out) if out.ndim == 0 else out.copy()
     sigma = np.asarray(sigma, dtype=float)
     safe = np.where(sigma > 0.0, sigma, 1.0)
     b = np.sqrt(c / rho_bar)
@@ -128,36 +125,26 @@ def direct_value_term(lam: float, w, tau1: float):
     lam = 0 the mean direct bits of one transmission."""
     c = snr_floor(lam)
     w = np.asarray(w, dtype=float)
-    out = np.zeros_like(w)
-    pos = w > 0.0
-    if np.any(pos):
-        wp = w[pos]
-        out[pos] = tau1 * LOG2E * scaled_e1(1.0 / wp, (1.0 + c) / wp)
-    return out
+    return tau1 * LOG2E * scaled_e1(1.0 / w, (1.0 + c) / w)
 
 
-def _probe_worthy(lam: float, cfg: NetworkConfig) -> np.ndarray:
-    """Pairs (0-based) for which probing can beat both alternatives at lam.
+def pair_thresholds(lam: float, cfg: NetworkConfig, steps: int):
+    """Every pair's give-up and direct-stop magnitudes (zeta, eta) at lam, as
+    K-length arrays; zeta = eta = h_cross where probing is dominated.
 
-    Tested where the direct stop value crosses zero: if the probe value is
-    not positive even there, it is dominated for every magnitude.
-    """
-    rho, _, mu, sigma, _, _ = pair_tables(cfg)
-    lb_cross = np.atleast_1d(_probe_value_raw(lam, direct_cross(lam, rho), mu, sigma, rho, cfg))
-    return np.flatnonzero(lb_cross > 0.0)
-
-
-def _thresholds(lam: float, cfg: NetworkConfig, act: np.ndarray, steps: int):
-    """Give-up and direct-stop magnitudes (zeta, eta) of the pairs `act`.
-
-    zeta is where the probe value turns positive on [0, h_cross] (0 if it
-    already is at h = 0); eta is where the direct stop value overtakes the
-    probe value above h_cross, bracketed by doubling. Each root takes `steps`
-    vector bisection steps.
+    Probing is dominated when the probe value is not positive even where the
+    direct stop value crosses zero. Elsewhere zeta is where the probe value
+    turns positive on [0, h_cross] (0 if it already is at h = 0), and eta is
+    where the direct stop value overtakes the probe value above h_cross,
+    bracketed by doubling. Each root takes `steps` vector bisection steps.
     """
     rho, _, mu, sigma, _, _ = pair_tables(cfg)
     h_cross = direct_cross(lam, rho)
+    zeta, eta = np.full(cfg.K, h_cross), np.full(cfg.K, h_cross)
+    act = np.flatnonzero(_probe_value_raw(lam, h_cross, mu, sigma, rho, cfg) > 0.0)
     n = act.size
+    if n == 0:
+        return zeta, eta
     # both roots in one vector bisection, zeta's rows first, then eta's: one
     # probe-value evaluation per step serves both
     mu2, sig2 = np.tile(mu[act], 2), np.tile(sigma[act], 2)
@@ -178,21 +165,22 @@ def _thresholds(lam: float, cfg: NetworkConfig, act: np.ndarray, steps: int):
     else:
         raise SolverError("direct value never overtakes the probe value")
     roots = vec_bisect(gap, lo, hi, steps)
-    return np.where(gap(lo)[:n] >= 0.0, 0.0, roots[:n]), roots[n:]
+    zeta[act] = np.where(gap(lo)[:n] >= 0.0, 0.0, roots[:n])
+    eta[act] = roots[n:]
+    return zeta, eta
 
 
-def fading_average(cfg: NetworkConfig, f, edges, pairs=None) -> float:
+def fading_average(cfg: NetworkConfig, f, edges) -> float:
     """sum_k w_k E[f(k, h_k)] over the direct fading law, w the winner law
     (contention.winner_weights): the one integral behind every model value.
 
-    pairs picks the rows (0-based, default every pair); f(rows, h) is the
-    vectorized integrand, rows indexing pairs, and edges each row's panel
-    edges. Every edge is cut to [0, sqrt(v ln 1e14)], the magnitude's
-    1 - 1e-14 quantile: a panel reaching far past it leaves both Gauss orders
-    blind to the integrand.
+    f(rows, h) is the vectorized integrand, rows indexing pairs (0-based),
+    and edges each pair's panel edges; zero-width panels are skipped. Every
+    edge is cut to [0, sqrt(v ln 1e14)], the magnitude's 1 - 1e-14 quantile:
+    a panel reaching far past it leaves both Gauss orders blind to the
+    integrand.
     """
-    sel = slice(None) if pairs is None else pairs
-    v, w = pair_tables(cfg).v[sel], winner_weights(cfg.p)[sel]
+    v, w = pair_tables(cfg).v, winner_weights(cfg.p)
     tail = np.sqrt(v * math.log(1e14))
     return adaptive_panels(lambda rows, h: rayleigh_pdf(h, v[rows], w[rows] * f(rows, h)),
                            [np.clip(e, 0.0, tail) for e in edges])
@@ -205,34 +193,28 @@ def attempt_value(lam: float, cfg: NetworkConfig) -> float:
     weighted by contention.winner_weights, and the direct fading law.
     Decomposed as an exact direct part (E1 closed form over the full tail)
     plus a probe correction, a fading_average supported only where probing
-    beats both alternatives.
+    beats both alternatives: between zeta and eta, an empty panel for a pair
+    whose probing is dominated.
     """
     lam = float(lam)
     rho, v, mu, sigma, _, _ = pair_tables(cfg)
     tau1 = cfg.tau1
-    if rho == 0.0:
-        return 0.0
     total = float(winner_weights(cfg.p) @ direct_value_term(lam, rho * v, tau1))
     h_cross = direct_cross(lam, rho)
+    # 18 steps suffice here: the roots only place panel edges
+    zeta, eta = pair_thresholds(lam, cfg, 18)
 
-    act = _probe_worthy(lam, cfg)
-    if act.size:
-        mu_a, sig_a = mu[act], sigma[act]
-        # 18 steps suffice here: the roots only place panel edges
-        zeta, eta = _thresholds(lam, cfg, act, 18)
+    def gain(rows, h):
+        lb = _probe_value_raw(lam, h, mu[rows], sigma[rows], rho, cfg)
+        a_val = tau1 * (np.log2(1.0 + rho * h * h) - lam)
+        return np.maximum(lb - np.maximum(a_val, 0.0), 0.0)
 
-        def gain(rows, h):
-            lb = _probe_value_raw(lam, h, mu_a[rows], sig_a[rows], rho, cfg)
-            a_val = tau1 * (np.log2(1.0 + rho * h * h) - lam)
-            return np.maximum(lb - np.maximum(a_val, 0.0), 0.0)
-
-        # panel edges: the give-up and overtake roots, the floor crossing of
-        # the Gaussian surrogate (h_cross - mu, width sigma), and h_cross
-        t = h_cross - mu_a
-        e1 = np.clip(t - 30.0 * sig_a, zeta, h_cross)
-        e2 = np.clip(t + 30.0 * sig_a, zeta, h_cross)
-        total += fading_average(cfg, gain, [zeta, e1, e2, np.full(act.size, h_cross), eta], act)
-    return total
+    # panel edges: the give-up and overtake roots, the floor crossing of the
+    # Gaussian surrogate (h_cross - mu, width sigma), and h_cross
+    t = h_cross - mu
+    e1 = np.clip(t - 30.0 * sigma, zeta, h_cross)
+    e2 = np.clip(t + 30.0 * sigma, zeta, h_cross)
+    return total + fading_average(cfg, gain, [zeta, e1, e2, np.full(cfg.K, h_cross), eta])
 
 
 def throughput_residual(lam: float, cfg: NetworkConfig) -> float:
@@ -282,13 +264,6 @@ def solve_max_throughput_fixed_point(cfg: NetworkConfig, alpha: float | None = N
         f"fixed point stalled after {_FP_MAX_ITER} iterations (residual {g:.3e}, tol {tol:g})")
 
 
-def probe_worthy_pairs(cfg: NetworkConfig, lam_star: float) -> frozenset[int]:
-    """Pairs (1-based) for which probing can beat both alternatives at lam*."""
-    if pair_tables(cfg).rho == 0.0 or lam_star <= 0.0:
-        return frozenset()
-    return frozenset(int(i) + 1 for i in _probe_worthy(lam_star, cfg))
-
-
 @dataclass
 class ThresholdTable:
     """Everything the online decision rule needs, solved offline."""
@@ -304,22 +279,21 @@ def build_threshold_table(cfg: NetworkConfig, lam_star: float | None = None) -> 
     """Solve lam* (unless given) and all per-pair thresholds."""
     if lam_star is None:
         lam_star = solve_max_throughput(cfg)
-    kstar = probe_worthy_pairs(cfg, lam_star)
+    # unlike attempt_value's 18 steps, 64 solve the roots to the last bits
+    zs, es = pair_thresholds(lam_star, cfg, 64)
+    h_mid = direct_cross(lam_star, pair_tables(cfg).rho)
+    # at lam* = 0 nothing is worth pricing: every pair transmits directly
+    kstar = frozenset(int(i) + 1 for i in np.flatnonzero(zs < es) if lam_star > 0.0)
     zeta: dict[int, float] = {}
     eta: dict[int, float] = {}
-    if kstar:
-        pairs = sorted(kstar)
-        h_mid = direct_cross(lam_star, pair_tables(cfg).rho)
-        # unlike attempt_value's 18 steps, 64 solve the roots to the last bits
-        zs, es = _thresholds(lam_star, cfg, np.array(pairs) - 1, 64)
-        for k, zk, ek in zip(pairs, zs.tolist(), es.tolist()):
-            if not zk < h_mid < ek:
-                raise SolverError(
-                    f"pair {k}: thresholds out of order ({zk:g}, {h_mid:g}, {ek:g})")
-            if abs(probe_value(lam_star, zk, k, cfg)) > 1e-10 and zk > 0.0:
-                raise SolverError(f"pair {k}: give-up root residual too large")
-            zeta[k] = zk
-            eta[k] = ek
+    for k in sorted(kstar):
+        zk, ek = float(zs[k - 1]), float(es[k - 1])
+        if not zk < h_mid < ek:
+            raise SolverError(f"pair {k}: thresholds out of order ({zk:g}, {h_mid:g}, {ek:g})")
+        if abs(probe_value(lam_star, zk, k, cfg)) > 1e-10 and zk > 0.0:
+            raise SolverError(f"pair {k}: give-up root residual too large")
+        zeta[k] = zk
+        eta[k] = ek
     return ThresholdTable(float(lam_star), kstar, zeta, eta, config_hash(cfg))
 
 
@@ -360,13 +334,10 @@ def parse_threshold_table(text: str) -> ThresholdTable:
     unknown = sorted(set(fields) - {"version", "config_hash", "kstar", *keys})
     if unknown:
         raise ConfigError(f"threshold table has unknown fields {unknown}")
-    lam = num["lambda_star"]
     zeta = {k: num[f"zeta.{k}"] for k in kstar}
     eta = {k: num[f"eta.{k}"] for k in kstar}
-    bad = [f"{key} = {x!r}" for key, x in num.items() if not math.isfinite(x)]
+    bad = [f"{key} = {x!r}" for key, x in num.items() if not math.isfinite(x) or x < 0.0]
     bad += [f"zeta.{k} >= eta.{k}" for k in sorted(kstar) if not zeta[k] < eta[k]]
-    if lam < 0.0:
-        bad.append("lambda_star < 0")
     if bad:
         raise ConfigError(f"threshold table out of range: {', '.join(bad)}")
-    return ThresholdTable(lam, kstar, zeta, eta, digest)
+    return ThresholdTable(num["lambda_star"], kstar, zeta, eta, digest)

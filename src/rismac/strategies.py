@@ -112,8 +112,6 @@ def mean_probe_value(lam: float, cfg: NetworkConfig) -> float:
     """
     lam = float(lam)
     rho, _, mu, sigma, _, _ = pair_tables(cfg)
-    if rho == 0.0:
-        return -lam * cfg.tau_pc
     # edges bracket the floor-crossing band of the Gaussian surrogate,
     # centered at h_cross - mu with width sigma
     t = np.clip(direct_cross(lam, rho) - mu, 0.0, None)
@@ -148,8 +146,6 @@ def no_wait_ris_throughput(cfg: NetworkConfig) -> float:
     panels outside); exact up to the surrogate itself.
     """
     rho, v, mu, sigma, _, _ = pair_tables(cfg)
-    if rho == 0.0:
-        return 0.0
     tg, wg = hermgauss(64)
 
     def mean_rate(rows, h):
@@ -198,8 +194,7 @@ def make_policy(kind: PolicyKind, cfg: NetworkConfig,
         if table is None:
             raise ValueError("the proposed discipline needs a threshold table: "
                              "run solve and pass its output")
-        rho = linear_budget(cfg)
-        zeta[:] = direct_cross(table.lambda_star, rho) if rho > 0.0 else 0.0
+        zeta[:] = direct_cross(table.lambda_star, pair_tables(cfg).rho)
         eta[:] = zeta
         for k in table.kstar:
             zeta[k - 1] = table.zeta[k]

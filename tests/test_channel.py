@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rismac import ConfigError, replace_config
+from rismac import ConfigError, apply_overrides, replace_config
 from rismac.channel import (
     CASCADE_TILE,
     cascaded_sums,
@@ -62,6 +62,11 @@ def test_path_gain_outside_float_range_rejected(cfg):
         pair_tables(replace_config(cfg, ris=(1e-200, 20.0)))
     with pytest.raises(ConfigError, match="pair 1: direct mean-square gain .* underflows"):
         pair_tables(replace_config(cfg, alpha1=200.0))
+    # the direct SNR scale rho * v must have a finite reciprocal: a tiny gain,
+    # or a budget whose product pt * gt underflows to 0, is a config error
+    for item in (["gt=1e-310"], ["pt=-1700 dBm", "gt=1e-200"]):
+        with pytest.raises(ConfigError, match="pair 1: direct mean-square gain .* underflows"):
+            pair_tables(apply_overrides(cfg, item))
 
 
 @pytest.mark.parametrize("draw", [draw_direct, draw_cascaded])

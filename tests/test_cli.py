@@ -89,8 +89,10 @@ def _with_pair_9(text):
     (lambda text: _drop("lambda_star")(text) + "lambda_star = nan\n", ("--strict", "0.01")),
     (lambda text: _drop("zeta.2")(text) + "zeta.2 = 1e9\n", ()),
     (lambda text: text + "this line is no table field\n", ()),
+    # zeta < eta holds, but no magnitude is negative
+    (lambda text: _drop(("zeta.1", "eta.1"))(text) + "zeta.1 = -5.0\neta.1 = -1.0\n", ()),
 ], ids=["version-2", "missing-zeta", "missing-hash", "pair-outside-K", "nan-lambda",
-        "zeta-above-eta", "garbage-line"])
+        "zeta-above-eta", "garbage-line", "negative-thresholds"])
 def test_malformed_table_rejected(tmp_path, capsys, table, edit, extra):
     path = tmp_path / "table.txt"
     path.write_text(edit(serialize_threshold_table(table)))
@@ -241,7 +243,18 @@ _NEAR_DEST = "dests=1e-200,0; 150,10; 150,20; 150,30; 150,40; 150,50; 150,60; 15
     (("solve", "--set", "alpha1=200"), "pair 1: direct mean-square gain"),
     (("simulate", "--policy", "no-wait-ris", "--rounds", "5000", "--set", "alpha1=200"),
      "pair 1: direct mean-square gain"),
-], ids=["gain-overflow", "gain-underflow-solve", "gain-underflow-simulate"])
+    # a zero budget used to solve to lambda* = 0 through special cases
+    (("solve", "--set", "gt=0"), "antenna gains"),
+    (("solve", "--set", "gr=0"), "antenna gains"),
+    # a budget whose 1 / (rho v) overflows made the model NaN: solve hung, and
+    # this exited 0 with analytic=nan
+    (("simulate", "--policy", "no-wait-direct", "--strict", "0.01", "--set", "gt=1e-310"),
+     "pair 1: direct mean-square gain"),
+    # pt * gt underflows to 0 although both are positive
+    (("solve", "--set", "pt=-1700 dBm", "--set", "gt=1e-200"),
+     "pair 1: direct mean-square gain"),
+], ids=["gain-overflow", "gain-underflow-solve", "gain-underflow-simulate", "gt-zero",
+        "gr-zero", "budget-underflow-simulate", "budget-product-underflow"])
 def test_path_gain_outside_float_range_rejected(capsys, argv, message):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

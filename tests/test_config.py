@@ -112,6 +112,9 @@ def test_validation_rules(cfg):
         replace_config(cfg, M=-1)
     with pytest.raises(ConfigError):
         replace_config(cfg, pt=0.0)
+    for gain in ("gt", "gr"):
+        with pytest.raises(ConfigError, match="antenna gains"):
+            replace_config(cfg, **{gain: 0.0})
     with pytest.raises(ConfigError):
         replace_config(cfg, p=(0.3,) * 7)
     with pytest.raises(ConfigError):

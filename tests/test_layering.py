@@ -76,20 +76,51 @@ def test_one_rayleigh_density_site():
     assert sites == ["channel.py"]
 
 
-def test_one_fading_integral_site():
-    # every integral over the direct fading law is a solver.fading_average: the
-    # winner weights, the density product and the tail cut live there alone
+def _name(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _call_sites(*names):
+    """(module, top-level definition, callee) of every call to one of names."""
     sites = []
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
             for node in ast.walk(stmt):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                if name in ("rayleigh_pdf", "adaptive_panels"):
-                    sites.append((path.name, getattr(stmt, "name", "<module>"), name))
-    assert sorted(sites) == [("solver.py", "fading_average", "adaptive_panels"),
-                             ("solver.py", "fading_average", "rayleigh_pdf")]
+                if isinstance(node, ast.Call) and _name(node.func) in names:
+                    sites.append((path.name, getattr(stmt, "name", "<module>"),
+                                  _name(node.func)))
+    return sorted(sites)
+
+
+def test_one_fading_integral_site():
+    # every integral over the direct fading law is a solver.fading_average: the
+    # winner weights, the density product and the tail cut live there alone
+    assert _call_sites("rayleigh_pdf", "adaptive_panels") == [
+        ("solver.py", "fading_average", "adaptive_panels"),
+        ("solver.py", "fading_average", "rayleigh_pdf")]
+
+
+def test_one_threshold_solve_site():
+    # every pair's (zeta, eta) comes from solver.pair_thresholds, for the
+    # panel edges of attempt_value and for the table alike
+    assert _call_sites("vec_bisect") == [("solver.py", "pair_thresholds", "vec_bisect")]
+
+
+def test_no_zero_link_budget_branch():
+    # NetworkConfig and channel.pair_tables reject a budget whose direct SNR
+    # scale rho * v has no finite reciprocal, so no model value branches on 0
+    budget = {"rho", "rho_bar", "linear_budget"}
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, ast.Compare):
+                continue
+            sides = [node.left, *node.comparators]
+            named = {_name(s.func if isinstance(s, ast.Call) else s) for s in sides}
+            if named & budget and any(isinstance(s, ast.Constant) and s.value == 0
+                                      for s in sides):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_one_payload_window_site():

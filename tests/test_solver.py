@@ -29,7 +29,7 @@ from rismac import solver, strategies
 from rismac.channel import direct_cross, linear_budget, pair_tables, rate_direct
 from rismac.numerics import scaled_e1 as _scaled_e1
 from rismac.numerics import ROOT_XTOL, adaptive_panels, zeroin
-from rismac.solver import admissible_step_band, probe_worthy_pairs
+from rismac.solver import admissible_step_band
 
 
 def small_config(cfg):
@@ -61,8 +61,6 @@ def test_scaled_e1_branch_continuity_and_bounds():
 
 def test_effective_probe_snr_degenerate_branches(cfg):
     c4 = math.expm1(4.0 * math.log(2.0))
-    # no link budget: the floor is all that remains
-    assert effective_probe_snr(4.0, 1e-4, 2e-4, 1e-5, 0.0) == c4
     # deterministic cascade: pointwise max of the composed magnitude
     rho = 1e8
     assert effective_probe_snr(4.0, 1e-3, 2e-4, 0.0, rho) == max(
@@ -186,14 +184,14 @@ def test_step_band_validation(cfg):
 
 
 def test_probe_worthy_pairs_default(cfg, table):
-    assert probe_worthy_pairs(cfg, table.lambda_star) == frozenset(range(1, 9))
-    assert probe_worthy_pairs(cfg, 0.0) == frozenset()
+    assert build_threshold_table(cfg, table.lambda_star).kstar == frozenset(range(1, 9))
+    assert build_threshold_table(cfg, 0.0).kstar == frozenset()
 
 
 def test_no_surface_makes_probing_worthless(cfg):
     off = replace_config(cfg, M=0)
     lam = solve_max_throughput(off)
-    assert probe_worthy_pairs(off, lam) == frozenset()
+    assert build_threshold_table(off, lam).kstar == frozenset()
     assert lam < solve_max_throughput(cfg)
     # with no probe branch the value is the pure direct part
     from rismac.solver import direct_value_term
@@ -224,11 +222,13 @@ def test_root_is_relative_across_power_and_coherence(cfg, pt, tau_d):
 
 
 def test_dead_link_budget(cfg):
-    dead = replace_config(cfg, gt=0.0)
-    assert linear_budget(dead) == 0.0
-    assert attempt_value(3.0, dead) == 0.0
-    assert solve_max_throughput(dead) == 0.0
-    assert probe_worthy_pairs(dead, 1.0) == frozenset()
+    # a zero budget used to solve to lambda* = 0 through its own branch in
+    # every model value; a positive one whose direct SNR scale 1 / (rho v)
+    # overflows made attempt_value(0) NaN and hung the root
+    with pytest.raises(ConfigError, match="antenna gains"):
+        replace_config(cfg, gt=0.0)
+    with pytest.raises(ConfigError, match="pair 1: direct mean-square gain"):
+        attempt_value(3.0, replace_config(cfg, gt=1e-310))
 
 
 def test_threshold_invariants(cfg, table):
@@ -246,6 +246,37 @@ def test_threshold_invariants(cfg, table):
         # crossing the thresholds flips the best action
         assert float(probe_value(lam, zeta * (1 - 1e-9), k, cfg)) < 0.0
         assert float(probe_value(lam, zeta * (1 + 1e-9), k, cfg)) > 0.0
+
+
+# float.hex of lambda*, then kstar, zeta and eta in pair order: probe-worthy
+# rows, some of them and none of them, so a change of which rows the threshold
+# routine bisects, or of how, moves these bits
+THRESHOLD_HEX = {
+    "default": ("0x1.8c9ceda158903p+2", (1, 2, 3, 4, 5, 6, 7, 8),
+        ('0x1.993dc8a30048ap-11', '0x1.8becab44207aep-11', '0x1.7be8060e6e84ap-11', '0x1.68cdc4a272696p-11', '0x1.52653662e10aep-11', '0x1.38dcdbefebc2ep-11', '0x1.1d2660c0c39c2p-11', '0x1.0157f8c8880e4p-11'),
+        ('0x1.648d46f2501fcp-10', '0x1.90e5ee16269b0p-10', '0x1.c45808c60ffa6p-10', '0x1.ff74a8b1476bcp-10', '0x1.2118a2516425cp-9', '0x1.45ac5a0fbb68ap-9', '0x1.6be8ab05ea3e8p-9', '0x1.90fa94782071cp-9')),
+    "M=8": ("0x1.6b5daf2fd3b5fp+2", (4, 5, 6, 7, 8),
+        ('0x1.72178b1209ca8p-11', '0x1.6c840045f024ap-11', '0x1.662e8827138e8p-11', '0x1.5f51fbc90086ap-11', '0x1.586f6d3890d5ap-11'),
+        ('0x1.7e71c449eec36p-11', '0x1.ac09a603c9e26p-11', '0x1.dda5cabdfb8dep-11', '0x1.0895a8b14a8fep-10', '0x1.216c02ea4acecp-10')),
+    "pt=30 dBm, tau_d=5 ms": ("0x1.4d41293ec4fcbp+2", (2, 3, 4, 5, 6, 7, 8),
+        ('0x1.33fbeeada596ap-11', '0x1.23f76903b003ep-11', '0x1.10e5e31687494p-11', '0x1.f5375141f3590p-12', '0x1.c2afc8b2e8504p-12', '0x1.8c2ef8fcf2b56p-12', '0x1.55d3972952fd2p-12'),
+        ('0x1.499f659b6371cp-11', '0x1.6f0fdbcf0ac54p-11', '0x1.9992eb2c01d94p-11', '0x1.c905e85008812p-11', '0x1.fc790d7d5dc62p-11', '0x1.18dc32f26f726p-10', '0x1.327245999b59ep-10')),
+    "pt=80 dBm, tau_d=15 ms": ("0x1.57b6746b60d79p+4", (3, 4, 5, 6, 7, 8),
+        ('0x1.10888e622d13ap-11', '0x1.faeb45ac08ea2p-12', '0x1.ce5300e921aa4p-12', '0x1.9bc6e55d8a652p-12', '0x1.6542c8c281992p-12', '0x1.2ee9391cf41f2p-12'),
+        ('0x1.38e8d357f25dcp-11', '0x1.699e6fd0429dcp-11', '0x1.a1670a3ff7990p-11', '0x1.df61202abae6ap-11', '0x1.107c0aade6c78p-10', '0x1.309f54b380aa8p-10')),
+    "M=0": ("0x1.69a40bfd3288ep+2", (),
+        (),
+        ()),
+}
+
+
+@pytest.mark.parametrize("name", list(THRESHOLD_HEX))
+def test_thresholds_are_pinned(cfg, name):
+    c = apply_overrides(cfg, [] if name == "default" else name.split(", "))
+    t = build_threshold_table(c)
+    ks = tuple(sorted(t.kstar))
+    assert (t.lambda_star.hex(), ks, tuple(t.zeta[k].hex() for k in ks),
+            tuple(t.eta[k].hex() for k in ks)) == THRESHOLD_HEX[name]
 
 
 def test_table_round_trip_bitwise(cfg, table):
@@ -372,9 +403,14 @@ def nested_attempt_value(lam, cfg):
         mu, sd = pair_tables(cfg).mu[k - 1], pair_tables(cfg).sigma[k - 1]
 
         def floored_snr(h, mu=mu, sd=sd):
-            excess, _ = integrate.quad(
+            if sd == 0.0:  # no surface: the surrogate is the point mu
+                return max(rho * (h + mu) ** 2, c)
+            # past 40 sd the Gaussian weight is below exp(-800): cut there, so
+            # quad never chases a relative tolerance on a zero integral
+            lo, hi = max(-b - h, mu - 40.0 * sd), min(b - h, mu + 40.0 * sd)
+            excess = 0.0 if lo >= hi else integrate.quad(
                 lambda x: (c - rho * (h + x) ** 2) * math.exp(-0.5 * ((x - mu) / sd) ** 2),
-                -b - h, b - h, epsabs=0.0, epsrel=1e-10)
+                lo, hi, epsabs=0.0, epsrel=1e-10)[0]
             return rho * ((h + mu) ** 2 + sd * sd) + excess / (sd * math.sqrt(2.0 * math.pi))
 
         def best(u, v=v, floored_snr=floored_snr):
@@ -440,6 +476,22 @@ def test_attempt_value_at_zero_price_past_the_tail(cfg):
     c = apply_overrides(cfg, ["pt=80 dBm", "tau_d=10 s", "M=1024"])
     ref = nested_attempt_value(0.0, c)
     assert abs(attempt_value(0.0, c) - ref) <= 1e-8 * ref
+
+
+@pytest.mark.parametrize("overrides", [
+    ["M=0"], ["M=1"],
+    ["pt=80 dBm", "tau_d=5 ms"],   # no pair probe-worthy
+    ["pt=80 dBm", "tau_d=15 ms"],  # 6 of 8 pairs probe-worthy
+], ids=["M=0", "M=1", "80dBm-5ms", "80dBm-15ms"])
+def test_attempt_value_matches_nested_quadrature(cfg, overrides):
+    """Dominated pairs enter the probe correction as empty panels; with none,
+    some or all of the pairs probe-worthy, attempt_value(lambda*) is the
+    nested-quadrature value. (At M = 8 the closed form's floor term drops the
+    surrogate's mass below X = 0 and sits 1.1e-4 below it.)"""
+    c = apply_overrides(cfg, overrides)
+    lam = solve_max_throughput(c)
+    ref = nested_attempt_value(lam, c)
+    assert abs(attempt_value(lam, c) - ref) <= 1e-8 * ref
 
 
 def test_quadrature_panel_cap():
