@@ -129,8 +129,8 @@ def vec_bisect(f, lo, hi, iters: int):
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         neg = f(mid) < 0.0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
+        np.copyto(lo, mid, where=neg)
+        np.copyto(hi, mid, where=~neg)
     return 0.5 * (lo + hi)
 
 

@@ -16,11 +16,16 @@ The probe value has a closed form: under a Gaussian surrogate for the summed
 cascaded magnitudes, the post-probe SNR credited to the pair is
 E[max(rho*(h+X)^2, 2^lam - 1)] (worse draws fall back to the continue
 branch), which evaluates to three erf/erfc/Gaussian-density terms.
+probe_form(lam, cfg) binds it to one price: the terms that depend only on
+lam or only on the pair are built once, so that the threshold bisection
+(pair_thresholds), the value integrals (attempt_value, and
+strategies.mean_probe_value) and probe_value evaluate only the terms in h.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,6 +48,7 @@ from .numerics import (
 )
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_FLOAT_MAX = sys.float_info.max
 _MC_CHUNK = 1 << 16  # cascaded draws per Monte-Carlo batch
 _FP_MAX_ITER = 500_000  # steps before the fixed-point reference gives up
 
@@ -53,6 +59,34 @@ class MCEstimate(NamedTuple):
     n: int
 
 
+def _snr_form(lam, mu, sigma, rho_bar):
+    """effective_probe_snr with its terms in lam alone or in (mu, sigma)
+    alone built once: snr(h, rows) evaluates the rest at direct magnitude h,
+    for the entries `rows` of mu and sigma (all of them if None). When every
+    sigma > 0 the pointwise-max branch is skipped; its result would be the
+    same to the bit."""
+    c = np.expm1(np.asarray(lam, dtype=float) * LN2)
+    b, half_c, half_rho = np.sqrt(c / rho_bar), 0.5 * c, 0.5 * rho_bar
+    mu, sigma = np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
+    smooth = bool(np.all(sigma > 0.0))
+    safe = np.where(sigma > 0.0, sigma, 1.0)
+    terms = (mu, sigma, safe, special.erf(mu / (SQRT2 * safe)), rho_bar * safe, safe * safe)
+
+    def snr(h, rows=None):
+        mu, sigma, safe, erf_mu, rho_safe, safe2 = (
+            terms if rows is None else [x[rows] for x in terms])
+        m = h + mu
+        z = (b - m) / safe
+        zs = z / SQRT2
+        floor_part = half_c * (erf_mu + special.erf(zs))
+        edge_part = rho_safe * (m + b) * np.exp(-0.5 * z * z) * _INV_SQRT_2PI
+        tail_part = half_rho * (m * m + safe2) * special.erfc(zs)
+        out = floor_part + edge_part + tail_part
+        return out if smooth else np.where(sigma > 0.0, out, np.maximum(rho_bar * m * m, c))
+
+    return snr
+
+
 def effective_probe_snr(lam, h_s, mu, sigma, rho_bar):
     """E[max(rho_bar*(h_s+X)^2, 2^lam - 1)] for X ~ Normal(mu, sigma^2).
 
@@ -60,25 +94,24 @@ def effective_probe_snr(lam, h_s, mu, sigma, rho_bar):
     Closed form; broadcasts over its arguments. sigma == 0 degenerates to the
     pointwise max (no surface, or a single deterministic reflection).
     """
-    lam = np.asarray(lam, dtype=float)
-    c = np.expm1(lam * LN2)
-    m = np.asarray(h_s, dtype=float) + mu
-    sigma = np.asarray(sigma, dtype=float)
-    safe = np.where(sigma > 0.0, sigma, 1.0)
-    b = np.sqrt(c / rho_bar)
-    z = (b - m) / safe
-    zs = z / SQRT2
-    floor_part = 0.5 * c * (special.erf(mu / (SQRT2 * safe)) + special.erf(zs))
-    edge_part = rho_bar * safe * (m + b) * np.exp(-0.5 * z * z) * _INV_SQRT_2PI
-    tail_part = 0.5 * rho_bar * (m * m + safe * safe) * special.erfc(zs)
-    smooth = floor_part + edge_part + tail_part
-    out = np.where(sigma > 0.0, smooth, np.maximum(rho_bar * m * m, c))
+    out = _snr_form(lam, mu, sigma, rho_bar)(np.asarray(h_s, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
-def _probe_value_raw(lam, h_s, mu, sigma, rho, cfg: NetworkConfig):
-    om = effective_probe_snr(lam, h_s, mu, sigma, rho)
-    return cfg.tau2 * np.log2(1.0 + om) - lam * cfg.tau1
+def probe_form(lam, cfg: NetworkConfig):
+    """The closed-form probe value at price lam, bound once for config cfg:
+    pv(h, rows) is probe_value(lam, h, rows + 1, cfg), rows being 0-based
+    pair indices that broadcast with h (every pair if None). Only the terms
+    in h are evaluated per call, so bisection steps and quadrature rounds
+    share the rest."""
+    tab = pair_tables(cfg)
+    snr = _snr_form(lam, tab.mu, tab.sigma, tab.rho)
+    tau2, lam_tau1 = cfg.tau2, lam * cfg.tau1
+
+    def pv(h, rows=None):
+        return tau2 * np.log2(1.0 + snr(h, rows)) - lam_tau1
+
+    return pv
 
 
 def probe_value(lam, h_s, k, cfg: NetworkConfig):
@@ -89,9 +122,7 @@ def probe_value(lam, h_s, k, cfg: NetworkConfig):
     means probing beats releasing the channel. k may be an integer array
     that broadcasts with h_s.
     """
-    tab = pair_tables(cfg)
-    i = k - 1
-    return _probe_value_raw(lam, h_s, tab.mu[i], tab.sigma[i], tab.rho, cfg)
+    return probe_form(lam, cfg)(h_s, k - 1)
 
 
 def probe_value_mc(lam, h_s, k: int, cfg: NetworkConfig, n_samples: int,
@@ -125,7 +156,10 @@ def direct_value_term(lam: float, w, tau1: float):
     lam = 0 the mean direct bits of one transmission."""
     c = snr_floor(lam)
     w = np.asarray(w, dtype=float)
-    return tau1 * LOG2E * scaled_e1(1.0 / w, (1.0 + c) / w)
+    # a quotient past float-max would overflow to inf, and scaled_e1 gives 0
+    # for it either way: cap w from below where that happens, and only there
+    x = (1.0 + c) / np.maximum(w, (1.0 + c) / _FLOAT_MAX)
+    return tau1 * LOG2E * scaled_e1(1.0 / w, x)
 
 
 def pair_thresholds(lam: float, cfg: NetworkConfig, steps: int):
@@ -140,32 +174,36 @@ def pair_thresholds(lam: float, cfg: NetworkConfig, steps: int):
     """
     rho, _, mu, sigma, _, _ = pair_tables(cfg)
     h_cross = direct_cross(lam, rho)
+    pv = probe_form(lam, cfg)
     zeta, eta = np.full(cfg.K, h_cross), np.full(cfg.K, h_cross)
-    act = np.flatnonzero(_probe_value_raw(lam, h_cross, mu, sigma, rho, cfg) > 0.0)
+    act = np.flatnonzero(pv(h_cross) > 0.0)
     n = act.size
     if n == 0:
         return zeta, eta
     # both roots in one vector bisection, zeta's rows first, then eta's: one
     # probe-value evaluation per step serves both
-    mu2, sig2 = np.tile(mu[act], 2), np.tile(sigma[act], 2)
-    upper = np.arange(2 * n) >= n
+    rows = np.tile(act, 2)
+    tau1 = cfg.tau1
 
     def gap(h):
-        lb = _probe_value_raw(lam, h, mu2, sig2, rho, cfg)
-        return np.where(upper, cfg.tau1 * (np.log2(1.0 + rho * h * h) - lam) - lb, lb)
+        # the probe value on zeta's rows; on eta's, the direct stop value's lead
+        out = pv(h, rows)
+        hu = h[n:]
+        out[n:] = tau1 * (np.log2(1.0 + rho * hu * hu) - lam) - out[n:]
+        return out
 
     lo = np.concatenate([np.zeros(n), np.full(n, h_cross)])
     hi = np.concatenate([np.full(n, h_cross),
                          np.maximum(2.0 * h_cross, h_cross + 8.0 * (mu[act] + 6.0 * sigma[act]))])
     for _ in range(60):
-        pending = upper & (gap(hi) <= 0.0)
+        pending = gap(hi)[n:] <= 0.0
         if not pending.any():
             break
-        hi = np.where(pending, 2.0 * hi, hi)
+        hi[n:][pending] *= 2.0
     else:
         raise SolverError("direct value never overtakes the probe value")
     roots = vec_bisect(gap, lo, hi, steps)
-    zeta[act] = np.where(gap(lo)[:n] >= 0.0, 0.0, roots[:n])
+    zeta[act] = np.where(pv(0.0, act) >= 0.0, 0.0, roots[:n])
     eta[act] = roots[n:]
     return zeta, eta
 
@@ -203,11 +241,13 @@ def attempt_value(lam: float, cfg: NetworkConfig) -> float:
     h_cross = direct_cross(lam, rho)
     # 18 steps suffice here: the roots only place panel edges
     zeta, eta = pair_thresholds(lam, cfg, 18)
+    if not (zeta < eta).any():
+        return total  # no pair is probe-worthy: the probe correction is 0
+    pv = probe_form(lam, cfg)
 
     def gain(rows, h):
-        lb = _probe_value_raw(lam, h, mu[rows], sigma[rows], rho, cfg)
         a_val = tau1 * (np.log2(1.0 + rho * h * h) - lam)
-        return np.maximum(lb - np.maximum(a_val, 0.0), 0.0)
+        return np.maximum(pv(h, rows) - np.maximum(a_val, 0.0), 0.0)
 
     # panel edges: the give-up and overtake roots, the floor crossing of the
     # Gaussian surrogate (h_cross - mu, width sigma), and h_cross

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -29,10 +30,15 @@ from .channel import direct_cross, linear_budget, pair_tables, rate_direct
 from .config import ConfigError, NetworkConfig, config_hash
 from .contention import expected_contention_time, winner_weights
 from .numerics import SQRT2, bracket_root
-from .solver import (ThresholdTable, direct_value_term, fading_average, probe_value,
-                     solve_max_throughput)
+from .solver import (ThresholdTable, direct_value_term, fading_average, probe_form,
+                     probe_value, solve_max_throughput)
 
 _SQRT_PI = math.sqrt(math.pi)
+
+
+@lru_cache(maxsize=1)
+def _hermite_rule(n: int):
+    return hermgauss(n)
 
 
 class Decision(Enum):
@@ -115,7 +121,8 @@ def mean_probe_value(lam: float, cfg: NetworkConfig) -> float:
     # edges bracket the floor-crossing band of the Gaussian surrogate,
     # centered at h_cross - mu with width sigma
     t = np.clip(direct_cross(lam, rho) - mu, 0.0, None)
-    return fading_average(cfg, lambda rows, h: probe_value(lam, h, rows + 1, cfg),
+    pv = probe_form(lam, cfg)
+    return fading_average(cfg, lambda rows, h: pv(h, rows),
                           [0.0, t - 30.0 * sigma, t + 30.0 * sigma, np.inf])
 
 
@@ -146,7 +153,7 @@ def no_wait_ris_throughput(cfg: NetworkConfig) -> float:
     panels outside); exact up to the surrogate itself.
     """
     rho, v, mu, sigma, _, _ = pair_tables(cfg)
-    tg, wg = hermgauss(64)
+    tg, wg = _hermite_rule(64)
 
     def mean_rate(rows, h):
         shift = mu[rows][:, None] + SQRT2 * sigma[rows][:, None] * tg[None, :]

@@ -288,6 +288,20 @@ def test_solve_at_extreme_power_succeeds_without_warnings(capsys):
     assert [str(w.message) for w in caught] == []
 
 
+def test_weak_pair_among_strong_ones_solves_without_warnings(capsys):
+    # pair 1's direct SNR scale rho*v is 1.9e-305, the others' 1e8, so lambda*
+    # is near 26 and (1 + 2^lam - 1) / (rho*v) is past float-max: the direct
+    # value term used to warn "overflow encountered in divide"
+    dests = "dests=1340,0; 1,10; 1,20; 1,30; 1,40; 1,50; 1,60; 1,70"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "solve", "--set", "alpha1=100", "--set", dests)
+    assert code == 0
+    assert parse_threshold_table(out).lambda_star == pytest.approx(25.963, abs=1e-3)
+    assert "Warning" not in err
+    assert [str(w.message) for w in caught] == []
+
+
 def test_unknown_policy_rejected_by_parser(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--policy", "magic", "--rounds", "10", "--seed", "1"])

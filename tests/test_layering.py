@@ -106,6 +106,15 @@ def test_one_threshold_solve_site():
     assert _call_sites("vec_bisect") == [("solver.py", "pair_thresholds", "vec_bisect")]
 
 
+def test_one_probe_value_closed_form():
+    # the erf/erfc closed form of the probe SNR lives in solver._snr_form, its
+    # terms builder and the evaluator it returns; effective_probe_snr and
+    # every probe value read it, so no second copy of the formula can drift
+    assert _call_sites("erf", "erfc") == [
+        ("solver.py", "_snr_form", "erf"), ("solver.py", "_snr_form", "erf"),
+        ("solver.py", "_snr_form", "erfc")]
+
+
 def test_no_zero_link_budget_branch():
     # NetworkConfig and channel.pair_tables reject a budget whose direct SNR
     # scale rho * v has no finite reciprocal, so no model value branches on 0

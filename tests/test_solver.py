@@ -28,7 +28,7 @@ from rismac import (
 from rismac import solver, strategies
 from rismac.channel import direct_cross, linear_budget, pair_tables, rate_direct
 from rismac.numerics import scaled_e1 as _scaled_e1
-from rismac.numerics import ROOT_XTOL, adaptive_panels, zeroin
+from rismac.numerics import LOG2E, ROOT_XTOL, adaptive_panels, zeroin
 from rismac.solver import admissible_step_band
 
 
@@ -94,6 +94,32 @@ def test_effective_probe_snr_monte_carlo(cfg):
             mc = np.maximum(rho * np.square(h + x), c).mean()
             closed = effective_probe_snr(lam, h, mu, sigma, rho)
             assert closed == pytest.approx(mc, rel=5e-3)
+
+
+_HETERO_P = (0.05, 0.6, 0.05, 0.05, 0.6, 0.05, 0.05, 0.05)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"M": 0}, {"p": _HETERO_P}],
+                         ids=["default", "no-surface", "heterogeneous-p"])
+def test_probe_form_matches_probe_value_bitwise(cfg, overrides):
+    """The bound form gives every element of probe_value and of the closed
+    form effective_probe_snr evaluates, with rows given or omitted."""
+    c = replace_config(cfg, **overrides)
+    tab = pair_tables(c)
+    h = np.linspace(0.0, 3e-3, 61)
+    rows = np.repeat(np.arange(c.K), h.size)
+    hh = np.tile(h, c.K)
+    for lam in (0.0, 2.5, 6.0, 12.0):
+        pv = solver.probe_form(lam, c)
+        expect = np.stack([
+            c.tau2 * np.log2(1.0 + effective_probe_snr(lam, h, tab.mu[i], tab.sigma[i], tab.rho))
+            - lam * c.tau1 for i in range(c.K)])
+        assert (pv(h[:, None]) == expect.T).all()
+        assert (pv(hh, rows) == expect.ravel()).all()
+        assert (probe_value(lam, hh, rows + 1, c) == expect.ravel()).all()
+        for k in range(1, c.K + 1):
+            assert (pv(h, k - 1) == expect[k - 1]).all()
+            assert probe_value(lam, h[7], k, c) == expect[k - 1, 7]
 
 
 def test_probe_value_against_exact_channel_mc(cfg):
@@ -511,6 +537,18 @@ def test_root_at_extreme_power_stays_below_its_bound(cfg):
     assert lam == pytest.approx(645.66, abs=0.01)
     assert throughput_residual(lam * (1.0 - 1e-6), c) >= 0.0
     assert throughput_residual(lam * (1.0 + 1e-6), c) <= 0.0
+
+
+def test_direct_value_of_a_pair_too_weak_for_the_price(cfg):
+    # w = 1.9e-305 passes the 1/float-max check, but (1 + c) / w at lam = 26
+    # is past float-max: the term is 0 without an overflow warning, and a
+    # quotient in range keeps its bits
+    tau1 = cfg.tau1
+    w = np.array([1.9e-305, 1e8])
+    out = solver.direct_value_term(26.0, w, tau1)
+    assert out[0] == 0.0
+    c = math.expm1(26.0 * math.log(2.0))
+    assert out[1] == tau1 * LOG2E * _scaled_e1(1.0 / w[1], (1.0 + c) / w[1])
 
 
 def test_rate_past_float_range_is_a_solver_error(cfg):
