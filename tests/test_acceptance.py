@@ -28,7 +28,7 @@ from rismac import (
     throughput_residual,
     PolicyKind,
 )
-from rismac.channel import draw_cascaded, draw_direct, linear_budget, pair_tables, rate_direct
+from rismac.channel import cascaded_sums, draw_direct, linear_budget, pair_tables, rate_direct
 from rismac.config import dbm_to_watt
 from rismac.contention import contention_time, draw_contention, split_failed_slots
 from rismac.solver import admissible_step_band
@@ -96,8 +96,9 @@ def test_criterion_3_closed_form_fidelity(cfg, table):
     failures = []
     worst_om = 0.0
     worst_lb = 0.0
+    tab = pair_tables(cfg)
     for k in (1, 8):
-        mu, sigma = pair_tables(cfg).mu[k - 1], pair_tables(cfg).sigma[k - 1]
+        mu, sigma = tab.mu[k - 1], tab.sigma[k - 1]
         rng = np.random.default_rng(30_000 + k)
         x = mu + sigma * rng.standard_normal(n)
         for lam in lams:
@@ -111,12 +112,8 @@ def test_criterion_3_closed_form_fidelity(cfg, table):
                     failures.append(
                         f"probe-SNR pair {k} lam={lam:.2f} h={h:.2e}: {rel:.3%}")
         del x
-        sums = np.empty(n)
-        pos = 0
-        while pos < n:
-            m = min(500_000, n - pos)
-            sums[pos:pos + m] = draw_cascaded(rng, cfg, k, m).sum(axis=1)
-            pos += m
+        # the exact channel's row sums, drawn as the engine draws them
+        sums = cascaded_sums(rng, np.full(n, tab.ms1[k - 1]), tab.ms2[k - 1], cfg.M)
         for lam in lams:
             for h in hs:
                 vals = np.maximum(

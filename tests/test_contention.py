@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from make_pins import load_pins
 from rismac import (
     ConfigError,
     apply_overrides,
@@ -47,22 +48,13 @@ def test_expected_contention_time_oracles(cfg):
     assert expected_contention_time(het) == pytest.approx(TAU_O_HET, rel=1e-12)
 
 
-# float.hex of expected_contention_time: the default config and p = 0.1 ... 0.8
-TAU_O_HEX = {
-    None: "0x1.360b16eada977p-12",
-    0.1: "0x1.3fea087046e5ep-13", 0.2: "0x1.8724a8c154c96p-13",
-    0.3: "0x1.360b16eada977p-12", 0.4: "0x1.3c652668c909fp-11",
-    0.5: "0x1.afb7e90ff9725p-10", 0.6: "0x1.a3ce932ed4b7ep-8",
-    0.7: "0x1.4ed7a8d309736p-5", 0.8: "0x1.38867381d7dc9p-1",
-}
-
-
-@pytest.mark.parametrize("p", list(TAU_O_HEX))
+@pytest.mark.parametrize("p", [None, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
 def test_expected_contention_time_is_pinned(cfg, p):
     # the value feeds every root and baseline: a reordered product in the slot
-    # law would move lambda* in its last bits
+    # law would move lambda* in its last bits (p = 0.3 is the default's)
     c = cfg if p is None else apply_overrides(cfg, [f"p={p}"])
-    assert expected_contention_time(c).hex() == TAU_O_HEX[p]
+    entry = "default" if p in (None, 0.3) else f"p={p}"
+    assert expected_contention_time(c).hex() == load_pins()[entry]["expected_contention_time"]
 
 
 def test_certain_collision_rejected(cfg):

@@ -3,6 +3,7 @@ and importing the package stays free of heavy optional modules."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +54,15 @@ def test_import_does_not_load_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code],
                          env=env, capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_no_hand_copied_pins():
+    # every pinned bit lives in tests/pins.json, written by tests/make_pins.py,
+    # so a model change regenerates one file instead of editing hex tables
+    hexfloat = re.compile(r"0x[01]\.[0-9a-f]*p[-+]\d")
+    offenders = [path.name for path in sorted(Path(__file__).parent.glob("*.py"))
+                 if hexfloat.search(path.read_text(encoding="utf-8"))]
+    assert offenders == []
 
 
 def test_public_surface_is_pinned():

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from make_pins import load_pins
 from rismac import (
     ConfigError,
     Decision,
@@ -255,32 +256,23 @@ def test_skipped_releases_follow_the_closed_form(cfg):
         5 * arr.contention_time.std(ddof=1) / math.sqrt(n))
 
 
-# float.hex of run_campaign's (mean, total_bits, total_time), 8,192 rounds,
-# seed 5, 1 worker: the reference disciplines never release at level 1, so
-# skipping releases draws nothing extra from their streams
-REFERENCE_PINS = {
-    ("default", PolicyKind.NO_WAIT_DIRECT):
-        ("0x1.095bd7cc76dfep+2", "0x1.020da25bf84f9p+9", "0x1.f1e780346dc5ep+6"),
-    ("default", PolicyKind.NO_WAIT_RIS):
-        ("0x1.55c942b4296dfp+2", "0x1.4c617f208c64bp+9", "0x1.f1e923a29c77ap+6"),
-    ("default", PolicyKind.OPTIMAL_RIS_STOP):
-        ("0x1.74db1dd12472fp+2", "0x1.821ead96edcabp+9", "0x1.091b5dcc63f14p+7"),
-    ("-40 dBm / 250 ms", PolicyKind.NO_WAIT_DIRECT):
-        ("0x1.1b64e026d6f5cp-18", "0x1.1b9d6a552199fp-7", "0x1.0033130be0decp+11"),
-    ("-40 dBm / 250 ms", PolicyKind.NO_WAIT_RIS):
-        ("0x1.32614394ec119p-17", "0x1.329e73709a88ap-6", "0x1.0033202752546p+11"),
-    ("-40 dBm / 250 ms", PolicyKind.OPTIMAL_RIS_STOP):
-        ("0x1.df0b1626cf5dap-16", "0x1.1c919fb7ac7e8p-4", "0x1.302573b645a1cp+11"),
-}
+# run_campaign's (mean, total_bits, total_time), 8,192 rounds, seed 5,
+# 1 worker: the reference disciplines never release at level 1, so skipping
+# releases draws nothing extra from their streams
+REFERENCE_STREAMS = {"default": [], "-40 dBm / 250 ms": ["pt=-40 dBm", "tau_d=250 ms"]}
+REFERENCE_KINDS = (PolicyKind.NO_WAIT_DIRECT, PolicyKind.NO_WAIT_RIS, PolicyKind.OPTIMAL_RIS_STOP)
 
 
-@pytest.mark.parametrize("where, kind", list(REFERENCE_PINS),
-                         ids=[f"{w}-{k.value}" for w, k in REFERENCE_PINS])
+@pytest.mark.parametrize("where, kind",
+                         [(w, k) for w in REFERENCE_STREAMS for k in REFERENCE_KINDS],
+                         ids=[f"{w}-{k.value}" for w in REFERENCE_STREAMS
+                              for k in REFERENCE_KINDS])
 def test_reference_streams_are_pinned(cfg, where, kind):
-    c = cfg if where == "default" else apply_overrides(cfg, ["pt=-40 dBm", "tau_d=250 ms"])
+    c = apply_overrides(cfg, REFERENCE_STREAMS[where])
     est = run_campaign(c, make_policy(kind, c), 8192, seed=5, workers=1)
-    assert (est.mean.hex(), est.total_bits.hex(), est.total_time.hex()) == REFERENCE_PINS[
-        where, kind]
+    entry = "default" if where == "default" else ", ".join(REFERENCE_STREAMS[where])
+    assert [est.mean.hex(), est.total_bits.hex(), est.total_time.hex()] == load_pins()[
+        entry][f"stream {kind.value}"]
 
 
 @pytest.mark.parametrize("gap", [0.0, 1e-9], ids=["q-rounds-to-1", "q-just-below-1"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, special
 
+from make_pins import load_pins
 from rismac import (
     ConfigError,
     PolicyKind,
@@ -27,6 +28,7 @@ from rismac import (
 )
 from rismac import solver, strategies
 from rismac.channel import direct_cross, linear_budget, pair_tables, rate_direct
+from rismac.contention import winner_weights
 from rismac.numerics import scaled_e1 as _scaled_e1
 from rismac.numerics import LOG2E, ROOT_XTOL, adaptive_panels, zeroin
 from rismac.solver import admissible_step_band
@@ -147,6 +149,7 @@ def test_probe_value_slope_band(cfg):
 def test_attempt_value_against_library_quadrature(cfg):
     rho = linear_budget(cfg)
     tau1 = cfg.tau_d - cfg.tau_m1
+    w = winner_weights(cfg.p)
     for lam in (2.0, 6.2, 12.0):
         total = 0.0
         for k in range(1, cfg.K + 1):
@@ -161,8 +164,8 @@ def test_attempt_value_against_library_quadrature(cfg):
             val, err = integrate.quad(f, 0.0, hi, limit=400,
                                       epsabs=1e-12, epsrel=1e-12)
             assert err < 1e-10
-            total += val
-        assert attempt_value(lam, cfg) == pytest.approx(total / cfg.K, abs=5e-8)
+            total += w[k - 1] * val
+        assert attempt_value(lam, cfg) == pytest.approx(total, abs=5e-8)
 
 
 def test_attempt_value_monotone_decreasing(cfg):
@@ -274,35 +277,18 @@ def test_threshold_invariants(cfg, table):
         assert float(probe_value(lam, zeta * (1 + 1e-9), k, cfg)) > 0.0
 
 
-# float.hex of lambda*, then kstar, zeta and eta in pair order: probe-worthy
-# rows, some of them and none of them, so a change of which rows the threshold
-# routine bisects, or of how, moves these bits
-THRESHOLD_HEX = {
-    "default": ("0x1.8c9ceda158903p+2", (1, 2, 3, 4, 5, 6, 7, 8),
-        ('0x1.993dc8a30048ap-11', '0x1.8becab44207aep-11', '0x1.7be8060e6e84ap-11', '0x1.68cdc4a272696p-11', '0x1.52653662e10aep-11', '0x1.38dcdbefebc2ep-11', '0x1.1d2660c0c39c2p-11', '0x1.0157f8c8880e4p-11'),
-        ('0x1.648d46f2501fcp-10', '0x1.90e5ee16269b0p-10', '0x1.c45808c60ffa6p-10', '0x1.ff74a8b1476bcp-10', '0x1.2118a2516425cp-9', '0x1.45ac5a0fbb68ap-9', '0x1.6be8ab05ea3e8p-9', '0x1.90fa94782071cp-9')),
-    "M=8": ("0x1.6b5daf2fd3b5fp+2", (4, 5, 6, 7, 8),
-        ('0x1.72178b1209ca8p-11', '0x1.6c840045f024ap-11', '0x1.662e8827138e8p-11', '0x1.5f51fbc90086ap-11', '0x1.586f6d3890d5ap-11'),
-        ('0x1.7e71c449eec36p-11', '0x1.ac09a603c9e26p-11', '0x1.dda5cabdfb8dep-11', '0x1.0895a8b14a8fep-10', '0x1.216c02ea4acecp-10')),
-    "pt=30 dBm, tau_d=5 ms": ("0x1.4d41293ec4fcbp+2", (2, 3, 4, 5, 6, 7, 8),
-        ('0x1.33fbeeada596ap-11', '0x1.23f76903b003ep-11', '0x1.10e5e31687494p-11', '0x1.f5375141f3590p-12', '0x1.c2afc8b2e8504p-12', '0x1.8c2ef8fcf2b56p-12', '0x1.55d3972952fd2p-12'),
-        ('0x1.499f659b6371cp-11', '0x1.6f0fdbcf0ac54p-11', '0x1.9992eb2c01d94p-11', '0x1.c905e85008812p-11', '0x1.fc790d7d5dc62p-11', '0x1.18dc32f26f726p-10', '0x1.327245999b59ep-10')),
-    "pt=80 dBm, tau_d=15 ms": ("0x1.57b6746b60d79p+4", (3, 4, 5, 6, 7, 8),
-        ('0x1.10888e622d13ap-11', '0x1.faeb45ac08ea2p-12', '0x1.ce5300e921aa4p-12', '0x1.9bc6e55d8a652p-12', '0x1.6542c8c281992p-12', '0x1.2ee9391cf41f2p-12'),
-        ('0x1.38e8d357f25dcp-11', '0x1.699e6fd0429dcp-11', '0x1.a1670a3ff7990p-11', '0x1.df61202abae6ap-11', '0x1.107c0aade6c78p-10', '0x1.309f54b380aa8p-10')),
-    "M=0": ("0x1.69a40bfd3288ep+2", (),
-        (),
-        ()),
-}
-
-
-@pytest.mark.parametrize("name", list(THRESHOLD_HEX))
+@pytest.mark.parametrize("name", ["default", "M=8", "pt=30 dBm, tau_d=5 ms",
+                                  "pt=80 dBm, tau_d=15 ms", "M=0"])
 def test_thresholds_are_pinned(cfg, name):
+    # probe-worthy rows, some of them and none of them: a change of which rows
+    # the threshold routine bisects, or of how, moves these bits
     c = apply_overrides(cfg, [] if name == "default" else name.split(", "))
     t = build_threshold_table(c)
-    ks = tuple(sorted(t.kstar))
-    assert (t.lambda_star.hex(), ks, tuple(t.zeta[k].hex() for k in ks),
-            tuple(t.eta[k].hex() for k in ks)) == THRESHOLD_HEX[name]
+    ks = sorted(t.kstar)
+    pinned = load_pins()[name]
+    assert (t.lambda_star.hex(), ks, [t.zeta[k].hex() for k in ks],
+            [t.eta[k].hex() for k in ks]) == (
+        pinned["lambda_star"], pinned["kstar"], pinned["zeta"], pinned["eta"])
 
 
 def test_table_round_trip_bitwise(cfg, table):
@@ -328,6 +314,7 @@ def test_table_parse_errors(table):
 
 
 def test_mean_probe_value_against_library_quadrature(cfg):
+    w = winner_weights(cfg.p)
     for lam in (3.0, 6.0):
         total = 0.0
         for k in range(1, cfg.K + 1):
@@ -340,8 +327,8 @@ def test_mean_probe_value_against_library_quadrature(cfg):
             val, err = integrate.quad(f, 0.0, hi, limit=400,
                                       epsabs=1e-12, epsrel=1e-12)
             assert err < 1e-10
-            total += val
-        assert mean_probe_value(lam, cfg) == pytest.approx(total / cfg.K, abs=5e-8)
+            total += w[k - 1] * val
+        assert mean_probe_value(lam, cfg) == pytest.approx(total, abs=5e-8)
 
 
 def test_build_table_accepts_given_root(cfg, table):
@@ -417,12 +404,14 @@ def nested_attempt_value(lam, cfg):
     """attempt_value's model by nested scipy quad: the outer integral over the
     exponential law of h^2 / v, the inner one over the Gaussian surrogate X for
     E[max(rho (h+X)^2, 2^lam - 1)], as the exact second moment plus the
-    floor's excess where |h + X| < sqrt((2^lam - 1) / rho)."""
+    floor's excess where |h + X| < sqrt((2^lam - 1) / rho). Pairs weigh by
+    the winner law."""
     rho = linear_budget(cfg)
     tau1 = cfg.tau_d - cfg.tau_m1
     tau2 = cfg.tau_d - cfg.tau_m2
     c = 2.0 ** lam - 1.0
     b = math.sqrt(c / rho)
+    w = winner_weights(cfg.p)
     total = 0.0
     for k in range(1, cfg.K + 1):
         v = pair_tables(cfg).v[k - 1]
@@ -447,8 +436,8 @@ def nested_attempt_value(lam, cfg):
 
         val, _ = integrate.quad(best, 0.0, 80.0, points=[c / (rho * v)],
                                 epsabs=0.0, epsrel=1e-9, limit=200)
-        total += val
-    return total / cfg.K
+        total += w[k - 1] * val
+    return total
 
 
 def test_root_at_tiny_values_matches_nested_quadrature(cfg):
@@ -508,12 +497,14 @@ def test_attempt_value_at_zero_price_past_the_tail(cfg):
     ["M=0"], ["M=1"],
     ["pt=80 dBm", "tau_d=5 ms"],   # no pair probe-worthy
     ["pt=80 dBm", "tau_d=15 ms"],  # 6 of 8 pairs probe-worthy
-], ids=["M=0", "M=1", "80dBm-5ms", "80dBm-15ms"])
+    ["p=0.05,0.6,0.05,0.05,0.6,0.05,0.05,0.05"],  # unequal winner weights
+], ids=["M=0", "M=1", "80dBm-5ms", "80dBm-15ms", "heterogeneous-p"])
 def test_attempt_value_matches_nested_quadrature(cfg, overrides):
     """Dominated pairs enter the probe correction as empty panels; with none,
-    some or all of the pairs probe-worthy, attempt_value(lambda*) is the
-    nested-quadrature value. (At M = 8 the closed form's floor term drops the
-    surrogate's mass below X = 0 and sits 1.1e-4 below it.)"""
+    some or all of the pairs probe-worthy, and with unequal winner weights,
+    attempt_value(lambda*) is the nested-quadrature value. (At M = 8 the
+    closed form's floor term drops the surrogate's mass below X = 0 and sits
+    1.1e-4 below it.)"""
     c = apply_overrides(cfg, overrides)
     lam = solve_max_throughput(c)
     ref = nested_attempt_value(lam, c)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from make_pins import load_pins
 from rismac import (
     ConfigError,
     Decision,
@@ -23,6 +24,7 @@ from rismac import (
     solve_max_throughput,
 )
 from rismac.channel import linear_budget, pair_tables, rate_direct
+from rismac.contention import winner_weights
 from rismac.strategies import (
     no_wait_direct_throughput,
     no_wait_ris_throughput,
@@ -158,6 +160,7 @@ def test_lambda_b_balances_and_sits_below_lambda_star(cfg, table):
 def test_no_wait_direct_closed_form_vs_quadrature(cfg):
     rho = linear_budget(cfg)
     tau1 = cfg.tau_d - cfg.tau_m1
+    w = winner_weights(cfg.p)
     total = 0.0
     for k in range(1, cfg.K + 1):
         v = pair_tables(cfg).v[k - 1]
@@ -168,8 +171,8 @@ def test_no_wait_direct_closed_form_vs_quadrature(cfg):
         val, err = integrate.quad(f, 0.0, math.sqrt(v * math.log(1e18)), limit=400,
                                   epsabs=1e-12, epsrel=1e-12)
         assert err < 1e-10
-        total += val
-    expect = tau1 * (total / cfg.K) / (expected_contention_time(cfg) + tau1)
+        total += w[k - 1] * val
+    expect = tau1 * total / (expected_contention_time(cfg) + tau1)
     assert no_wait_direct_throughput(cfg) == pytest.approx(expect, rel=1e-9)
 
 
@@ -216,19 +219,10 @@ def test_analytic_throughput_dispatch(cfg, table):
 
 
 HET_P = "p=0.05,0.6,0.05,0.05,0.6,0.05,0.05,0.05"
-# float.hex of lambda*, lambda_b, no-wait-direct and no-wait-ris: every pair
-# average weighs by the winner law, so a change of that law, of a closed form
-# or of the quadrature tolerance moves these bits
-MODEL_HEX = {
-    "default": ("0x1.8c9ceda158903p+2", "0x1.75b2d1054009ep+2",
-                "0x1.0a6b2376f1d9ep+2", "0x1.56263c886f558p+2"),
-    "p=0.1": ("0x1.9e6de990033dep+2", "0x1.7d3636f87cea3p+2",
-              "0x1.0cf3ad2333761p+2", "0x1.59671fde93f58p+2"),
-    "K=5": ("0x1.8ec05e92565dap+2", "0x1.6e882f416a9dap+2",
-            "0x1.0c83420c8ee7cp+2", "0x1.48d72c218c120p+2"),
-    HET_P: ("0x1.93fdd513ab85ap+2", "0x1.73bf3273162f2p+2",
-            "0x1.0ca0e0fca13e6p+2", "0x1.4f53c3ab0c8cfp+2"),
-}
+# pins.json entry of each case: every pair average weighs by the winner law, so
+# a change of that law, of a closed form or of the quadrature tolerance moves
+# lambda*, lambda_b, no-wait-direct and no-wait-ris
+MODEL_PINS = {"default": "default", "p=0.1": "p=0.1", "K=5": "K=5, p=0.3", HET_P: HET_P}
 
 
 def _pin_config(cfg, name):
@@ -238,9 +232,11 @@ def _pin_config(cfg, name):
     return cfg if name == "default" else apply_overrides(cfg, [name])
 
 
-@pytest.mark.parametrize("name", list(MODEL_HEX))
+@pytest.mark.parametrize("name", list(MODEL_PINS))
 def test_model_values_are_pinned(cfg, name):
     c = _pin_config(cfg, name)
+    pinned = load_pins()[MODEL_PINS[name]]
     values = (solve_max_throughput(c), solve_lambda_b(c),
               no_wait_direct_throughput(c), no_wait_ris_throughput(c))
-    assert tuple(x.hex() for x in values) == MODEL_HEX[name]
+    assert [x.hex() for x in values] == [pinned[f] for f in (
+        "lambda_star", "optimal-ris-stop", "no-wait-direct", "no-wait-ris")]
