@@ -24,6 +24,7 @@ _ORDERS = (16, 32)   # Gauss-Legendre orders compared on each panel
 _MAX_ROUNDS = 40     # panel-halving rounds before the quadrature gives up
 _MAX_PANELS = 1 << 18  # panels one integral evaluates before it gives up
 _EPS = math.ulp(1.0)  # machine epsilon
+BISECT_DEPTH = 5     # bisection steps one evaluation covers (vec_bisect)
 
 
 class SolverError(RuntimeError):
@@ -123,14 +124,39 @@ def adaptive_panels(fvec, edges):
 
 
 def vec_bisect(f, lo, hi, iters: int):
-    """Vector bisection for an increasing sign change on each [lo_i, hi_i]."""
+    """Vector bisection for an increasing sign change on each [lo_i, hi_i].
+
+    One call of f covers up to BISECT_DEPTH = d steps: f gets, as one
+    (2^d - 1, n) array, every midpoint those steps could take, each
+    0.5 * (lo + hi) of the bracket its ancestors leave, and the signs then
+    walk the steps one by one. The walk takes the one-step loop's own
+    midpoints, so the result is that loop's to the bit; the first sign
+    change in a batch would not be, where rounding noise makes f change
+    sign many times near the root.
+    """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        neg = f(mid) < 0.0
-        np.copyto(lo, mid, where=neg)
-        np.copyto(hi, mid, where=~neg)
+    n = lo.size
+    while iters > 0:
+        d = min(iters, BISECT_DEPTH)
+        iters -= d
+        size = 1 << d
+        # in-order tree: row 0 is lo, row size is hi, and the node at row
+        # r = half * (2j + 1) halves the bracket of rows r - half, r + half
+        pts = np.empty((size + 1, n))
+        pts[0], pts[size] = lo, hi
+        half = size >> 1
+        while half:
+            pts[half::2 * half] = 0.5 * (pts[:-1:2 * half] + pts[2 * half::2 * half])
+            half >>= 1
+        neg = (f(pts[1:size]) < 0.0).ravel()
+        at = np.arange(n)  # flat index into pts of each column's lower end
+        half = size >> 1
+        while half:
+            at += neg[at + (half - 1) * n] * (half * n)
+            half >>= 1
+        pts = pts.ravel()
+        lo, hi = pts[at], pts[at + n]
     return 0.5 * (lo + hi)
 
 

@@ -51,6 +51,8 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _FLOAT_MAX = sys.float_info.max
 _MC_CHUNK = 1 << 16  # cascaded draws per Monte-Carlo batch
 _FP_MAX_ITER = 500_000  # steps before the fixed-point reference gives up
+_DOUBLINGS = 8  # doublings of eta's upper end one evaluation tries
+_POW2 = 2.0 ** np.arange(_DOUBLINGS)[:, None]
 
 
 class MCEstimate(NamedTuple):
@@ -162,9 +164,10 @@ def direct_value_term(lam: float, w, tau1: float):
     return tau1 * LOG2E * scaled_e1(1.0 / w, x)
 
 
-def pair_thresholds(lam: float, cfg: NetworkConfig, steps: int):
+def pair_thresholds(lam: float, cfg: NetworkConfig, pv, steps: int):
     """Every pair's give-up and direct-stop magnitudes (zeta, eta) at lam, as
-    K-length arrays; zeta = eta = h_cross where probing is dominated.
+    K-length arrays; zeta = eta = h_cross where probing is dominated. pv is
+    probe_form(lam, cfg), which the caller evaluates again.
 
     Probing is dominated when the probe value is not positive even where the
     direct stop value crosses zero. Elsewhere zeta is where the probe value
@@ -174,35 +177,44 @@ def pair_thresholds(lam: float, cfg: NetworkConfig, steps: int):
     """
     rho, _, mu, sigma, _, _ = pair_tables(cfg)
     h_cross = direct_cross(lam, rho)
-    pv = probe_form(lam, cfg)
     zeta, eta = np.full(cfg.K, h_cross), np.full(cfg.K, h_cross)
     act = np.flatnonzero(pv(h_cross) > 0.0)
     n = act.size
     if n == 0:
         return zeta, eta
-    # both roots in one vector bisection, zeta's rows first, then eta's: one
-    # probe-value evaluation per step serves both
-    rows = np.tile(act, 2)
     tau1 = cfg.tau1
 
-    def gap(h):
-        # the probe value on zeta's rows; on eta's, the direct stop value's lead
-        out = pv(h, rows)
-        hu = h[n:]
-        out[n:] = tau1 * (np.log2(1.0 + rho * hu * hu) - lam) - out[n:]
-        return out
+    def lead(h, p):
+        # the direct stop value's lead over probe value p at h
+        return tau1 * (np.log2(1.0 + rho * h * h) - lam) - p
 
-    lo = np.concatenate([np.zeros(n), np.full(n, h_cross)])
-    hi = np.concatenate([np.full(n, h_cross),
-                         np.maximum(2.0 * h_cross, h_cross + 8.0 * (mu[act] + 6.0 * sigma[act]))])
-    for _ in range(60):
-        pending = gap(hi)[n:] <= 0.0
-        if not pending.any():
+    # eta's upper end: the first hi * 2^j, j < 60, where the direct stop
+    # value leads, as doubling once per evaluation finds it; one evaluation
+    # tries the next _DOUBLINGS values of j on the rows not yet led
+    hi = np.maximum(2.0 * h_cross, h_cross + 8.0 * (mu[act] + 6.0 * sigma[act]))
+    todo = np.arange(n)
+    for j in range(0, 60, _DOUBLINGS):
+        h = hi[todo] * _POW2[:min(_DOUBLINGS, 60 - j)]
+        led = ~(lead(h, pv(h, act[todo])) <= 0.0)
+        first, done = led.argmax(axis=0), led.any(axis=0)
+        hi[todo] = np.where(done, h[first, np.arange(todo.size)], 2.0 * h[-1])
+        todo = todo[~done]
+        if todo.size == 0:
             break
-        hi[n:][pending] *= 2.0
     else:
         raise SolverError("direct value never overtakes the probe value")
-    roots = vec_bisect(gap, lo, hi, steps)
+    # both roots in one vector bisection, zeta's columns first, then eta's:
+    # one probe-value evaluation per batch of steps serves both
+    rows = np.tile(act, 2)
+
+    def gap(h):
+        # the probe value on zeta's columns; on eta's, the direct stop value's lead
+        out = pv(h, rows)
+        out[:, n:] = lead(h[:, n:], out[:, n:])
+        return out
+
+    roots = vec_bisect(gap, np.concatenate([np.zeros(n), np.full(n, h_cross)]),
+                       np.concatenate([np.full(n, h_cross), hi]), steps)
     zeta[act] = np.where(pv(0.0, act) >= 0.0, 0.0, roots[:n])
     eta[act] = roots[n:]
     return zeta, eta
@@ -239,11 +251,11 @@ def attempt_value(lam: float, cfg: NetworkConfig) -> float:
     tau1 = cfg.tau1
     total = float(winner_weights(cfg.p) @ direct_value_term(lam, rho * v, tau1))
     h_cross = direct_cross(lam, rho)
+    pv = probe_form(lam, cfg)
     # 18 steps suffice here: the roots only place panel edges
-    zeta, eta = pair_thresholds(lam, cfg, 18)
+    zeta, eta = pair_thresholds(lam, cfg, pv, 18)
     if not (zeta < eta).any():
         return total  # no pair is probe-worthy: the probe correction is 0
-    pv = probe_form(lam, cfg)
 
     def gain(rows, h):
         a_val = tau1 * (np.log2(1.0 + rho * h * h) - lam)
@@ -319,8 +331,9 @@ def build_threshold_table(cfg: NetworkConfig, lam_star: float | None = None) -> 
     """Solve lam* (unless given) and all per-pair thresholds."""
     if lam_star is None:
         lam_star = solve_max_throughput(cfg)
+    pv = probe_form(lam_star, cfg)
     # unlike attempt_value's 18 steps, 64 solve the roots to the last bits
-    zs, es = pair_thresholds(lam_star, cfg, 64)
+    zs, es = pair_thresholds(lam_star, cfg, pv, 64)
     h_mid = direct_cross(lam_star, pair_tables(cfg).rho)
     # at lam* = 0 nothing is worth pricing: every pair transmits directly
     kstar = frozenset(int(i) + 1 for i in np.flatnonzero(zs < es) if lam_star > 0.0)
@@ -330,7 +343,7 @@ def build_threshold_table(cfg: NetworkConfig, lam_star: float | None = None) -> 
         zk, ek = float(zs[k - 1]), float(es[k - 1])
         if not zk < h_mid < ek:
             raise SolverError(f"pair {k}: thresholds out of order ({zk:g}, {h_mid:g}, {ek:g})")
-        if abs(probe_value(lam_star, zk, k, cfg)) > 1e-10 and zk > 0.0:
+        if abs(pv(zk, k - 1)) > 1e-10 and zk > 0.0:
             raise SolverError(f"pair {k}: give-up root residual too large")
         zeta[k] = zk
         eta[k] = ek

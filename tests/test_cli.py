@@ -4,8 +4,7 @@ import warnings
 
 import pytest
 
-from rismac import (default_config, parse_threshold_table, replace_config,
-                    serialize_threshold_table)
+from rismac import default_config, parse_threshold_table, serialize_threshold_table
 from rismac.cli import main
 from rismac.config import config_hash
 from rismac.harness import CSV_HEADER

@@ -5,7 +5,6 @@ import pytest
 from make_pins import load_pins
 from rismac import (
     ConfigError,
-    NetworkConfig,
     apply_overrides,
     default_config,
     parse_config,

@@ -30,8 +30,8 @@ from rismac import solver, strategies
 from rismac.channel import direct_cross, linear_budget, pair_tables, rate_direct
 from rismac.contention import winner_weights
 from rismac.numerics import scaled_e1 as _scaled_e1
-from rismac.numerics import LOG2E, ROOT_XTOL, adaptive_panels, zeroin
-from rismac.solver import admissible_step_band
+from rismac.numerics import BISECT_DEPTH, LOG2E, ROOT_XTOL, adaptive_panels, vec_bisect, zeroin
+from rismac.solver import admissible_step_band, pair_thresholds, probe_form
 
 
 def small_config(cfg):
@@ -366,6 +366,136 @@ def test_zeroin_finds_sign_change_of_smooth_kinked_and_step():
         x = zeroin(counted, 0.0, 1.0, f(0.0), f(1.0), ROOT_XTOL)
         assert abs(x - at) <= ROOT_XTOL
         assert len(calls) <= max_calls
+
+
+def one_step_bisect(f, lo, hi, iters):
+    """vec_bisect's model: one halving per call of f."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        neg = f(mid) < 0.0
+        lo, hi = np.where(neg, mid, lo), np.where(neg, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("steps", sorted({0, 1, BISECT_DEPTH - 1, BISECT_DEPTH, 18, 64}))
+@pytest.mark.parametrize("noisy", [False, True], ids=["monotone", "noisy"])
+def test_vec_bisect_is_the_one_step_loop_bitwise(steps, noisy):
+    """Each call of f covers BISECT_DEPTH halvings on the one-step loop's own
+    midpoints. The noisy f changes sign about a thousand times within 5e-7 of
+    each root, as the overtake residual does at low power, so only that
+    path, not the first sign change of a batch, gives the loop's bits."""
+    rng = np.random.default_rng(3)
+    root = rng.uniform(0.2, 0.8, 16)
+    lo, hi = root - rng.uniform(0.01, 1.0, 16), root + rng.uniform(0.01, 1.0, 16)
+
+    def f(h):
+        # the sawtooth in h * 2^30 is exact, so both loops see the same signs
+        noise = 1e-6 * (np.mod(h * 2.0 ** 30, 1.0) - 0.5) if noisy else 0.0
+        return h - root + noise
+
+    calls = []
+
+    def counted(h):
+        calls.append(h.shape)
+        return f(h)
+
+    got = vec_bisect(counted, lo, hi, steps)
+    want = one_step_bisect(f, lo, hi, steps)
+    assert (got == want).all()
+    assert len(calls) == -(-steps // BISECT_DEPTH)
+    if noisy and steps == 64:
+        h = root + np.linspace(-5e-7, 5e-7, 100_001)[:, None]
+        assert (np.diff(f(h) < 0.0, axis=0).sum(axis=0) > 500).all()
+
+
+def one_step_thresholds(lam, cfg, pv, steps):
+    """pair_thresholds as one doubling or one halving per evaluation of pv;
+    also returns each probe-worthy pair's number of doublings."""
+    rho, _, mu, sigma, _, _ = pair_tables(cfg)
+    tau1 = cfg.tau1
+    h_cross = direct_cross(lam, rho)
+    zeta, eta = np.full(cfg.K, h_cross), np.full(cfg.K, h_cross)
+    act = np.flatnonzero(pv(h_cross) > 0.0)
+    n = act.size
+    rows = np.tile(act, 2)
+
+    def gap(h):
+        out = pv(h, rows)
+        hu = h[n:]
+        out[n:] = tau1 * (np.log2(1.0 + rho * hu * hu) - lam) - out[n:]
+        return out
+
+    lo = np.concatenate([np.zeros(n), np.full(n, h_cross)])
+    hi = np.concatenate([np.full(n, h_cross),
+                         np.maximum(2.0 * h_cross, h_cross + 8.0 * (mu[act] + 6.0 * sigma[act]))])
+    doublings = np.zeros(n, dtype=int)
+    for _ in range(60):
+        pending = gap(hi)[n:] <= 0.0
+        if not pending.any():
+            break
+        hi[n:][pending] *= 2.0
+        doublings += pending
+    else:
+        raise SolverError("direct value never overtakes the probe value")
+    roots = one_step_bisect(gap, lo, hi, steps)
+    zeta[act] = np.where(pv(0.0, act) >= 0.0, 0.0, roots[:n])
+    eta[act] = roots[n:]
+    return zeta, eta, doublings
+
+
+def test_eta_doubling_keeps_each_pairs_first_lead(cfg, table):
+    """Pair k's direct stop value is held back (the probe value raised by 1e3)
+    on (h_cross, hi_k * 2^j_k), hi_k being eta's first upper end, so pair k
+    first leads after j_k doublings: in different batches of 8, past 8, at 59
+    of the 60 allowed, and at 60, where both loops give up."""
+    lam = table.lambda_star
+    rho, _, mu, sigma, _, _ = pair_tables(cfg)
+    h_cross = direct_cross(lam, rho)
+    pv = probe_form(lam, cfg)
+    assert (pv(h_cross) > 0.0).all()
+    hi = np.maximum(2.0 * h_cross, h_cross + 8.0 * (mu + 6.0 * sigma))
+
+    def held_back(j):
+        until = hi * 2.0 ** np.array(j)
+
+        def pv_held(h, rows=None):
+            rows = slice(None) if rows is None else rows
+            return np.where((h > h_cross) & (h < until[rows]), 1e3, 0.0) + pv(h, rows)
+
+        return pv_held
+
+    j = [0, 3, 7, 8, 9, 17, 30, 59]
+    for steps in (18, 64):
+        zeta, eta = pair_thresholds(lam, cfg, held_back(j), steps)
+        zeta_1, eta_1, doublings = one_step_thresholds(lam, cfg, held_back(j), steps)
+        assert doublings.tolist() == j
+        assert (zeta == zeta_1).all() and (eta == eta_1).all()
+    for thresholds in (pair_thresholds, one_step_thresholds):
+        with pytest.raises(SolverError, match="never overtakes"):
+            thresholds(lam, cfg, held_back([0, 60, 1, 2, 3, 4, 5, 6]), 18)
+
+
+@pytest.mark.parametrize("name", ["default", "pt=-60 dBm, tau_d=250 ms"])
+def test_threshold_solve_evaluation_count(cfg, name):
+    """Cost guard, in probe-value evaluations of one pair_thresholds call at
+    lambda*: the probe-worthy test, one for the doublings of eta's upper end,
+    one per BISECT_DEPTH bisection steps, and the give-up test at h = 0. One
+    evaluation per step and per doubling takes 21 and 67 on the default
+    config, and 27 and 73 at -60 dBm, where eta's upper end doubles 6 times."""
+    c = apply_overrides(cfg, [] if name == "default" else name.split(", "))
+    lam = float.fromhex(load_pins()[name]["lambda_star"])
+    pv = probe_form(lam, c)
+    for steps, expect in ((18, 7), (64, 16)):
+        calls = []
+
+        def counted(h, rows=None):
+            calls.append(np.shape(h))
+            return pv(h, rows)
+
+        zeta, eta = pair_thresholds(lam, c, counted, steps)
+        assert (zeta < eta).any()
+        assert len(calls) == expect == 3 + -(-steps // BISECT_DEPTH)
 
 
 def _count_calls(monkeypatch, module, name):
