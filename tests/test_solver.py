@@ -382,7 +382,7 @@ def one_step_bisect(f, lo, hi, iters):
 @pytest.mark.parametrize("noisy", [False, True], ids=["monotone", "noisy"])
 def test_vec_bisect_is_the_one_step_loop_bitwise(steps, noisy):
     """Each call of f covers BISECT_DEPTH halvings on the one-step loop's own
-    midpoints. The noisy f changes sign about a thousand times within 5e-7 of
+    midpoints. The noisy f changes sign over 2,000 times within 5e-7 of
     each root, as the overtake residual does at low power, so only that
     path, not the first sign change of a batch, gives the loop's bits."""
     rng = np.random.default_rng(3)
@@ -406,7 +406,7 @@ def test_vec_bisect_is_the_one_step_loop_bitwise(steps, noisy):
     assert len(calls) == -(-steps // BISECT_DEPTH)
     if noisy and steps == 64:
         h = root + np.linspace(-5e-7, 5e-7, 100_001)[:, None]
-        assert (np.diff(f(h) < 0.0, axis=0).sum(axis=0) > 500).all()
+        assert (np.diff(f(h) < 0.0, axis=0).sum(axis=0) > 2000).all()
 
 
 def one_step_thresholds(lam, cfg, pv, steps):
