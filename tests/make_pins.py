@@ -7,7 +7,9 @@ script takes no options and reads no environment, so two runs on the same
 tree write the same bytes. tests/test_pins.py recomputes every entry through
 pins_of and compares the strings; a change that moves a model value on
 purpose regenerates the file, and its git diff is the parity table to
-declare.
+declare. Before it writes, the script prints one line per entry that moved
+against the file it replaces: config, field, old and new value, and the
+relative move of a float.
 
 Each config is the list of `rismac --set` overrides applied to the default.
 Floats are pinned as float.hex, so a last-bit move shows.
@@ -110,10 +112,41 @@ def dump(pins: dict) -> str:
     return "{\n" + ",\n".join(blocks) + "\n}\n"
 
 
+def _relative_move(old, new) -> str:
+    try:
+        a, b = float.fromhex(old), float.fromhex(new)
+    except (TypeError, ValueError):
+        return ""  # not a pinned float: a hash, a pair list, or an entry gone
+    return f" | {(b - a) / abs(a):+.2e}" if a else " | from 0"
+
+
+def moves(old: dict, new: dict) -> list[str]:
+    """One line per entry of new that differs from old: config,
+    field[index], old -> new and, for a float, the relative move."""
+    lines = []
+    for name, entry in new.items():
+        before = old.get(name, {})
+        for field, value in entry.items():
+            was = before.get(field)
+            if was == value:
+                continue
+            if isinstance(was, list) and isinstance(value, list) and len(was) == len(value):
+                moved = [(f"{field}[{i}]", a, b)
+                         for i, (a, b) in enumerate(zip(was, value)) if a != b]
+            else:
+                moved = [(field, was, value)]
+            lines += [f"{name} | {f} | {a} -> {b}{_relative_move(a, b)}" for f, a, b in moved]
+    return lines
+
+
 def main() -> None:
     pins = {config_name(o): pins_of(o) for o in CONFIGS}
+    old = load_pins() if PINS_PATH.exists() else {}
+    moved = moves(old, pins)
+    for line in moved:
+        print(line)
     PINS_PATH.write_text(dump(pins), encoding="utf-8")
-    print(f"wrote {len(pins)} configs to {PINS_PATH.name}")
+    print(f"wrote {len(pins)} configs to {PINS_PATH.name}; {len(moved)} entries moved")
 
 
 if __name__ == "__main__":

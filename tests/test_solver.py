@@ -30,7 +30,8 @@ from rismac import solver, strategies
 from rismac.channel import direct_cross, linear_budget, pair_tables, rate_direct
 from rismac.contention import winner_weights
 from rismac.numerics import scaled_e1 as _scaled_e1
-from rismac.numerics import BISECT_DEPTH, LOG2E, ROOT_XTOL, adaptive_panels, vec_bisect, zeroin
+from rismac.numerics import (BISECT_DEPTH, LOG2E, QUAD_RTOL, ROOT_XTOL, adaptive_panels, vec_bisect,
+                             zeroin)
 from rismac.solver import admissible_step_band, pair_thresholds, probe_form
 
 
@@ -498,6 +499,32 @@ def test_threshold_solve_evaluation_count(cfg, name):
         assert len(calls) == expect == 3 + -(-steps // BISECT_DEPTH)
 
 
+@pytest.mark.parametrize("overrides", [[], ["pt=80 dBm", "tau_d=250 ms"],
+                                       ["pt=0 dBm", "tau_d=10 s"], ["M=1024"]],
+                         ids=["default", "80dBm-250ms", "0dBm-10s", "M=1024"])
+def test_lambda_b_quadrature_round_count(cfg, monkeypatch, overrides):
+    """Cost guard: every mean_probe_value call of a lambda_b solve converges
+    in its first quadrature round, one integrand evaluation per call. With
+    only the +-30 sigma floor-band edges, the four configs took 38, 46, 48
+    and 18 evaluations for 11, 15, 13 and 10 calls."""
+    c = apply_overrides(cfg, overrides)
+    inner = solver.adaptive_panels
+    calls, evaluations = [], []
+
+    def counted(fvec, edges):
+        calls.append(edges)
+
+        def f(rows, h):
+            evaluations.append(h.size)
+            return fvec(rows, h)
+
+        return inner(f, edges)
+
+    monkeypatch.setattr(solver, "adaptive_panels", counted)
+    assert solve_lambda_b(c) > 0.0
+    assert calls and len(evaluations) == len(calls)
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     inner = getattr(module, name)
@@ -580,6 +607,60 @@ def test_root_at_tiny_values_matches_nested_quadrature(cfg):
     below, above = lam * (1.0 - 1e-6), lam * (1.0 + 1e-6)
     assert nested_attempt_value(below, c) - below * tau_o >= 0.0
     assert nested_attempt_value(above, c) - above * tau_o <= 0.0
+
+
+def reference_lambda_b_residual(lam, cfg):
+    """mean_probe_value(lam) - lam*tau_o by scipy quad of the closed form
+    against the Rayleigh density, winner-weighted. The probe value is
+    tau2 * (log2(1 + snr) - lam) - lam*tau_pc with snr >= 2^lam - 1, so the
+    integrand is the gain over the floor, which is the size of the residual's
+    terms near the root, not lam*tau1. Each quad stops at 1e-12 relative or
+    1e-13 of lam*(tau_pc + tau_o), the gain's size at the root."""
+    tab = pair_tables(cfg)
+    c = math.expm1(lam * math.log(2.0))
+    cost = lam * (cfg.tau_pc + expected_contention_time(cfg))
+    h_cross = direct_cross(lam, tab.rho)
+    gain = 0.0
+    for k, w in enumerate(winner_weights(cfg.p)):
+        v, mu, sd = tab.v[k], tab.mu[k], tab.sigma[k]
+
+        def f(h, v=v, mu=mu, sd=sd):
+            snr = effective_probe_snr(lam, h, mu, sd, tab.rho)
+            return math.log1p((snr - c) / (1.0 + c)) * rayleigh_pdf(h, v)
+
+        # the density is below exp(-80) past top
+        top = math.sqrt(80.0 * v)
+        t = max(h_cross - mu, 0.0)
+        points = sorted({min(max(x, 0.0), top) for x in (t - 6.0 * sd, t, t + 6.0 * sd)}
+                        - {0.0, top})
+        val, _ = integrate.quad(f, 0.0, top, points=points or None, limit=400,
+                                epsabs=1e-13 * cost * math.log(2.0) / cfg.tau2, epsrel=1e-12)
+        gain += w * val
+    return cfg.tau2 * gain / math.log(2.0) - cost
+
+
+@pytest.mark.parametrize("overrides", [
+    ["pt=-60 dBm", "tau_d=5 ms"], ["pt=-60 dBm", "tau_d=250 ms"], ["pt=-60 dBm", "tau_d=10 s"],
+    ["pt=-40 dBm", "tau_d=10 s"], ["pt=0 dBm", "tau_d=10 s"], [], ["M=1"],
+    ["pt=80 dBm", "tau_d=10 s", "M=1024"],
+], ids=["-60dBm-5ms", "-60dBm-250ms", "-60dBm-10s", "-40dBm-10s", "0dBm-10s", "default",
+        "M=1", "80dBm-10s-M=1024"])
+def test_lambda_b_matches_reference_quadrature(cfg, overrides):
+    """lambda_b is the root of the reference residual to a relative r: the
+    residual changes sign between lambda_b (1 - r) and lambda_b (1 + r).
+
+    r = 1e-9 at pt >= 0 dBm. At pt <= -40 dBm the quadrature sets the bound:
+    mean_probe_value is good to QUAD_RTOL of terms of size lam*tau1, while the
+    residual falls by about tau_pc + tau_o per unit lam, so lambda_b is good
+    to r = QUAD_RTOL * tau1 / (tau_pc + tau_o), 5.8e-9 at 5 ms, 3e-7 at 250 ms
+    and 1.2e-5 at 10 s."""
+    c = apply_overrides(cfg, overrides)
+    r = 1e-9
+    if c.pt < 1e-6:  # below -30 dBm: the -60 and -40 dBm cases
+        r = QUAD_RTOL * c.tau1 / (c.tau_pc + expected_contention_time(c))
+    lam = solve_lambda_b(c)
+    assert reference_lambda_b_residual(lam * (1.0 - r), c) > 0.0
+    assert reference_lambda_b_residual(lam * (1.0 + r), c) < 0.0
 
 
 def test_root_at_the_largest_surface_matches_nested_quadrature(cfg):
