@@ -1,8 +1,8 @@
 """Numerical building blocks shared by the solver and the baseline analytics.
 
-Adaptive Gauss-Legendre panels, vector bisection, a Brent-Dekker root and
-the bracketed root of a balance value(lam) = lam * tau_o built on it, the
-SNR floor 2^lam - 1 and an overflow-safe exp(a) * E1(x).
+Adaptive Gauss-Legendre panels, vector bisection, the safeguarded Newton
+root of a balance value(lam) = lam * tau_o on the value's own slope, the SNR
+floor 2^lam - 1 and an overflow-safe exp(a) * E1(x).
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ LOG2E = 1.0 / LN2
 SQRT2 = math.sqrt(2.0)
 
 QUAD_RTOL = 1e-9     # tolerance of every value integral, relative to its magnitude
-ROOT_XTOL = 1e-11    # final root bracket width, relative to the root's bound
+ROOT_XTOL = 1e-11    # last Newton step (or bisection half-width), relative to the root's bound
 _ORDERS = (16, 32)   # Gauss-Legendre orders compared on each panel
 _MAX_ROUNDS = 40     # panel-halving rounds before the quadrature gives up
 _MAX_PANELS = 1 << 18  # panels one integral evaluates before it gives up
-_EPS = math.ulp(1.0)  # machine epsilon
 BISECT_DEPTH = 5     # bisection steps one evaluation covers (vec_bisect)
 
 
@@ -66,15 +65,17 @@ def adaptive_panels(fvec, edges):
     panels are [edges[j][i], edges[j+1][i]] for consecutive j, and must not
     be reversed. fvec(row_idx, h) evaluates the integrand vectorized; each
     panel is judged by comparing two Gauss-Legendre orders and halved until
-    its share of the tolerance is met. The tolerance is QUAD_RTOL times the
-    first round's sum of |panel integrals|, so it scales with the integrand.
+    its share of the tolerance is met. fvec may return rows of integrands
+    (shape (r, n)): row 0 alone judges the panels, and every row is summed
+    over the panels it accepts. The tolerance is QUAD_RTOL times the first
+    round's sum of |panel integrals|, so it scales with the integrand.
     Only the floor that passes any panel whose error estimate is below 1e-18
     is absolute: without it, an integral that is zero to rounding (the probe
-    gain at lam = 0) stalls. Returns the integral total. A NaN or infinite
-    integrand value raises SolverError at once; halving cannot fix it, and
-    neither can more than _MAX_PANELS panels in all rounds, which bounds the
-    last round to about 6M nodes. (A lambda* solve of the default 8 pairs at
-    tau_d = 100 s evaluates about 1,000 panels in all.)
+    gain at lam = 0) stalls. Returns the integral total, one per row. A NaN
+    or infinite integrand value raises SolverError at once; halving cannot
+    fix it, and neither can more than _MAX_PANELS panels in all rounds, which
+    bounds the last round to about 6M nodes. (A lambda* solve of the default
+    8 pairs at tau_d = 100 s evaluates about 1,000 panels in all.)
     """
     rows = np.tile(np.arange(len(edges[0])), len(edges) - 1)
     lo = np.concatenate(edges[:-1])
@@ -84,7 +85,7 @@ def adaptive_panels(fvec, edges):
     keep = hi - lo > 0.0
     rows, lo, hi = rows[keep], lo[keep], hi[keep]
     if rows.size == 0:
-        return 0.0
+        return fvec(rows, lo).sum(axis=-1)
     width_total = float((hi - lo).sum())
     x1, w1 = _gl_nodes(_ORDERS[0])
     x2, w2 = _gl_nodes(_ORDERS[1])
@@ -97,18 +98,19 @@ def adaptive_panels(fvec, edges):
         # fused evaluation of both orders across every panel
         offsets = np.concatenate([x1, x2])
         h_nodes = mid[:, None] + half[:, None] * offsets[None, :]
-        vals = fvec(np.repeat(rows, offsets.size),
-                    h_nodes.ravel()).reshape(rows.size, offsets.size)
+        vals = fvec(np.repeat(rows, offsets.size), h_nodes.ravel())
+        vals = vals.reshape(vals.shape[:-1] + (rows.size, offsets.size))
         if not np.isfinite(vals).all():
             raise SolverError("non-finite integrand value in quadrature panel")
-        i1 = half * (vals[:, :n1] @ w1)
-        i2 = half * (vals[:, n1:] @ w2)
-        err = np.abs(i2 - i1)
+        i1 = half * (vals[..., :n1] @ w1)
+        i2 = half * (vals[..., n1:] @ w2)
+        judged = i2.reshape(-1, rows.size)[0]
+        err = np.abs(judged - i1.reshape(-1, rows.size)[0])
         if r == 0:
-            tol = QUAD_RTOL * float(np.abs(i2).sum())
+            tol = QUAD_RTOL * float(np.abs(judged).sum())
         budget = tol * np.maximum(hi - lo, 1e-300) / width_total
         good = err <= np.maximum(budget, 1e-18)
-        total += float(i2[good].sum())
+        total += i2[..., good].sum(axis=-1)
         if good.all():
             return total
         rows, lo, hi, mid = rows[~good], lo[~good], hi[~good], mid[~good]
@@ -160,87 +162,39 @@ def vec_bisect(f, lo, hi, iters: int):
     return 0.5 * (lo + hi)
 
 
-def zeroin(f, a, b, fa, fb, xtol: float) -> float:
-    """Brent-Dekker root of f on [a, b], given fa = f(a) and fb = f(b) of
-    opposite signs (or one of them zero). Inverse quadratic or secant steps
-    while they shrink the sign-changing bracket fast enough, bisection
-    otherwise (R. P. Brent, Algorithms for Minimization without Derivatives,
-    1973, ch. 4). The returned point is within max(xtol, 4 eps |x|) of a sign
-    change of f.
-    """
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if (fb > 0.0) == (fc > 0.0):
-            # keep [b, c] sign-changing: c takes over the old iterate
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = max(2.0 * _EPS * abs(b), 0.5 * xtol)
-        m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0:
-            return b
-        if abs(e) < tol or abs(fa) <= abs(fb):
-            d = e = m
-        else:
-            r = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * m * r, 1.0 - r
-            else:       # inverse quadratic through a, b, c
-                q, t = fa / fc, fb / fc
-                p = r * (2.0 * m * q * (q - t) - (b - a) * (t - 1.0))
-                q = (q - 1.0) * (t - 1.0) * (r - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            # accept the interpolation only inside the bracket and while the
-            # steps keep halving; otherwise bisect
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = f(b)
+def bracket_root(value, tau_o: float) -> float:
+    """Root of value(lam) = lam * tau_o for a value convex in lam, given
+    value(lam) -> (value, slope); 0 when value(0) is not positive.
 
-
-def bracket_root(value, tau_o: float, slope: float) -> float:
-    """Root of value(lam) = lam * tau_o for a decreasing value whose fall is
-    at most `slope` per unit lam; 0 when value(0) is not positive. Brackets
-    x = lam / s by doubling from a lower bound up to an upper bound, then
-    runs zeroin to ROOT_XTOL.
+    Safeguarded Newton (Dinkelbach's iteration for ratio programs: W.
+    Dinkelbach, Management Science 13(7), 1967) from lam = 0 inside the
+    bracket [0, value(0) / tau_o] (a non-increasing value puts the root
+    there), bisecting where a step would leave the bracket. On a convex
+    value every Newton step lands at or below the root, so the iterates
+    climb to it. Stops once a step is at most ROOT_XTOL * s, s = min(1,
+    value(0) / tau_o), and returns that step's end; bisection stops once the
+    bracket is 2 ROOT_XTOL * s wide, and returns its middle.
     """
-    v0 = value(0.0)
-    if v0 <= 0.0:
+    v, d = value(0.0)
+    if v <= 0.0:
         return 0.0
-    # the root is at most value(0) / tau_o, so solving for lam / s with this
-    # s makes ROOT_XTOL relative below it
-    s = min(1.0, v0 / tau_o)
-    # value(lam) >= value(0) - slope * lam, so the residual is not negative
-    # up to lam = value(0) / (tau_o + slope): the root is at least that
-    lo = v0 / (tau_o + slope) / s
-
-    def residual(x):
-        return value(s * x) - s * x * tau_o
-
-    a, fa = lo, residual(lo)
-    if fa < 0.0:
-        # only quadrature noise puts lo above the root: [0, lo] brackets it
-        a, fa, b, fb = 0.0, v0, lo, fa
-    else:
-        # value(s * x) <= value(s * lo) for x >= lo, so the residual is not
-        # positive from cap on: the root is at most cap
-        cap = lo + fa / (s * tau_o)
-        while True:
-            b = min(2.0 * a, cap)
-            fb = residual(b)
-            if fb < 0.0:
-                break
-            if b == cap:
-                # only quadrature noise keeps the residual positive at cap
-                return s * cap
-            a, fa = b, fb
-    return s * zeroin(residual, a, b, fa, fb, ROOT_XTOL)
+    xtol = ROOT_XTOL * min(1.0, v / tau_o)
+    a, b, lam = 0.0, v / tau_o, 0.0
+    while True:
+        r, dr = v - lam * tau_o, d - tau_o
+        if r > 0.0:
+            a = lam
+        else:
+            b = lam
+        step = -r / dr if dr < 0.0 else math.inf
+        # the stop comes first: a sub-ulp step that lands on a bracket end
+        # would otherwise bisect
+        if abs(step) <= xtol:
+            return lam + step
+        nxt = lam + step
+        if not a < nxt < b:
+            nxt = 0.5 * (a + b)
+            if b - a <= 2.0 * xtol:
+                return nxt
+        lam = nxt
+        v, d = value(lam)

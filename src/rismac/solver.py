@@ -64,11 +64,12 @@ class MCEstimate(NamedTuple):
 def _snr_form(lam, mu, sigma, rho_bar):
     """effective_probe_snr with its terms in lam alone or in (mu, sigma)
     alone built once: snr(h, rows) evaluates the rest at direct magnitude h,
-    for the entries `rows` of mu and sigma (all of them if None). When every
+    for the entries `rows` of mu and sigma (all of them if None), and returns
+    it with its slope in c = 2^lam - 1, the floor probability. When every
     sigma > 0 the pointwise-max branch is skipped; its result would be the
     same to the bit."""
     c = np.expm1(np.asarray(lam, dtype=float) * LN2)
-    b, half_c, half_rho = np.sqrt(c / rho_bar), 0.5 * c, 0.5 * rho_bar
+    b, half_rho = np.sqrt(c / rho_bar), 0.5 * rho_bar
     mu, sigma = np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
     smooth = bool(np.all(sigma > 0.0))
     safe = np.where(sigma > 0.0, sigma, 1.0)
@@ -80,11 +81,15 @@ def _snr_form(lam, mu, sigma, rho_bar):
         m = h + mu
         z = (b - m) / safe
         zs = z / SQRT2
-        floor_part = half_c * (erf_mu + special.erf(zs))
+        floor_p = 0.5 * (erf_mu + special.erf(zs))  # the slope in c: P(floor)
         edge_part = rho_safe * (m + b) * np.exp(-0.5 * z * z) * _INV_SQRT_2PI
         tail_part = half_rho * (m * m + safe2) * special.erfc(zs)
-        out = floor_part + edge_part + tail_part
-        return out if smooth else np.where(sigma > 0.0, out, np.maximum(rho_bar * m * m, c))
+        out = c * floor_p + edge_part + tail_part
+        if smooth:
+            return out, floor_p
+        point = rho_bar * m * m  # sigma == 0: the pointwise max
+        return (np.where(sigma > 0.0, out, np.maximum(point, c)),
+                np.where(sigma > 0.0, floor_p, point < c))
 
     return snr
 
@@ -96,22 +101,28 @@ def effective_probe_snr(lam, h_s, mu, sigma, rho_bar):
     Closed form; broadcasts over its arguments. sigma == 0 degenerates to the
     pointwise max (no surface, or a single deterministic reflection).
     """
-    out = _snr_form(lam, mu, sigma, rho_bar)(np.asarray(h_s, dtype=float))
+    out = _snr_form(lam, mu, sigma, rho_bar)(np.asarray(h_s, dtype=float))[0]
     return float(out) if out.ndim == 0 else out
 
 
 def probe_form(lam, cfg: NetworkConfig):
     """The closed-form probe value at price lam, bound once for config cfg:
     pv(h, rows) is probe_value(lam, h, rows + 1, cfg), rows being 0-based
-    pair indices that broadcast with h (every pair if None). Only the terms
-    in h are evaluated per call, so bisection steps and quadrature rounds
-    share the rest."""
+    pair indices that broadcast with h (every pair if None); with slope=True
+    it is stacked on its exact lam-slope, tau2 2^lam P(floor) / (1 + snr) -
+    tau1. Only the terms in h are evaluated per call, so bisection steps and
+    quadrature rounds share the rest."""
     tab = pair_tables(cfg)
     snr = _snr_form(lam, tab.mu, tab.sigma, tab.rho)
-    tau2, lam_tau1 = cfg.tau2, lam * cfg.tau1
+    tau1, tau2, lam_tau1 = cfg.tau1, cfg.tau2, lam * cfg.tau1
 
-    def pv(h, rows=None):
-        return tau2 * np.log2(1.0 + snr(h, rows)) - lam_tau1
+    def pv(h, rows=None, slope=False):
+        s, floor_p = snr(h, rows)
+        # log1p: at -60 dBm snr is about 3e-7, and 1 + snr rounds off 4e-10 of the rate
+        value = tau2 * (np.log1p(s) * LOG2E) - lam_tau1
+        if not slope:
+            return value
+        return np.stack((value, tau2 * 2.0 ** lam * floor_p / (1.0 + s) - tau1))
 
     return pv
 
@@ -246,27 +257,40 @@ def attempt_value(lam: float, cfg: NetworkConfig) -> float:
     beats both alternatives: between zeta and eta, an empty panel for a pair
     whose probing is dominated.
     """
+    return attempt_value_and_slope(lam, cfg)[0]
+
+
+def attempt_value_and_slope(lam: float, cfg: NetworkConfig) -> tuple[float, float]:
+    """attempt_value at lam and its exact lam-slope, from the same integral:
+    the slope row is each branch's own slope where that branch is best, on
+    the value's nodes and panels (envelope theorem)."""
     lam = float(lam)
     rho, v, mu, sigma, _, _ = pair_tables(cfg)
-    tau1 = cfg.tau1
-    total = float(winner_weights(cfg.p) @ direct_value_term(lam, rho * v, tau1))
+    tau1, w = cfg.tau1, winner_weights(cfg.p)
+    # the direct part falls by tau1 P(rho |h|^2 > 2^lam - 1) per unit lam
+    c = snr_floor(lam)
+    total = np.array([float(w @ direct_value_term(lam, rho * v, tau1)),
+                      -tau1 * float(w @ np.exp(-c / np.maximum(rho * v, c / _FLOAT_MAX)))])
     h_cross = direct_cross(lam, rho)
     pv = probe_form(lam, cfg)
     # 18 steps suffice here: the roots only place panel edges
     zeta, eta = pair_thresholds(lam, cfg, pv, 18)
-    if not (zeta < eta).any():
-        return total  # no pair is probe-worthy: the probe correction is 0
+    if (zeta < eta).any():  # else no pair is probe-worthy: the probe correction is 0
 
-    def gain(rows, h):
-        a_val = tau1 * (np.log2(1.0 + rho * h * h) - lam)
-        return np.maximum(pv(h, rows) - np.maximum(a_val, 0.0), 0.0)
+        def gain(rows, h):
+            a_val = tau1 * (np.log2(1.0 + rho * h * h) - lam)
+            p, dp = pv(h, rows, slope=True)
+            g = np.maximum(p - np.maximum(a_val, 0.0), 0.0)
+            # above h_cross the gain is over the direct stop, whose slope is -tau1
+            return np.stack((g, np.where(g > 0.0, dp + tau1 * (a_val > 0.0), 0.0)))
 
-    # panel edges: the give-up and overtake roots, the floor crossing of the
-    # Gaussian surrogate (h_cross - mu, width sigma), and h_cross
-    t = h_cross - mu
-    e1 = np.clip(t - 30.0 * sigma, zeta, h_cross)
-    e2 = np.clip(t + 30.0 * sigma, zeta, h_cross)
-    return total + fading_average(cfg, gain, [zeta, e1, e2, np.full(cfg.K, h_cross), eta])
+        # panel edges: the give-up and overtake roots, the floor crossing of
+        # the Gaussian surrogate (h_cross - mu, width sigma), and h_cross
+        t = h_cross - mu
+        e1 = np.clip(t - 30.0 * sigma, zeta, h_cross)
+        e2 = np.clip(t + 30.0 * sigma, zeta, h_cross)
+        total = total + fading_average(cfg, gain, [zeta, e1, e2, np.full(cfg.K, h_cross), eta])
+    return float(total[0]), float(total[1])
 
 
 def throughput_residual(lam: float, cfg: NetworkConfig) -> float:
@@ -287,10 +311,11 @@ def admissible_step_band(cfg: NetworkConfig, eps: float) -> tuple[float, float]:
 
 def solve_max_throughput(cfg: NetworkConfig) -> float:
     """Maximal long-run throughput lam*: root of attempt_value(lam) = lam*tau_o,
-    to a precision relative to lam*. No branch of the value falls faster than
-    the direct stop's tau_d - tau_m1 per unit lam."""
-    return bracket_root(lambda lam: attempt_value(lam, cfg), expected_contention_time(cfg),
-                        cfg.tau1)
+    to a precision relative to lam*. attempt_value is convex in lam (each
+    branch is, and max and expectation keep it), so the Newton root climbs
+    to lam* on the value's own slope."""
+    return bracket_root(lambda lam: attempt_value_and_slope(lam, cfg),
+                        expected_contention_time(cfg))
 
 
 def solve_max_throughput_fixed_point(cfg: NetworkConfig, alpha: float | None = None,

@@ -115,6 +115,13 @@ def mean_probe_value(lam: float, cfg: NetworkConfig) -> float:
 
     The balance curve of the always-probe discipline (no direct stops, no
     free release): its threshold solves mean_probe_value(lam) = lam*tau_o.
+    """
+    return mean_probe_value_and_slope(lam, cfg)[0]
+
+
+def mean_probe_value_and_slope(lam: float, cfg: NetworkConfig) -> tuple[float, float]:
+    """mean_probe_value at lam and its exact lam-slope, the probe value's
+    slope integrated on the value's own nodes and panels.
 
     The probe value bends where the Gaussian surrogate crosses the SNR floor,
     at t = max(h_cross - mu, 0) (width sigma). Each pair's panels split it at
@@ -126,9 +133,10 @@ def mean_probe_value(lam: float, cfg: NetworkConfig) -> float:
     rho, _, mu, sigma, _, _ = pair_tables(cfg)
     t = np.clip(direct_cross(lam, rho) - mu, 0.0, None)
     pv = probe_form(lam, cfg)
-    return fading_average(cfg, lambda rows, h: pv(h, rows),
-                          [0.0, t - 30.0 * sigma, t - 6.0 * sigma, t,
-                           t + 6.0 * sigma, t + 30.0 * sigma, np.inf])
+    value, slope = fading_average(cfg, lambda rows, h: pv(h, rows, slope=True),
+                                  [0.0, t - 30.0 * sigma, t - 6.0 * sigma, t,
+                                   t + 6.0 * sigma, t + 30.0 * sigma, np.inf])
+    return float(value), float(slope)
 
 
 def solve_lambda_b(cfg: NetworkConfig) -> float:
@@ -136,17 +144,18 @@ def solve_lambda_b(cfg: NetworkConfig) -> float:
 
     Root of mean_probe_value(lam) = lam * tau_o; the probe value is left
     unclamped because this discipline never transmits directly and never
-    releases before probing. It falls by at most tau_d - tau_m1 per unit lam.
+    releases before probing. The value is convex in lam, so the Newton root
+    climbs to lambda_b on its own slope.
 
-    The quadrature bounds the root's precision where the power is low: the
-    integral is good to QUAD_RTOL of terms of size lam * tau1, while near the
-    root the residual falls by only about tau_pc + tau_o per unit lam, so
-    lambda_b is good to QUAD_RTOL * tau1 / (tau_pc + tau_o) relative: 3e-7 at
-    tau_d = 250 ms and 1.2e-5 at 10 s. At pt >= 0 dBm the error stays far
-    below that bound (tests check 1e-9 against a reference root).
+    The root's precision is its stop width, ROOT_XTOL * min(1, value(0) /
+    tau_o), not the quadrature's (the root does not move with QUAD_RTOL
+    1000 times smaller). At low power value(0) / tau_o is far above lambda_b
+    (274 times at -60 dBm / 250 ms, 6,790 times at 10 s), so the width is
+    2.7e-9 and 6.8e-8 of lambda_b there; the quadratic last Newton step
+    lands closer, within 1e-10 of a reference root.
     """
-    return bracket_root(lambda lam: mean_probe_value(lam, cfg), expected_contention_time(cfg),
-                        cfg.tau1)
+    return bracket_root(lambda lam: mean_probe_value_and_slope(lam, cfg),
+                        expected_contention_time(cfg))
 
 
 def no_wait_direct_throughput(cfg: NetworkConfig) -> float:

@@ -46,8 +46,8 @@ def test_no_private_imports_between_modules():
 
 def test_import_does_not_load_scipy_stats():
     """scipy.stats costs about half a second of start-up and scipy.optimize about
-    0.3 s; rismac needs neither (its lambda* root is a hand-rolled Brent-Dekker
-    iteration, numerics.zeroin)."""
+    0.3 s; rismac needs neither (its lambda* root is a hand-rolled safeguarded
+    Newton iteration, numerics.bracket_root)."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     code = ("import sys, rismac; "
             "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")

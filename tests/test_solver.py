@@ -30,9 +30,10 @@ from rismac import solver, strategies
 from rismac.channel import direct_cross, linear_budget, pair_tables, rate_direct
 from rismac.contention import winner_weights
 from rismac.numerics import scaled_e1 as _scaled_e1
-from rismac.numerics import (BISECT_DEPTH, LOG2E, QUAD_RTOL, ROOT_XTOL, adaptive_panels, vec_bisect,
-                             zeroin)
-from rismac.solver import admissible_step_band, pair_thresholds, probe_form
+from rismac.numerics import (BISECT_DEPTH, LOG2E, QUAD_RTOL, ROOT_XTOL, adaptive_panels,
+                             bracket_root, vec_bisect)
+from rismac.solver import admissible_step_band, attempt_value_and_slope, pair_thresholds, probe_form
+from rismac.strategies import mean_probe_value_and_slope
 
 
 def small_config(cfg):
@@ -115,8 +116,8 @@ def test_probe_form_matches_probe_value_bitwise(cfg, overrides):
     for lam in (0.0, 2.5, 6.0, 12.0):
         pv = solver.probe_form(lam, c)
         expect = np.stack([
-            c.tau2 * np.log2(1.0 + effective_probe_snr(lam, h, tab.mu[i], tab.sigma[i], tab.rho))
-            - lam * c.tau1 for i in range(c.K)])
+            c.tau2 * (np.log1p(effective_probe_snr(lam, h, tab.mu[i], tab.sigma[i], tab.rho))
+                      * LOG2E) - lam * c.tau1 for i in range(c.K)])
         assert (pv(h[:, None]) == expect.T).all()
         assert (pv(hh, rows) == expect.ravel()).all()
         assert (probe_value(lam, hh, rows + 1, c) == expect.ravel()).all()
@@ -346,25 +347,27 @@ def test_non_finite_integrand_fails_at_once(bad):
         adaptive_panels(lambda rows, h: np.full_like(h, bad), [[0.0], [1.0]])
 
 
-def test_zeroin_finds_sign_change_of_smooth_kinked_and_step():
-    """Brent-Dekker returns a point within ROOT_XTOL of the sign change, and
-    on a smooth function it takes far fewer calls than bisection's 37."""
-    root = 0.7390851332151607  # cos(x) = x
+def test_newton_root_finds_sign_change_of_smooth_kinked_and_step():
+    """The Newton root of value(x) = x (tau_o = 1, so the bracket is [0, 1])
+    returns a point within ROOT_XTOL of the sign change. On the smooth and
+    the kinked convex value it takes a handful of calls; on the step, whose
+    slope gives no step, it bisects, as in bisection's 37 calls."""
     step_at = 0.3141592653589793
     cases = [
-        (lambda x: math.cos(x) - x, root, 12),
-        # decreasing max of affines, kinked at 13/30 and crossing zero at 0.7
-        (lambda x: max(1.0 - 2.0 * x, 0.35 - 0.5 * x), 0.7, 20),
-        (lambda x: 1.0 if x < step_at else -1.0, step_at, 80),
+        # cos(x) = x
+        (lambda x: (math.cos(x), -math.sin(x)), 0.7390851332151607, 8),
+        # convex max of affines, kinked at 13/30; value - x crosses zero at 0.7
+        (lambda x: max((1.0 - x, -1.0), (0.35 + 0.5 * x, 0.5)), 0.7, 6),
+        (lambda x: (x + (1.0 if x < step_at else -1.0), 1.0), step_at, 40),
     ]
-    for f, at, max_calls in cases:
+    for value, at, max_calls in cases:
         calls = []
 
-        def counted(x, f=f):
+        def counted(x, value=value):
             calls.append(x)
-            return f(x)
+            return value(x)
 
-        x = zeroin(counted, 0.0, 1.0, f(0.0), f(1.0), ROOT_XTOL)
+        x = bracket_root(counted, 1.0)
         assert abs(x - at) <= ROOT_XTOL
         assert len(calls) <= max_calls
 
@@ -541,20 +544,58 @@ def _count_calls(monkeypatch, module, name):
 @pytest.mark.parametrize("pt", [-60, -40, 0, 30, 80])
 def test_root_lower_bound_and_call_budget(cfg, monkeypatch, pt, tau_d):
     """Each balance value falls by at most tau_d - tau_m1 per unit lam, so its
-    residual is not negative at value(0) / (tau_o + tau_d - tau_m1); from that
-    bracket Brent-Dekker needs at most 20 calls for lambda* and for lambda_b."""
+    residual is not negative at value(0) / (tau_o + tau_d - tau_m1). Newton
+    from lam = 0 on the value's own slope needs at most 15 value-and-slope
+    calls for lambda* and for lambda_b."""
     c = apply_overrides(cfg, [f"pt={pt} dBm", f"tau_d={tau_d}"])
     tau_o = expected_contention_time(c)
     tau1 = c.tau_d - c.tau_m1
     for value in (attempt_value, mean_probe_value):
         lo = value(0.0, c) / (tau_o + tau1)
         assert value(lo, c) - lo * tau_o >= 0.0
-    av_calls = _count_calls(monkeypatch, solver, "attempt_value")
+    av_calls = _count_calls(monkeypatch, solver, "attempt_value_and_slope")
     assert solve_max_throughput(c) > 0.0
-    assert len(av_calls) <= 20
-    mpv_calls = _count_calls(monkeypatch, strategies, "mean_probe_value")
+    assert len(av_calls) <= 15
+    mpv_calls = _count_calls(monkeypatch, strategies, "mean_probe_value_and_slope")
     assert solve_lambda_b(c) > 0.0
-    assert len(mpv_calls) <= 20
+    assert len(mpv_calls) <= 15
+
+
+_SOLVE_GRID = [[f"pt={pt} dBm", f"tau_d={ms} ms"]
+               for pt in (-60, -40, 0, 30, 80) for ms in (5, 15, 100, 250)]
+# each balance value with its value-and-slope entry point and its root
+_BALANCES = [(attempt_value_and_slope, solve_max_throughput),
+             (mean_probe_value_and_slope, solve_lambda_b)]
+
+
+@pytest.mark.parametrize("overrides", [o for o in _SOLVE_GRID if not o[0].startswith("pt=-")],
+                         ids=" ".join)
+def test_balance_slope_matches_central_difference(cfg, overrides):
+    """The slope row of each balance value is the value's own lam-derivative:
+    within 1e-5 relative of a central difference of step 1e-5 lam, at half
+    the root and at the root."""
+    c = apply_overrides(cfg, overrides)
+    for value_and_slope, solve in _BALANCES:
+        root = solve(c)
+        for lam in (0.5 * root, root):
+            d = 1e-5 * lam
+            diff = (value_and_slope(lam + d, c)[0] - value_and_slope(lam - d, c)[0]) / (2.0 * d)
+            slope = value_and_slope(lam, c)[1]
+            assert abs(slope - diff) <= 1e-5 * abs(slope)
+
+
+@pytest.mark.parametrize("overrides", _SOLVE_GRID + [[f"M={m}"] for m in (0, 1, 1024)],
+                         ids=" ".join)
+def test_balance_values_are_convex(cfg, overrides):
+    """Both balance values are convex in lam (each branch is, and max and
+    expectation keep it), which is what lets Newton from lam = 0 climb to the
+    root: second differences on 41 points of [0, 2 root] are not below
+    -1e-9 |value|."""
+    c = apply_overrides(cfg, overrides)
+    for value_and_slope, solve in _BALANCES:
+        lam = np.linspace(0.0, 2.0 * solve(c), 41)
+        v = np.array([value_and_slope(x, c)[0] for x in lam])
+        assert (v[:-2] - 2.0 * v[1:-1] + v[2:] >= -1e-9 * np.abs(v[1:-1])).all()
 
 
 def nested_attempt_value(lam, cfg):
