@@ -165,12 +165,6 @@ def direct_cross(lam: float, rho_bar: float) -> float:
 
 
 def rate_direct(rho_bar: float, h_mag):
-    """Spectral rate of the direct link, bits/s/Hz."""
+    """Spectral rate log2(1 + rho_bar h^2), bits/s/Hz, of magnitude h: the direct
+    link's, or with the surface co-phased, h plus the cascaded magnitudes."""
     return np.log2(1.0 + rho_bar * np.square(h_mag))
-
-
-def rate_ris(rho_bar: float, h_mag, cascaded):
-    """Spectral rate with the surface co-phased: magnitudes add coherently."""
-    casc = np.asarray(cascaded, dtype=float)
-    total = h_mag + (casc.sum(axis=-1) if casc.size else 0.0)
-    return np.log2(1.0 + rho_bar * np.square(total))

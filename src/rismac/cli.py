@@ -6,7 +6,7 @@
     rismac validate  run the internal-consistency battery
 
 Exit codes: 0 success, 2 bad invocation or configuration, 3 a validation or
-strict-mode check failed, 4 numerical failure inside the solver.
+strict-mode check failed, 4 numerical failure inside the solver or the simulator.
 """
 
 from __future__ import annotations

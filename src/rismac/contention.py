@@ -65,7 +65,8 @@ def slot_law(p: tuple[float, ...]) -> SlotLaw:
     cum_weights = np.cumsum(weights)
     weights.flags.writeable = False
     cum_weights.flags.writeable = False
-    idle_share = p_idle / (1.0 - p_s) if p_s < 1.0 else 0.0
+    # at tiny p the quotient rounds above 1 (p_idle and 1 - p_s agree to 1e-16)
+    idle_share = min(p_idle / (1.0 - p_s), 1.0) if p_s < 1.0 else 0.0
     return SlotLaw(p_s, p_idle, idle_share, weights, cum_weights)
 
 
@@ -83,7 +84,8 @@ def expected_contention_time(cfg: NetworkConfig) -> float:
     probability, and the closing slot costs tau_m1.
     """
     law = slot_law(cfg.p)
-    p_coll = 1.0 - law.p_idle - law.p_s
+    # rounding can take the difference below 0 at tiny p (-1.7e-16 at 1e-9)
+    p_coll = max(1.0 - law.p_idle - law.p_s, 0.0)
     return cfg.tau_m1 + (law.p_idle * cfg.delta + p_coll * cfg.tau_r) / law.p_s
 
 
@@ -107,15 +109,11 @@ def simulate_contention(rng: np.random.Generator, cfg: NetworkConfig) -> Content
             n_coll += 1
 
 
-def draw_contention(rng: np.random.Generator, cfg: NetworkConfig, n: int,
-                    cum_weights=None):
+def draw_contention(rng: np.random.Generator, cfg: NetworkConfig, n: int, cum_weights):
     """n independent contentions: 1-based winners, drawn from the winner CDF
-    cum_weights (default: the slot law's), and the geometric count of failed
-    slots before each win, which is independent of the winner."""
-    law = slot_law(cfg.p)
-    if cum_weights is None:
-        cum_weights = law.cum_weights
-    fails = rng.geometric(law.p_s, n) - 1
+    cum_weights, and the geometric count of failed slots before each win,
+    which is independent of the winner."""
+    fails = rng.geometric(slot_law(cfg.p).p_s, n) - 1
     winners = np.searchsorted(cum_weights, rng.random(n), side="right")
     return np.minimum(winners, cfg.K - 1) + 1, fails
 

@@ -21,13 +21,7 @@ from .solver import (
     serialize_threshold_table,
     throughput_residual,
 )
-from .strategies import (
-    Policy,
-    PolicyKind,
-    analytic_throughput,
-    make_policy,
-    policy_from_name,
-)
+from .strategies import PolicyKind, bind_policy, policy_from_name
 
 CSV_HEADER = ("axis", "axis_value", "policy", "analytic_lambda",
               "simulated_mean", "ci_halfwidth", "n_rounds", "seed")
@@ -71,22 +65,11 @@ class SimResult:
     analytic: float
 
 
-def _bind(kind: PolicyKind, cfg: NetworkConfig,
-          table: ThresholdTable | None) -> tuple[Policy, float]:
-    """The bound policy and its model throughput (only the proposed discipline
-    reads the table). For the proposed and the optimal-ris-stop disciplines
-    the model value is the policy's own stop rate: lambda_b is solved once."""
-    policy = make_policy(kind, cfg, table)
-    if kind in (PolicyKind.PROPOSED, PolicyKind.OPTIMAL_RIS_STOP):
-        return policy, policy.stop_rate
-    return policy, analytic_throughput(kind, cfg, table)
-
-
 def cmd_simulate(cfg: NetworkConfig, policy_name: str, n_rounds: int, seed: int,
                  table: ThresholdTable | None = None,
                  workers: int | None = None) -> SimResult:
     kind = policy_from_name(policy_name)
-    policy, analytic = _bind(kind, cfg, table)
+    policy, analytic = bind_policy(kind, cfg, table)
     est = run_campaign(cfg, policy, n_rounds, seed, workers=workers)
     return SimResult(kind.value, est, analytic)
 
@@ -118,7 +101,7 @@ def cmd_sweep(cfg: NetworkConfig, axis: str, values: list[float],
                  if PolicyKind.PROPOSED in kinds else None)
         for j, kind in enumerate(kinds):
             point_seed = _derived_seed(seed, i, j)
-            policy, analytic = _bind(kind, cfg_i, table)
+            policy, analytic = bind_policy(kind, cfg_i, table)
             est = run_campaign(cfg_i, policy, n_rounds, point_seed, workers=workers)
             rows.append(dict(zip(CSV_HEADER, (
                 axis, value, kind.value, analytic, est.mean, est.ci_halfwidth,

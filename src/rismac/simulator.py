@@ -53,13 +53,13 @@ from .channel import (
     linear_budget,
     pair_tables,
     rate_direct,
-    rate_ris,
     rayleigh,
     rayleigh_cdf,
 )
 from .config import NetworkConfig
 from .contention import (contention_time, draw_contention, failed_slots, simulate_contention,
                          slot_law, split_failed_slots)
+from .numerics import SolverError
 from .strategies import Decision, Policy, decide_level1_threshold, decide_level2
 
 BLOCK_ROUNDS = 4096
@@ -67,8 +67,8 @@ N_BATCHES = 100  # batch-means groups of a campaign's confidence interval
 _MAX_ATTEMPTS = 100_000  # per round; a longer round raises SimulationError
 
 
-class SimulationError(RuntimeError):
-    pass
+class SimulationError(SolverError):
+    """A campaign the engine cannot run: a numerical failure (exit 4)."""
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ def run_round(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy) -> R
             break
         if d1 is Decision.CONTINUE:
             continue
-        rr = rate_ris(rho, h, draw_cascaded(rng, cfg, k))
+        rr = rate_direct(rho, h + draw_cascaded(rng, cfg, k).sum())
         path.append(decide_level2(rr, policy.stop_rate))
         if path[-1] is Decision.STOP_RIS:
             bits = cfg.tau2 * rr
@@ -144,8 +144,15 @@ def _acting_law(cfg: NetworkConfig, policy: Policy):
     """The release probability q = sum_k w_k r_k of one attempt, with
     r_k = P(h_k <= zeta_k), and the winner CDF of an acting attempt (one that
     transmits directly or probes), w_k (1 - r_k) / (1 - q). At q = 0 that is
-    the slot law's own CDF."""
+    the slot law's own CDF. A slot law with p_s < _MAX_ATTEMPTS / 2^63 (about
+    1.1e-14) is refused: a round of up to _MAX_ATTEMPTS contentions fails
+    (1 - p_s) / p_s slots per contention on average, so its int64 count could
+    pass 2^63 - 1 (at p_s = 8e-300 every geometric draw saturates there)."""
     law = slot_law(cfg.p)
+    if law.p_s * 2.0 ** 63 < _MAX_ATTEMPTS:
+        raise SimulationError(
+            f"p_s = {law.p_s:g} is below {_MAX_ATTEMPTS} / 2^63: the failed slots of a "
+            f"round of up to {_MAX_ATTEMPTS} contentions could pass int64")
     r = rayleigh_cdf(policy.zeta, pair_tables(cfg).v)
     q = float(law.weights @ r)
     if q == 0.0:
@@ -164,7 +171,6 @@ def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy,
     (failed slots, bits, terminal code: 0 probe released, 1 direct,
     2 surface; releases skipped)."""
     tab = pair_tables(cfg)
-    rho = tab.rho
     winners, fails = draw_contention(rng, cfg, m, cum_weights)
     winners -= 1
     if q:
@@ -180,13 +186,13 @@ def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy,
     direct = h >= policy.eta[winners]
     bits = np.zeros(m)
     terminal = np.zeros(m, dtype=np.uint8)
-    bits[direct] = cfg.tau1 * np.log2(1.0 + rho * np.square(h[direct]))
+    bits[direct] = cfg.tau1 * rate_direct(tab.rho, h[direct])
     terminal[direct] = 1
     rows = np.flatnonzero(~direct)
     if rows.size:
         ww = winners[rows]
         casc = cascaded_sums(rng, tab.ms1[ww], tab.ms2[ww], cfg.M)
-        rr = np.log2(1.0 + rho * np.square(h[rows] + casc))
+        rr = rate_direct(tab.rho, h[rows] + casc)
         stop = rr >= policy.stop_rate
         bits[rows[stop]] = cfg.tau2 * rr[stop]
         terminal[rows[stop]] = 2

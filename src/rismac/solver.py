@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .channel import direct_cross, draw_cascaded, pair_tables, rayleigh_pdf
+from .channel import direct_cross, draw_cascaded, pair_tables, rate_direct, rayleigh_pdf
 from .config import ConfigError, NetworkConfig, config_hash, read_key_values
 from .contention import expected_contention_time, winner_weights
 from .numerics import (
@@ -153,8 +153,7 @@ def probe_value_mc(lam, h_s, k: int, cfg: NetworkConfig, n_samples: int,
     while left > 0:
         m = min(_MC_CHUNK, left)
         x = draw_cascaded(rng, cfg, k, m).sum(axis=1)
-        val = np.maximum(cfg.tau2 * np.log2(1.0 + rho * np.square(h_s + x)) - lam * cfg.tau1,
-                         floor)
+        val = np.maximum(cfg.tau2 * rate_direct(rho, h_s + x) - lam * cfg.tau1, floor)
         acc += val.sum()
         acc2 += np.square(val).sum()
         left -= m
@@ -164,15 +163,18 @@ def probe_value_mc(lam, h_s, k: int, cfg: NetworkConfig, n_samples: int,
     return MCEstimate(mean, math.sqrt(var / n), n)
 
 
-def direct_value_term(lam: float, w, tau1: float):
-    """tau1 * E[(log2(1+W) - lam)^+] for W ~ Exp(mean w), exact via E1; at
-    lam = 0 the mean direct bits of one transmission."""
+def direct_branch(lam: float, scale, weights, tau1: float) -> np.ndarray:
+    """The direct branch weighted over the pairs, sum_k weights_k tau1
+    E[(log2(1+W_k) - lam)^+] for W_k ~ Exp(mean scale_k), exact via E1, stacked
+    on its lam-slope -tau1 sum_k weights_k P(W_k > 2^lam - 1). At lam = 0 the
+    value is the mean direct bits of one transmission."""
     c = snr_floor(lam)
-    w = np.asarray(w, dtype=float)
-    # a quotient past float-max would overflow to inf, and scaled_e1 gives 0
+    w = np.asarray(scale, dtype=float)
+    # (1 + c) / w past float-max would overflow to inf, and both terms are 0
     # for it either way: cap w from below where that happens, and only there
-    x = (1.0 + c) / np.maximum(w, (1.0 + c) / _FLOAT_MAX)
-    return tau1 * LOG2E * scaled_e1(1.0 / w, x)
+    capped = np.maximum(w, (1.0 + c) / _FLOAT_MAX)
+    return np.array([float(weights @ (tau1 * LOG2E * scaled_e1(1.0 / w, (1.0 + c) / capped))),
+                     -tau1 * float(weights @ np.exp(-c / capped))])
 
 
 def pair_thresholds(lam: float, cfg: NetworkConfig, pv, steps: int):
@@ -265,12 +267,9 @@ def attempt_value_and_slope(lam: float, cfg: NetworkConfig) -> tuple[float, floa
     the slope row is each branch's own slope where that branch is best, on
     the value's nodes and panels (envelope theorem)."""
     lam = float(lam)
-    rho, v, mu, sigma, _, _ = pair_tables(cfg)
-    tau1, w = cfg.tau1, winner_weights(cfg.p)
-    # the direct part falls by tau1 P(rho |h|^2 > 2^lam - 1) per unit lam
-    c = snr_floor(lam)
-    total = np.array([float(w @ direct_value_term(lam, rho * v, tau1)),
-                      -tau1 * float(w @ np.exp(-c / np.maximum(rho * v, c / _FLOAT_MAX)))])
+    rho, v = pair_tables(cfg)[:2]
+    tau1 = cfg.tau1
+    total = direct_branch(lam, rho * v, winner_weights(cfg.p), tau1)
     h_cross = direct_cross(lam, rho)
     pv = probe_form(lam, cfg)
     # 18 steps suffice here: the roots only place panel edges
@@ -284,12 +283,8 @@ def attempt_value_and_slope(lam: float, cfg: NetworkConfig) -> tuple[float, floa
             # above h_cross the gain is over the direct stop, whose slope is -tau1
             return np.stack((g, np.where(g > 0.0, dp + tau1 * (a_val > 0.0), 0.0)))
 
-        # panel edges: the give-up and overtake roots, the floor crossing of
-        # the Gaussian surrogate (h_cross - mu, width sigma), and h_cross
-        t = h_cross - mu
-        e1 = np.clip(t - 30.0 * sigma, zeta, h_cross)
-        e2 = np.clip(t + 30.0 * sigma, zeta, h_cross)
-        total = total + fading_average(cfg, gain, [zeta, e1, e2, np.full(cfg.K, h_cross), eta])
+        # panel edges: the give-up and overtake roots, and h_cross
+        total = total + fading_average(cfg, gain, [zeta, np.full(cfg.K, h_cross), eta])
     return float(total[0]), float(total[1])
 
 

@@ -29,7 +29,7 @@ from rismac import (
 )
 from rismac.channel import cascaded_sums, draw_direct, linear_budget, pair_tables, rate_direct
 from rismac.config import dbm_to_watt
-from rismac.contention import contention_time, draw_contention, split_failed_slots
+from rismac.contention import contention_time, draw_contention, slot_law, split_failed_slots
 from rismac.solver import admissible_step_band
 from rismac.harness import cmd_sweep
 
@@ -136,7 +136,7 @@ def test_criterion_4_contention_analytics(cfg):
     and the winner distribution is uniform by chi-square at the 1% level."""
     tau_o = expected_contention_time(cfg)
     rng = np.random.default_rng(4040)
-    winners, fails = draw_contention(rng, cfg, 1_000_000)
+    winners, fails = draw_contention(rng, cfg, 1_000_000, slot_law(cfg.p).cum_weights)
     elapsed = contention_time(cfg, 1, *split_failed_slots(rng, cfg, fails))
     rel = abs(elapsed.mean() - tau_o) / tau_o
     counts = np.bincount(winners - 1, minlength=cfg.K)

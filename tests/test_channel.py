@@ -13,7 +13,6 @@ from rismac.channel import (
     linear_budget,
     pair_tables,
     rate_direct,
-    rate_ris,
     rayleigh,
     rayleigh_cdf,
 )
@@ -103,11 +102,11 @@ def test_rate_oracles(cfg):
     rho = linear_budget(cfg)
     assert rate_direct(rho, H1) == pytest.approx(RD_H1, rel=1e-12)
     assert rate_direct(rho, 0.0) == 0.0
-    assert rate_ris(rho, H1, np.array([MU1])) == pytest.approx(RR_H1_MU1, rel=1e-12)
-    # batch shape: rates along the last axis collapse
+    # the surface-assisted rate is the same rate at h plus the cascaded sum
+    assert rate_direct(rho, H1 + MU1) == pytest.approx(RR_H1_MU1, rel=1e-12)
     h = np.array([H1, 2 * H1])
     casc = np.zeros((2, 5))
-    assert np.allclose(rate_ris(rho, h, casc), rate_direct(rho, h), rtol=1e-14)
+    assert np.allclose(rate_direct(rho, h + casc.sum(axis=1)), rate_direct(rho, h), rtol=1e-14)
 
 
 def test_rate_ris_empty_cascade_matches_direct(cfg):
@@ -116,7 +115,7 @@ def test_rate_ris_empty_cascade_matches_direct(cfg):
     casc = draw_cascaded(rng, off, 1, 64)
     assert casc.shape == (64, 0)
     h = draw_direct(rng, off, 1, 64)
-    assert np.array_equal(rate_ris(linear_budget(off), h, casc),
+    assert np.array_equal(rate_direct(linear_budget(off), h + casc.sum(axis=1)),
                           rate_direct(linear_budget(off), h))
 
 

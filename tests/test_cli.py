@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import warnings
 
@@ -312,3 +313,37 @@ def test_validate_passes_on_default(capsys):
     assert code == 0
     assert "all" in out and "passed" in out
     assert "FAIL" not in out
+
+
+def test_simulation_failure_exits_4_with_one_line(tmp_path, capsys, table):
+    # a well-formed table whose thresholds release every attempt: the engine's
+    # SimulationError used to escape the CLI with a traceback (exit 1)
+    far = dataclasses.replace(table, zeta=dict.fromkeys(table.kstar, 1e10),
+                              eta=dict.fromkeys(table.kstar, 2e10))
+    path = tmp_path / "table.txt"
+    path.write_text(serialize_threshold_table(far))
+    code, out, err = run(capsys, "simulate", "--policy", "proposed", "--rounds", "1000",
+                         "--table", str(path))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("numerical failure: every attempt releases") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("p", ["1e-9", "1e-10"])
+def test_tiny_contention_probability_simulates(capsys, p):
+    # at p = 1e-9 the idle share of failed slots rounded above 1, and numpy's
+    # binomial draw exited 2 with "p < 0, p > 1 or p contains NaNs"
+    code, out, err = run(capsys, "simulate", "--policy", "no-wait-direct", "--set", f"p={p}",
+                         "--rounds", "20000", "--strict", "0.05")
+    assert code == 0, out + err
+    assert err == ""
+
+
+def test_failed_slots_past_int64_refused(capsys):
+    # at p = 1e-300 every geometric failed-slot draw saturated at int64 max,
+    # and simulate exited 0 with a mean of 2.77e-16 against a model of 2e-296
+    code, out, err = run(capsys, "simulate", "--policy", "no-wait-direct", "--set", "p=1e-300",
+                         "--rounds", "1000")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("numerical failure: p_s = 8e-300") and err.count("\n") == 1

@@ -83,7 +83,7 @@ def test_scalar_slot_simulation(cfg):
 def engine_contentions(rng, cfg, n):
     """n contentions through the engine's steps: winners, elapsed, n_idle,
     n_collisions (the engine splits the failed slots once per round)."""
-    winners, fails = draw_contention(rng, cfg, n)
+    winners, fails = draw_contention(rng, cfg, n, slot_law(cfg.p).cum_weights)
     n_idle, n_coll = split_failed_slots(rng, cfg, fails)
     return winners, contention_time(cfg, 1, n_idle, n_coll), n_idle, n_coll
 

@@ -45,6 +45,23 @@ def test_sweep_solves_lambda_b_once_per_point(monkeypatch):
         assert (row["simulated_mean"], row["ci_halfwidth"]) == (est.mean, est.ci_halfwidth)
 
 
+def test_simulate_and_validate_solve_lambda_b_once(monkeypatch):
+    # the optimal-ris-stop model value is its policy's own stop rate
+    cfg = default_config()
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return solve_lambda_b(c)
+
+    monkeypatch.setattr(strategies, "solve_lambda_b", counted)
+    result = cmd_simulate(cfg, "optimal-ris-stop", 2000, 5)
+    assert len(calls) == 1
+    assert result.analytic == solve_lambda_b(cfg)
+    cmd_validate(cfg, n_rounds=2000, seed=3)
+    assert len(calls) == 2
+
+
 def test_model_values_follow_the_winner_law():
     # winner weights 0.016 and 0.452: averaging the pairs uniformly put three
     # of the four model values 2.1-2.8% above their campaigns

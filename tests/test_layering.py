@@ -125,6 +125,16 @@ def test_one_probe_value_closed_form():
         ("solver.py", "_snr_form", "erfc")]
 
 
+def test_one_spectral_rate():
+    # log2(1 + snr) is channel.rate_direct, the one rate that the engine,
+    # run_round, probe_value_mc and no_wait_ris_throughput call, and the
+    # solver's two model sites, whose rho * h * h rounds as (rho h) h
+    assert _call_sites("log2") == [
+        ("channel.py", "rate_direct", "log2"),
+        ("solver.py", "attempt_value_and_slope", "log2"),
+        ("solver.py", "pair_thresholds", "log2")]
+
+
 def test_no_zero_link_budget_branch():
     # NetworkConfig and channel.pair_tables reject a budget whose direct SNR
     # scale rho * v has no finite reciprocal, so no model value branches on 0

@@ -225,13 +225,12 @@ def test_no_surface_makes_probing_worthless(cfg):
     assert build_threshold_table(off, lam).kstar == frozenset()
     assert lam < solve_max_throughput(cfg)
     # with no probe branch the value is the pure direct part
-    from rismac.solver import direct_value_term
-
     rho = linear_budget(off)
     v = pair_tables(off).v
+    uniform = np.full(off.K, 1.0 / off.K)
     for l in (2.0, 5.0):
-        direct = float(direct_value_term(l, rho * v, off.tau_d - off.tau_m1).sum())
-        assert attempt_value(l, off) == pytest.approx(direct / off.K, rel=1e-12)
+        direct = solver.direct_branch(l, rho * v, uniform, off.tau_d - off.tau_m1)[0]
+        assert attempt_value(l, off) == pytest.approx(direct, rel=1e-12)
 
 
 @pytest.mark.parametrize("tau_d", ["5 ms", "250 ms", "10 s"])
@@ -784,14 +783,16 @@ def test_root_at_extreme_power_stays_below_its_bound(cfg):
 
 def test_direct_value_of_a_pair_too_weak_for_the_price(cfg):
     # w = 1.9e-305 passes the 1/float-max check, but (1 + c) / w at lam = 26
-    # is past float-max: the term is 0 without an overflow warning, and a
-    # quotient in range keeps its bits
+    # is past float-max: the pair's value and slope are 0 without an overflow
+    # warning, and a quotient in range keeps its bits
     tau1 = cfg.tau1
     w = np.array([1.9e-305, 1e8])
-    out = solver.direct_value_term(26.0, w, tau1)
-    assert out[0] == 0.0
+    weak = solver.direct_branch(26.0, w, np.array([1.0, 0.0]), tau1)
+    strong = solver.direct_branch(26.0, w, np.array([0.0, 1.0]), tau1)
+    assert weak[0] == 0.0 and weak[1] == 0.0
     c = math.expm1(26.0 * math.log(2.0))
-    assert out[1] == tau1 * LOG2E * _scaled_e1(1.0 / w[1], (1.0 + c) / w[1])
+    assert strong[0] == tau1 * LOG2E * _scaled_e1(1.0 / w[1], (1.0 + c) / w[1])
+    assert strong[1] == pytest.approx(-tau1 * math.exp(-c / w[1]), rel=1e-15)
 
 
 def test_rate_past_float_range_is_a_solver_error(cfg):
