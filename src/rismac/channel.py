@@ -47,8 +47,10 @@ def rayleigh_pdf(h, mean_square, weight=1.0):
 
 def rayleigh_cdf(h, mean_square):
     """P(|h'| <= h) for the Rayleigh magnitude h' with E[|h'|^2] = mean_square:
-    1 - exp(-max(h, 0)^2 / v), zero for every h <= 0."""
-    return -np.expm1(-np.square(np.maximum(h, 0.0)) / mean_square)
+    1 - exp(-max(h, 0)^2 / v), zero for every h <= 0. A ratio past the float
+    range is inf, whose probability is 1: a zeta far above a weak pair's law."""
+    with np.errstate(over="ignore"):
+        return -np.expm1(-np.square(np.maximum(h, 0.0)) / mean_square)
 
 
 class PairTables(NamedTuple):

@@ -169,17 +169,24 @@ def bracket_root(value, tau_o: float) -> float:
     Safeguarded Newton (Dinkelbach's iteration for ratio programs: W.
     Dinkelbach, Management Science 13(7), 1967) from lam = 0 inside the
     bracket [0, value(0) / tau_o] (a non-increasing value puts the root
-    there), bisecting where a step would leave the bracket. On a convex
-    value every Newton step lands at or below the root, so the iterates
-    climb to it. Stops once a step is at most ROOT_XTOL * s, s = min(1,
-    value(0) / tau_o), and returns that step's end; bisection stops once the
-    bracket is 2 ROOT_XTOL * s wide, and returns its middle.
+    there). On a convex value a Newton step from below lands at or below
+    the root, so the approach is slow where the value bends. Where this
+    iterate and the one before both sit below the root, the step is
+    instead the first root s > 0 of r + dr s + c s^2 / 2, c being the
+    secant of the two slopes (twice the Newton step where that quadratic
+    has no root). Such a step may pass the root; the bracket then keeps
+    the iterates to its side. A step that leaves the bracket falls back to
+    the Newton step, and then to bisection. Stops once a Newton step is at
+    most ROOT_XTOL * s, s = min(1, value(0) / tau_o), and returns that
+    step's end; bisection stops once the bracket is 2 ROOT_XTOL * s wide,
+    and returns its middle.
     """
     v, d = value(0.0)
     if v <= 0.0:
         return 0.0
     xtol = ROOT_XTOL * min(1.0, v / tau_o)
     a, b, lam = 0.0, v / tau_o, 0.0
+    below = None  # (lam, slope) of the previous iterate where it sat below the root
     while True:
         r, dr = v - lam * tau_o, d - tau_o
         if r > 0.0:
@@ -192,9 +199,17 @@ def bracket_root(value, tau_o: float) -> float:
         if abs(step) <= xtol:
             return lam + step
         nxt = lam + step
+        if below is not None and r > 0.0 and dr < 0.0:
+            c = (d - below[1]) / (lam - below[0])
+            if c > 0.0:
+                disc = dr * dr - 2.0 * c * r
+                curved = lam + (2.0 * r / (math.sqrt(disc) - dr) if disc >= 0.0 else 2.0 * step)
+                if a < curved < b:
+                    nxt = curved
         if not a < nxt < b:
             nxt = 0.5 * (a + b)
             if b - a <= 2.0 * xtol:
                 return nxt
+        below = (lam, d) if r > 0.0 else None
         lam = nxt
         v, d = value(lam)

@@ -65,25 +65,27 @@ def _snr_form(lam, mu, sigma, rho_bar):
     """effective_probe_snr with its terms in lam alone or in (mu, sigma)
     alone built once: snr(h, rows) evaluates the rest at direct magnitude h,
     for the entries `rows` of mu and sigma (all of them if None), and returns
-    it with its slope in c = 2^lam - 1, the floor probability. When every
-    sigma > 0 the pointwise-max branch is skipped; its result would be the
-    same to the bit."""
+    it with its slope in c = 2^lam - 1, the floor probability. One erfc per
+    evaluation serves both: the floor probability takes its erf as 1 - erfc.
+    When every sigma > 0 the pointwise-max branch is skipped; its result
+    would be the same to the bit."""
     c = np.expm1(np.asarray(lam, dtype=float) * LN2)
     b, half_rho = np.sqrt(c / rho_bar), 0.5 * rho_bar
     mu, sigma = np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
     smooth = bool(np.all(sigma > 0.0))
     safe = np.where(sigma > 0.0, sigma, 1.0)
-    terms = (mu, sigma, safe, special.erf(mu / (SQRT2 * safe)), rho_bar * safe, safe * safe)
+    terms = (mu, sigma, safe, 1.0 + special.erf(mu / (SQRT2 * safe)), rho_bar * safe,
+             safe * safe)
 
     def snr(h, rows=None):
-        mu, sigma, safe, erf_mu, rho_safe, safe2 = (
+        mu, sigma, safe, one_erf_mu, rho_safe, safe2 = (
             terms if rows is None else [x[rows] for x in terms])
         m = h + mu
         z = (b - m) / safe
-        zs = z / SQRT2
-        floor_p = 0.5 * (erf_mu + special.erf(zs))  # the slope in c: P(floor)
+        erfc_z = special.erfc(z / SQRT2)
+        floor_p = 0.5 * (one_erf_mu - erfc_z)  # the slope in c: P(floor), erf = 1 - erfc
         edge_part = rho_safe * (m + b) * np.exp(-0.5 * z * z) * _INV_SQRT_2PI
-        tail_part = half_rho * (m * m + safe2) * special.erfc(zs)
+        tail_part = half_rho * (m * m + safe2) * erfc_z
         out = c * floor_p + edge_part + tail_part
         if smooth:
             return out, floor_p
@@ -187,14 +189,15 @@ def pair_thresholds(lam: float, cfg: NetworkConfig, pv, steps: int):
     turns positive on [0, h_cross] (0 if it already is at h = 0), and eta is
     where the direct stop value overtakes the probe value above h_cross,
     bracketed by doubling. Each root takes `steps` vector bisection steps.
+    One evaluation of pv over all K pairs makes the three set-up probes: the
+    probe-worthy test at h_cross, the give-up test at h = 0 and the first
+    _DOUBLINGS doublings of eta's upper end; the bisection then takes one per
+    BISECT_DEPTH steps, so a solve is 1 + ceil(steps / BISECT_DEPTH)
+    evaluations where no upper end needs more doublings.
     """
     rho, _, mu, sigma, _, _ = pair_tables(cfg)
     h_cross = direct_cross(lam, rho)
     zeta, eta = np.full(cfg.K, h_cross), np.full(cfg.K, h_cross)
-    act = np.flatnonzero(pv(h_cross) > 0.0)
-    n = act.size
-    if n == 0:
-        return zeta, eta
     tau1 = cfg.tau1
 
     def lead(h, p):
@@ -204,11 +207,21 @@ def pair_thresholds(lam: float, cfg: NetworkConfig, pv, steps: int):
     # eta's upper end: the first hi * 2^j, j < 60, where the direct stop
     # value leads, as doubling once per evaluation finds it; one evaluation
     # tries the next _DOUBLINGS values of j on the rows not yet led
-    hi = np.maximum(2.0 * h_cross, h_cross + 8.0 * (mu[act] + 6.0 * sigma[act]))
+    hi = np.maximum(2.0 * h_cross, h_cross + 8.0 * (mu + 6.0 * sigma))
+    h = np.concatenate([np.full((1, cfg.K), h_cross), np.zeros((1, cfg.K)), hi * _POW2])
+    p = pv(h)
+    act = np.flatnonzero(p[0] > 0.0)
+    n = act.size
+    if n == 0:
+        return zeta, eta
+    gives_up = p[1, act] >= 0.0
+    hi, h, p = hi[act], h[2:, act], p[2:, act]
     todo = np.arange(n)
     for j in range(0, 60, _DOUBLINGS):
-        h = hi[todo] * _POW2[:min(_DOUBLINGS, 60 - j)]
-        led = ~(lead(h, pv(h, act[todo])) <= 0.0)
+        if j:
+            h = hi[todo] * _POW2[:min(_DOUBLINGS, 60 - j)]
+            p = pv(h, act[todo])
+        led = ~(lead(h, p) <= 0.0)
         first, done = led.argmax(axis=0), led.any(axis=0)
         hi[todo] = np.where(done, h[first, np.arange(todo.size)], 2.0 * h[-1])
         todo = todo[~done]
@@ -228,7 +241,7 @@ def pair_thresholds(lam: float, cfg: NetworkConfig, pv, steps: int):
 
     roots = vec_bisect(gap, np.concatenate([np.zeros(n), np.full(n, h_cross)]),
                        np.concatenate([np.full(n, h_cross), hi]), steps)
-    zeta[act] = np.where(pv(0.0, act) >= 0.0, 0.0, roots[:n])
+    zeta[act] = np.where(gives_up, 0.0, roots[:n])
     eta[act] = roots[n:]
     return zeta, eta
 
@@ -307,8 +320,9 @@ def admissible_step_band(cfg: NetworkConfig, eps: float) -> tuple[float, float]:
 def solve_max_throughput(cfg: NetworkConfig) -> float:
     """Maximal long-run throughput lam*: root of attempt_value(lam) = lam*tau_o,
     to a precision relative to lam*. attempt_value is convex in lam (each
-    branch is, and max and expectation keep it), so the Newton root climbs
-    to lam* on the value's own slope."""
+    branch is, and max and expectation keep it), so bracket_root's Newton
+    steps from below stay below lam*; its curvature steps, on the secant of
+    two slopes, close the gap in fewer value calls."""
     return bracket_root(lambda lam: attempt_value_and_slope(lam, cfg),
                         expected_contention_time(cfg))
 

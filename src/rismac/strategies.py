@@ -143,8 +143,9 @@ def solve_lambda_b(cfg: NetworkConfig) -> float:
 
     Root of mean_probe_value(lam) = lam * tau_o; the probe value is left
     unclamped because this discipline never transmits directly and never
-    releases before probing. The value is convex in lam, so the Newton root
-    climbs to lambda_b on its own slope.
+    releases before probing. The value is convex in lam, so bracket_root's
+    Newton steps from below stay below lambda_b; its curvature steps close
+    the gap in fewer value calls.
 
     The root's precision is its stop width, ROOT_XTOL * min(1, value(0) /
     tau_o), not the quadrature's (the root does not move with QUAD_RTOL

@@ -9,7 +9,8 @@ pins_of and compares the strings; a change that moves a model value on
 purpose regenerates the file, and its git diff is the parity table to
 declare. Before it writes, the script prints one line per entry that moved
 against the file it replaces: config, field, old and new value, and the
-relative move of a float.
+relative move of a float. It then prints one line per field: how many of
+its entries moved and the largest relative move among them.
 
 Each config is the list of `rismac --set` overrides applied to the default.
 Floats are pinned as float.hex, so a last-bit move shows.
@@ -18,6 +19,7 @@ Floats are pinned as float.hex, so a last-bit move shows.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from rismac import (
@@ -112,18 +114,24 @@ def dump(pins: dict) -> str:
     return "{\n" + ",\n".join(blocks) + "\n}\n"
 
 
-def _relative_move(old, new) -> str:
+def _relative_move(old, new) -> float | None:
+    """(new - old) / |old| of two pinned floats, inf for a move from 0 and
+    None for anything else: a hash, a pair list, or an entry gone."""
     try:
         a, b = float.fromhex(old), float.fromhex(new)
     except (TypeError, ValueError):
-        return ""  # not a pinned float: a hash, a pair list, or an entry gone
-    return f" | {(b - a) / abs(a):+.2e}" if a else " | from 0"
+        return None
+    return (b - a) / abs(a) if a else math.inf
 
 
-def moves(old: dict, new: dict) -> list[str]:
-    """One line per entry of new that differs from old: config,
-    field[index], old -> new and, for a float, the relative move."""
-    lines = []
+def _show_move(rel: float | None) -> str:
+    return "" if rel is None else " | from 0" if rel == math.inf else f" | {rel:+.2e}"
+
+
+def moves(old: dict, new: dict) -> list[tuple]:
+    """One (config, field, field[index], old, new) per entry of new that
+    differs from old."""
+    out = []
     for name, entry in new.items():
         before = old.get(name, {})
         for field, value in entry.items():
@@ -131,11 +139,24 @@ def moves(old: dict, new: dict) -> list[str]:
             if was == value:
                 continue
             if isinstance(was, list) and isinstance(value, list) and len(was) == len(value):
-                moved = [(f"{field}[{i}]", a, b)
-                         for i, (a, b) in enumerate(zip(was, value)) if a != b]
+                out += [(name, field, f"{field}[{i}]", a, b)
+                        for i, (a, b) in enumerate(zip(was, value)) if a != b]
             else:
-                moved = [(field, was, value)]
-            lines += [f"{name} | {f} | {a} -> {b}{_relative_move(a, b)}" for f, a, b in moved]
+                out.append((name, field, field, was, value))
+    return out
+
+
+def field_summary(new: dict, moved: list[tuple]) -> list[str]:
+    """One line per pinned field: how many of its entries moved (a list
+    field has one entry per item) and the largest relative move of a float."""
+    lines = []
+    for field in dict.fromkeys(f for entry in new.values() for f in entry):
+        values = [entry[field] for entry in new.values() if field in entry]
+        total = sum(len(v) if isinstance(v, list) else 1 for v in values)
+        rels = [_relative_move(a, b) for _, f, _, a, b in moved if f == field]
+        floats = [r for r in rels if r is not None]
+        largest = _show_move(max(floats, key=abs)) if floats else ""
+        lines.append(f"{field} | {len(rels)} of {total} entries moved{largest}")
     return lines
 
 
@@ -143,7 +164,9 @@ def main() -> None:
     pins = {config_name(o): pins_of(o) for o in CONFIGS}
     old = load_pins() if PINS_PATH.exists() else {}
     moved = moves(old, pins)
-    for line in moved:
+    for name, _, label, a, b in moved:
+        print(f"{name} | {label} | {a} -> {b}{_show_move(_relative_move(a, b))}")
+    for line in field_summary(pins, moved):
         print(line)
     PINS_PATH.write_text(dump(pins), encoding="utf-8")
     print(f"wrote {len(pins)} configs to {PINS_PATH.name}; {len(moved)} entries moved")

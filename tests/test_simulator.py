@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -227,6 +228,20 @@ def test_round_that_never_ends_raises(cfg):
     never = dataclasses.replace(make_policy(PolicyKind.NO_WAIT_RIS, off), stop_rate=math.inf)
     with pytest.raises(SimulationError, match="did not terminate"):
         simulate_rounds(off, never, 10, seed=1)
+
+
+def test_pair_too_weak_for_the_price_simulates_without_warning(cfg):
+    """Pair 1's rho v is 1.9e-305, so its zeta = h_cross(lambda*) gives
+    h^2 / v past the float range: its release probability is 1, and the
+    proposed run neither warns nor fails on the way."""
+    c = apply_overrides(cfg, ["alpha1=100",
+                              "dests=1340,0; 1,10; 1,20; 1,30; 1,40; 1,50; 1,60; 1,70"])
+    policy = make_policy(PolicyKind.PROPOSED, c, build_threshold_table(c))
+    assert policy.zeta[0] ** 2 > pair_tables(c).v[0] * sys.float_info.max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        est = run_campaign(c, policy, 8192, seed=5, workers=1)
+    assert est.mean > 0.0
 
 
 def _release_heavy(cfg):

@@ -477,19 +477,32 @@ def test_eta_doubling_keeps_each_pairs_first_lead(cfg, table):
     for thresholds in (pair_thresholds, one_step_thresholds):
         with pytest.raises(SolverError, match="never overtakes"):
             thresholds(lam, cfg, held_back([0, 60, 1, 2, 3, 4, 5, 6]), 18)
+    # at 0.9 lambda* of 80 dBm / 5 ms, pairs 1 and 2 are not probe-worthy and
+    # pairs 7 and 8 give up at h = 0: the set-up evaluation serves all three
+    # tests over every pair, and keeps the one-step loop's bits
+    c = apply_overrides(cfg, ["pt=80 dBm", "tau_d=5 ms"])
+    lam = 0.9 * float.fromhex(load_pins()["pt=80 dBm, tau_d=5 ms"]["lambda_star"])
+    pv = probe_form(lam, c)
+    for steps in (18, 64):
+        zeta, eta = pair_thresholds(lam, c, pv, steps)
+        zeta_1, eta_1, _ = one_step_thresholds(lam, c, pv, steps)
+        assert (zeta == eta).tolist() == [True, True] + [False] * 6
+        assert (zeta == 0.0).tolist() == [False] * 6 + [True, True]
+        assert (zeta == zeta_1).all() and (eta == eta_1).all()
 
 
 @pytest.mark.parametrize("name", ["default", "pt=-60 dBm, tau_d=250 ms"])
 def test_threshold_solve_evaluation_count(cfg, name):
     """Cost guard, in probe-value evaluations of one pair_thresholds call at
-    lambda*: the probe-worthy test, one for the doublings of eta's upper end,
-    one per BISECT_DEPTH bisection steps, and the give-up test at h = 0. One
-    evaluation per step and per doubling takes 21 and 67 on the default
+    lambda*: one for the probe-worthy test, the give-up test at h = 0 and the
+    first 8 doublings of eta's upper end together, then one per BISECT_DEPTH
+    bisection steps. With those three set-up probes apart it took 7 and 16;
+    one evaluation per step and per doubling takes 21 and 67 on the default
     config, and 27 and 73 at -60 dBm, where eta's upper end doubles 6 times."""
     c = apply_overrides(cfg, [] if name == "default" else name.split(", "))
     lam = float.fromhex(load_pins()[name]["lambda_star"])
     pv = probe_form(lam, c)
-    for steps, expect in ((18, 7), (64, 16)):
+    for steps, expect in ((18, 5), (64, 14)):
         calls = []
 
         def counted(h, rows=None):
@@ -498,7 +511,7 @@ def test_threshold_solve_evaluation_count(cfg, name):
 
         zeta, eta = pair_thresholds(lam, c, counted, steps)
         assert (zeta < eta).any()
-        assert len(calls) == expect == 3 + -(-steps // BISECT_DEPTH)
+        assert len(calls) == expect == 1 + -(-steps // BISECT_DEPTH)
 
 
 @pytest.mark.parametrize("overrides", [[], ["pt=80 dBm", "tau_d=250 ms"],
@@ -543,9 +556,10 @@ def _count_calls(monkeypatch, module, name):
 @pytest.mark.parametrize("pt", [-60, -40, 0, 30, 80])
 def test_root_lower_bound_and_call_budget(cfg, monkeypatch, pt, tau_d):
     """Each balance value falls by at most tau_d - tau_m1 per unit lam, so its
-    residual is not negative at value(0) / (tau_o + tau_d - tau_m1). Newton
-    from lam = 0 on the value's own slope needs at most 15 value-and-slope
-    calls for lambda* and for lambda_b."""
+    residual is not negative at value(0) / (tau_o + tau_d - tau_m1). The root
+    from lam = 0 on the value's own slope, with its curvature steps, needs at
+    most 12 value-and-slope calls for lambda* and for lambda_b (Newton steps
+    alone took up to 14 and 13 on these configs)."""
     c = apply_overrides(cfg, [f"pt={pt} dBm", f"tau_d={tau_d}"])
     tau_o = expected_contention_time(c)
     tau1 = c.tau_d - c.tau_m1
@@ -554,10 +568,10 @@ def test_root_lower_bound_and_call_budget(cfg, monkeypatch, pt, tau_d):
         assert value(lo, c) - lo * tau_o >= 0.0
     av_calls = _count_calls(monkeypatch, solver, "attempt_value_and_slope")
     assert solve_max_throughput(c) > 0.0
-    assert len(av_calls) <= 15
+    assert len(av_calls) <= 12
     mpv_calls = _count_calls(monkeypatch, strategies, "mean_probe_value_and_slope")
     assert solve_lambda_b(c) > 0.0
-    assert len(mpv_calls) <= 15
+    assert len(mpv_calls) <= 12
 
 
 _SOLVE_GRID = [[f"pt={pt} dBm", f"tau_d={ms} ms"]
@@ -565,6 +579,21 @@ _SOLVE_GRID = [[f"pt={pt} dBm", f"tau_d={ms} ms"]
 # each balance value with its value-and-slope entry point and its root
 _BALANCES = [(attempt_value_and_slope, solve_max_throughput),
              (mean_probe_value_and_slope, solve_lambda_b)]
+
+
+def test_solve_grid_root_call_count(cfg, monkeypatch):
+    """Cost guard over a pass of the 20 solve-grid configs: at most 145
+    value-and-slope calls for the lambda* roots and 133 for the lambda_b
+    roots. Newton steps alone took 164 and 143; with curvature steps they
+    take 137 and 127."""
+    av_calls = _count_calls(monkeypatch, solver, "attempt_value_and_slope")
+    mpv_calls = _count_calls(monkeypatch, strategies, "mean_probe_value_and_slope")
+    for overrides in _SOLVE_GRID:
+        c = apply_overrides(cfg, overrides)
+        assert solve_max_throughput(c) > 0.0
+        assert solve_lambda_b(c) > 0.0
+    assert len(av_calls) <= 145
+    assert len(mpv_calls) <= 133
 
 
 @pytest.mark.parametrize("overrides", [o for o in _SOLVE_GRID if not o[0].startswith("pt=-")],
@@ -587,9 +616,9 @@ def test_balance_slope_matches_central_difference(cfg, overrides):
                          ids=" ".join)
 def test_balance_values_are_convex(cfg, overrides):
     """Both balance values are convex in lam (each branch is, and max and
-    expectation keep it), which is what lets Newton from lam = 0 climb to the
-    root: second differences on 41 points of [0, 2 root] are not below
-    -1e-9 |value|."""
+    expectation keep it), which is what keeps a Newton step from below at or
+    below the root and the secant of two slopes from below positive: second
+    differences on 41 points of [0, 2 root] are not below -1e-9 |value|."""
     c = apply_overrides(cfg, overrides)
     for value_and_slope, solve in _BALANCES:
         lam = np.linspace(0.0, 2.0 * solve(c), 41)
