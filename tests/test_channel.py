@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rismac import ConfigError, apply_overrides, replace_config
+from rismac import ConfigError, apply_overrides, channel, replace_config
 from rismac.channel import (
     CASCADE_TILE,
     cascaded_sums,
@@ -218,6 +218,20 @@ def test_cascaded_sums_determinism(cfg):
     assert np.array_equal(a, b)
     assert np.all(a > 0)
     assert not np.array_equal(a, _pair_sums(wide, 3, n, seed=12))
+
+
+def test_exp_leg_law():
+    # the engine's float32 legs -log u against the float64 map of the same
+    # words, 2^20 half-words spread evenly over the 32-bit range
+    k = (4096 * np.arange(1 << 20, dtype=np.uint64) + 2048).astype(np.uint32)
+    legs = channel._exp_legs(k, np.empty(k.size, dtype=np.float32))
+    exact = -np.log((k + 0.5) * 2.0 ** -32)
+    assert legs.mean(dtype=np.float64) == pytest.approx(exact.mean(), rel=1e-8)
+    assert np.sqrt(legs).mean(dtype=np.float64) == pytest.approx(np.sqrt(exact).mean(), rel=1e-8)
+    # the extreme words stay finite: u is never 0, and never above 1
+    ends = channel._exp_legs(np.array([0, 2**32 - 1], dtype=np.uint32), np.empty(2, np.float32))
+    assert ends[0] == pytest.approx(33 * math.log(2), rel=1e-6)
+    assert ends[1] == 0.0
 
 
 def test_cascaded_sums_empty(cfg):

@@ -72,11 +72,13 @@ def test_public_surface_is_pinned():
 
 
 def test_one_rayleigh_draw_site():
-    # every Rayleigh magnitude comes from channel.rayleigh, so a cheaper draw
-    # has one place to land
-    sites = [path.name for path in sorted(PACKAGE.glob("*.py"))
-             if "standard_exponential" in path.read_text(encoding="utf-8")]
-    assert sites == ["channel.py"]
+    # every fading draw is made in channel.py, so a cheaper draw has one place
+    # to land: the ziggurat Exp(1) of channel.rayleigh, and the raw words whose
+    # halves channel._exp_legs maps to the engine's cascaded legs
+    for token in ("standard_exponential", "random_raw"):
+        sites = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if token in path.read_text(encoding="utf-8")]
+        assert sites == ["channel.py"], token
 
 
 def test_one_rayleigh_density_site():
