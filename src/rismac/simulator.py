@@ -30,9 +30,11 @@ disciplines, with zeta = -inf, draw no extra numbers). A round is the run of
 acting attempts up to the first that transmits plus the releases skipped
 before them, so it costs O(acting attempts); the skipped releases' failed
 slots are one negative-binomial draw per round, and a round's failed slots
-are split into idle and collision slots once. Each block of up to 4096
-rounds owns a PCG64 stream seeded by (seed, block), so campaign results are
-bit-identical for any worker count.
+are split into idle and collision slots once. A campaign runs in stream
+units of up to STREAM_ROUNDS rounds (four 4096-round batches), each its own
+PCG64 stream seeded by (seed, unit) and one worker task; the plan does not
+depend on the worker count, so campaign results are bit-identical for any.
+The interval's batches stay 4096 rounds (BLOCK_ROUNDS) wide.
 """
 
 from __future__ import annotations
@@ -62,7 +64,10 @@ from .contention import (contention_time, draw_contention, failed_slots, simulat
 from .numerics import SolverError
 from .strategies import Decision, Policy, decide_level1_threshold, decide_level2
 
-BLOCK_ROUNDS = 4096
+BLOCK_ROUNDS = 4096  # rounds per batch of a campaign's totals and interval
+# rounds per PCG64 stream and worker task: fewer, longer numpy calls per
+# round than one batch; four batches measured faster than two or eight
+STREAM_ROUNDS = 4 * BLOCK_ROUNDS
 N_BATCHES = 100  # batch-means groups of a campaign's confidence interval
 _MAX_ATTEMPTS = 100_000  # per round; a longer round raises SimulationError
 
@@ -135,8 +140,8 @@ class RoundArrays(NamedTuple):
     terminal: np.ndarray  # 1 = direct transmission, 2 = surface transmission
 
 
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(block,))
+def _unit_rng(seed: int, unit: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(unit,))
     return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -199,8 +204,8 @@ def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy,
     return fails, bits, terminal, skipped
 
 
-def _simulate_block(seed: int, block: int, n_rounds: int, cfg: NetworkConfig,
-                    policy: Policy) -> RoundArrays:
+def _simulate_unit(seed: int, unit: int, n_rounds: int, cfg: NetworkConfig,
+                   policy: Policy, cum_weights, q: float) -> RoundArrays:
     """n_rounds rounds cut from one stream of i.i.d. acting attempts: a round
     is the run of acting attempts up to and including its first terminal
     one, plus the releases skipped before each of them. Every acting attempt
@@ -214,8 +219,7 @@ def _simulate_block(seed: int, block: int, n_rounds: int, cfg: NetworkConfig,
     slots are split into idle and collision slots per round, once, at the
     end.
     """
-    rng = _block_rng(seed, block)
-    cum_weights, q = _acting_law(cfg, policy)
+    rng = _unit_rng(seed, unit)
     parts = []
     held = ()
     drawn = done = 0
@@ -230,7 +234,7 @@ def _simulate_block(seed: int, block: int, n_rounds: int, cfg: NetworkConfig,
         held = [a[cut:] for a in chunk]
         if held[0].size + held[3].sum() >= _MAX_ATTEMPTS:
             raise SimulationError(
-                f"block {block}: a round did not terminate in {_MAX_ATTEMPTS} attempts")
+                f"unit {unit}: a round did not terminate in {_MAX_ATTEMPTS} attempts")
         if ends.size:
             starts = np.concatenate(([0], ends[:-1] + 1))
             parts.append((bits[ends], np.add.reduceat(fails[:cut], starts),
@@ -239,12 +243,12 @@ def _simulate_block(seed: int, block: int, n_rounds: int, cfg: NetworkConfig,
         drawn += size
         done += ends.size
         # size the next chunk from the acting attempts per round seen so far
-        size = min(BLOCK_ROUNDS, -(-(n_rounds - done) * drawn // max(done, 1)))
+        size = min(STREAM_ROUNDS, -(-(n_rounds - done) * drawn // max(done, 1)))
     bits, fails, acting, skipped, terminal = (np.concatenate(c) for c in zip(*parts))
     attempts = acting + skipped
     if attempts.max() > _MAX_ATTEMPTS:
         raise SimulationError(
-            f"block {block}: a round did not terminate in {_MAX_ATTEMPTS} attempts")
+            f"unit {unit}: a round did not terminate in {_MAX_ATTEMPTS} attempts")
     fails += failed_slots(rng, cfg, skipped)
     cont_time = contention_time(cfg, attempts, *split_failed_slots(rng, cfg, fails))
     releases = acting - 1
@@ -252,22 +256,24 @@ def _simulate_block(seed: int, block: int, n_rounds: int, cfg: NetworkConfig,
     return RoundArrays(bits, total, cont_time, releases, attempts, terminal)
 
 
-def _run_blocks(cfg: NetworkConfig, policy: Policy, n_rounds: int, seed: int,
-                workers: int | None, reduce) -> list:
-    """reduce(RoundArrays) of every block of an n_rounds campaign, in block
-    order, on up to `workers` threads (default min(4, CPUs))."""
+def _run_units(cfg: NetworkConfig, policy: Policy, n_rounds: int, seed: int,
+               workers: int | None, reduce) -> list:
+    """reduce(RoundArrays) of every stream unit of an n_rounds campaign, in
+    unit order, on up to `workers` threads (default min(4, CPUs)). The
+    acting law is solved, and refused, before any thread starts."""
     if n_rounds <= 0:
         raise ValueError("n_rounds must be positive")
-    full, rem = divmod(n_rounds, BLOCK_ROUNDS)
-    plan = [(i, BLOCK_ROUNDS) for i in range(full)] + ([(full, rem)] if rem else [])
     if workers is None:
         workers = min(4, os.cpu_count() or 1)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    cum_weights, q = _acting_law(cfg, policy)
+    full, rem = divmod(n_rounds, STREAM_ROUNDS)
+    plan = [(i, STREAM_ROUNDS) for i in range(full)] + ([(full, rem)] if rem else [])
     nw = min(workers, len(plan))
 
     def one(item):
-        return reduce(_simulate_block(seed, item[0], item[1], cfg, policy))
+        return reduce(_simulate_unit(seed, *item, cfg, policy, cum_weights, q))
 
     if nw == 1:
         return [one(item) for item in plan]
@@ -277,9 +283,9 @@ def _run_blocks(cfg: NetworkConfig, policy: Policy, n_rounds: int, seed: int,
 
 def simulate_rounds(cfg: NetworkConfig, policy: Policy, n_rounds: int,
                     seed: int, workers: int | None = None) -> RoundArrays:
-    """Per-round outcome arrays for n_rounds rounds (blocks concatenated)."""
-    blocks = _run_blocks(cfg, policy, n_rounds, seed, workers, lambda arr: arr)
-    return RoundArrays(*(np.concatenate(parts) for parts in zip(*blocks)))
+    """Per-round outcome arrays for n_rounds rounds (units concatenated)."""
+    units = _run_units(cfg, policy, n_rounds, seed, workers, lambda arr: arr)
+    return RoundArrays(*(np.concatenate(parts) for parts in zip(*units)))
 
 
 @dataclass(frozen=True)
@@ -294,16 +300,25 @@ class ThroughputEstimate:
     n_batches: int
 
 
+def _batch_sums(arr: RoundArrays) -> list[tuple[float, float]]:
+    """(bits, time) sums of each BLOCK_ROUNDS slice of a unit, in order: a
+    unit starts at a multiple of BLOCK_ROUNDS, so these are the campaign's."""
+    return [(float(arr.bits[s:s + BLOCK_ROUNDS].sum()),
+             float(arr.total_time[s:s + BLOCK_ROUNDS].sum()))
+            for s in range(0, arr.bits.size, BLOCK_ROUNDS)]
+
+
 def run_campaign(cfg: NetworkConfig, policy: Policy, n_rounds: int, seed: int,
                  workers: int | None = None) -> ThroughputEstimate:
     """Estimate long-run throughput (bits/s/Hz) over n_rounds rounds.
 
-    Mean is total bits over total time; the 95% interval comes from batch
-    means over contiguous block groups, so it is deterministic for a given
-    seed regardless of worker count.
+    Mean is total bits over total time; the totals are the in-order sums of
+    the BLOCK_ROUNDS-round batch sums, and the 95% interval comes from batch
+    means over contiguous batch groups, so both are deterministic for a
+    given seed regardless of worker count.
     """
-    sums = _run_blocks(cfg, policy, n_rounds, seed, workers,
-                       lambda arr: (float(arr.bits.sum()), float(arr.total_time.sum())))
+    sums = [b for unit in _run_units(cfg, policy, n_rounds, seed, workers, _batch_sums)
+            for b in unit]
     y = np.array([s[0] for s in sums])
     t = np.array([s[1] for s in sums])
     mean = float(y.sum() / t.sum())

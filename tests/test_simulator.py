@@ -24,7 +24,9 @@ from rismac import (
     run_round,
     simulate_rounds,
 )
+from rismac import simulator
 from rismac.channel import pair_tables
+from rismac.simulator import BLOCK_ROUNDS, N_BATCHES, STREAM_ROUNDS
 from rismac.contention import winner_weights
 
 
@@ -82,13 +84,49 @@ def test_determinism_across_worker_counts(cfg, policies):
 
 
 def test_determinism_at_large_surface(cfg):
-    # a partial block, and partial draw tiles, under threads
+    # a full stream unit, a partial one and partial draw tiles, split over threads
     wide = replace_config(cfg, M=1024)
     policy = make_policy(PolicyKind.PROPOSED, wide, build_threshold_table(wide))
-    n = 4096 + 193
+    n = STREAM_ROUNDS + 193
     est1 = run_campaign(wide, policy, n, seed=6, workers=1)
     assert run_campaign(wide, policy, n, seed=6, workers=2) == est1
     assert run_campaign(wide, policy, n, seed=6, workers=4) == est1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_campaign_totals_are_in_order_batch_sums(cfg, policies, workers):
+    # a caller can rebuild run_campaign from simulate_rounds: its totals are
+    # the in-order sums of the 4,096-round slice sums, bit for bit, and its
+    # interval has one batch per slice, up to N_BATCHES. A slice summed in
+    # another order (np.add.reduceat) moves a last bit, so all four
+    # disciplines are checked
+    n = 2 * STREAM_ROUNDS + 193
+    starts = range(0, n, BLOCK_ROUNDS)
+    for kind, policy in policies.items():
+        arr = simulate_rounds(cfg, policy, n, seed=7, workers=workers)
+        est = run_campaign(cfg, policy, n, seed=7, workers=workers)
+        totals = [float(np.array([float(a[s:s + BLOCK_ROUNDS].sum()) for s in starts]).sum())
+                  for a in (arr.bits, arr.total_time)]
+        assert [est.total_bits, est.total_time] == totals, kind
+        assert est.n_batches == min(N_BATCHES, math.ceil(n / BLOCK_ROUNDS))
+
+
+def test_campaign_refusals_come_before_any_thread(cfg, monkeypatch):
+    # the acting law is solved once per campaign, so its refusals fire before
+    # a worker pool starts, as the worker-count check does
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr(simulator, "ThreadPoolExecutor", no_pool)
+    rare = apply_overrides(cfg, ["p=1e-300"])
+    with pytest.raises(SimulationError, match="could pass int64"):
+        run_campaign(rare, make_policy(PolicyKind.NO_WAIT_DIRECT, rare), 2 * STREAM_ROUNDS,
+                     seed=1, workers=2)
+    v = pair_tables(cfg).v
+    never = dataclasses.replace(make_policy(PolicyKind.NO_WAIT_RIS, cfg),
+                                zeta=np.full(v.shape, np.inf), eta=np.full(v.shape, np.inf))
+    with pytest.raises(SimulationError, match="every attempt releases"):
+        run_campaign(cfg, never, 2 * STREAM_ROUNDS, seed=1, workers=2)
 
 
 def test_wide_draw_memory_is_bounded(cfg):
