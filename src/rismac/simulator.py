@@ -31,10 +31,10 @@ acting attempts up to the first that transmits plus the releases skipped
 before them, so it costs O(acting attempts); the skipped releases' failed
 slots are one negative-binomial draw per round, and a round's failed slots
 are split into idle and collision slots once. A campaign runs in stream
-units of up to STREAM_ROUNDS rounds (four 4096-round batches), each its own
+units of up to STREAM_ROUNDS rounds (four 4096-round slices), each its own
 PCG64 stream seeded by (seed, unit) and one worker task; the plan does not
 depend on the worker count, so campaign results are bit-identical for any.
-The interval's batches stay 4096 rounds (BLOCK_ROUNDS) wide.
+Rounds are i.i.d. renewal cycles, so a campaign's interval is regenerative.
 """
 
 from __future__ import annotations
@@ -64,11 +64,10 @@ from .contention import (contention_time, draw_contention, failed_slots, simulat
 from .numerics import SolverError
 from .strategies import Decision, Policy, decide_level1_threshold, decide_level2
 
-BLOCK_ROUNDS = 4096  # rounds per batch of a campaign's totals and interval
+BLOCK_ROUNDS = 4096  # rounds per slice of a campaign's sums
 # rounds per PCG64 stream and worker task: fewer, longer numpy calls per
-# round than one batch; four batches measured faster than two or eight
+# round than one slice; four slices measured faster than two or eight
 STREAM_ROUNDS = 4 * BLOCK_ROUNDS
-N_BATCHES = 100  # batch-means groups of a campaign's confidence interval
 _MAX_ATTEMPTS = 100_000  # per round; a longer round raises SimulationError
 
 
@@ -290,45 +289,43 @@ def simulate_rounds(cfg: NetworkConfig, policy: Policy, n_rounds: int,
 
 @dataclass(frozen=True)
 class ThroughputEstimate:
-    """Ratio estimate of long-run throughput with a batch-means interval."""
+    """Ratio estimate of long-run throughput with a regenerative interval."""
 
     mean: float
     ci_halfwidth: float
     n_rounds: int
     total_bits: float
     total_time: float
-    n_batches: int
+    n_batches: int  # BLOCK_ROUNDS slices summed, ceil(n_rounds / BLOCK_ROUNDS)
 
 
-def _batch_sums(arr: RoundArrays) -> list[tuple[float, float]]:
-    """(bits, time) sums of each BLOCK_ROUNDS slice of a unit, in order: a
-    unit starts at a multiple of BLOCK_ROUNDS, so these are the campaign's."""
-    return [(float(arr.bits[s:s + BLOCK_ROUNDS].sum()),
-             float(arr.total_time[s:s + BLOCK_ROUNDS].sum()))
-            for s in range(0, arr.bits.size, BLOCK_ROUNDS)]
+def _batch_sums(arr: RoundArrays) -> list[tuple[float, ...]]:
+    """(Y, T, Y^2, YT, T^2) sums, Y a round's bits and T its time, of each
+    BLOCK_ROUNDS slice of a unit, in order: a unit starts at a multiple of
+    BLOCK_ROUNDS, so these are the campaign's."""
+    slices = [(arr.bits[s:s + BLOCK_ROUNDS], arr.total_time[s:s + BLOCK_ROUNDS])
+              for s in range(0, arr.bits.size, BLOCK_ROUNDS)]
+    return [(float(y.sum()), float(t.sum()), float(y @ y), float(y @ t), float(t @ t))
+            for y, t in slices]
 
 
 def run_campaign(cfg: NetworkConfig, policy: Policy, n_rounds: int, seed: int,
                  workers: int | None = None) -> ThroughputEstimate:
-    """Estimate long-run throughput (bits/s/Hz) over n_rounds rounds.
+    """Estimate long-run throughput r (bits/s/Hz) over n = n_rounds rounds.
 
-    Mean is total bits over total time; the totals are the in-order sums of
-    the BLOCK_ROUNDS-round batch sums, and the 95% interval comes from batch
-    means over contiguous batch groups, so both are deterministic for a
-    given seed regardless of worker count.
+    r is total bits over total time, each the in-order sum of the slice sums.
+    Rounds are i.i.d. under a fixed policy, so the 95% interval is
+    t(0.975, n - 1) sd(Y - r T) / (sqrt(n) mean T) (nan at n = 1). Both are
+    deterministic for a given seed regardless of worker count.
     """
     sums = [b for unit in _run_units(cfg, policy, n_rounds, seed, workers, _batch_sums)
             for b in unit]
-    y = np.array([s[0] for s in sums])
-    t = np.array([s[1] for s in sums])
-    mean = float(y.sum() / t.sum())
-    nb = min(N_BATCHES, len(sums))
-    if nb >= 2:
-        groups_y = [g.sum() for g in np.array_split(y, nb)]
-        groups_t = [g.sum() for g in np.array_split(t, nb)]
-        lams = np.array(groups_y) / np.array(groups_t)
-        se = float(lams.std(ddof=1)) / math.sqrt(nb)
-        ci = float(special.stdtrit(nb - 1, 0.975)) * se
+    y, t, yy, yt, tt = (float(np.array(col).sum()) for col in zip(*sums))
+    mean = y / t
+    n = n_rounds
+    if n >= 2:
+        var = max((yy - 2.0 * mean * yt + mean * mean * tt) / (n - 1), 0.0)
+        ci = float(special.stdtrit(n - 1, 0.975)) * math.sqrt(var / n) * n / t
     else:
         ci = math.nan
-    return ThroughputEstimate(mean, ci, n_rounds, float(y.sum()), float(t.sum()), nb)
+    return ThroughputEstimate(mean, ci, n, y, t, len(sums))

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from make_pins import load_pins
 from rismac import (
@@ -15,6 +16,7 @@ from rismac import (
     Decision,
     PolicyKind,
     SimulationError,
+    analytic_throughput,
     apply_overrides,
     build_threshold_table,
     expected_contention_time,
@@ -26,7 +28,7 @@ from rismac import (
 )
 from rismac import simulator
 from rismac.channel import pair_tables
-from rismac.simulator import BLOCK_ROUNDS, N_BATCHES, STREAM_ROUNDS
+from rismac.simulator import BLOCK_ROUNDS, STREAM_ROUNDS
 from rismac.contention import winner_weights
 
 
@@ -97,9 +99,9 @@ def test_determinism_at_large_surface(cfg):
 def test_campaign_totals_are_in_order_batch_sums(cfg, policies, workers):
     # a caller can rebuild run_campaign from simulate_rounds: its totals are
     # the in-order sums of the 4,096-round slice sums, bit for bit, and its
-    # interval has one batch per slice, up to N_BATCHES. A slice summed in
-    # another order (np.add.reduceat) moves a last bit, so all four
-    # disciplines are checked
+    # interval is the two-pass regenerative one over the rounds. A slice
+    # summed in another order (np.add.reduceat) moves a last bit, so all
+    # four disciplines are checked
     n = 2 * STREAM_ROUNDS + 193
     starts = range(0, n, BLOCK_ROUNDS)
     for kind, policy in policies.items():
@@ -108,7 +110,10 @@ def test_campaign_totals_are_in_order_batch_sums(cfg, policies, workers):
         totals = [float(np.array([float(a[s:s + BLOCK_ROUNDS].sum()) for s in starts]).sum())
                   for a in (arr.bits, arr.total_time)]
         assert [est.total_bits, est.total_time] == totals, kind
-        assert est.n_batches == min(N_BATCHES, math.ceil(n / BLOCK_ROUNDS))
+        assert est.n_batches == math.ceil(n / BLOCK_ROUNDS)
+        z = arr.bits - est.mean * arr.total_time
+        ref = stats.t.ppf(0.975, n - 1) * z.std(ddof=1) / (math.sqrt(n) * arr.total_time.mean())
+        assert est.ci_halfwidth == pytest.approx(ref, rel=1e-9, abs=0.0), kind
 
 
 def test_campaign_refusals_come_before_any_thread(cfg, monkeypatch):
@@ -203,16 +208,29 @@ def test_optimal_stop_attempt_law(cfg, policies):
     assert arr.attempts.var(ddof=1) == pytest.approx(expect_var, rel=0.1)
 
 
-def test_interval_shrinks_with_rounds(cfg, policies):
-    # a 4-batch interval is itself noisy (its variance estimate has 3 degrees
-    # of freedom and falls 6-fold short about once in 150 seeds), so the
-    # medians over five seeds are compared, not one seed's pair
-    policy = policies[PolicyKind.PROPOSED]
-    wide = [run_campaign(cfg, policy, 16_384, seed=s) for s in range(8, 13)]
-    narrow = [run_campaign(cfg, policy, 131_072, seed=s) for s in range(8, 13)]
-    assert (np.median([e.ci_halfwidth for e in narrow])
-            < np.median([e.ci_halfwidth for e in wide]))
-    assert all(n.n_batches > w.n_batches for w, n in zip(wide, narrow))
+def test_interval_covers_exact_model(cfg, policies):
+    # no-wait-direct's model is exact, so its 95% interval over i.i.d. rounds
+    # must cover it at the nominal rate; with 400 campaigns, 93-97% holds
+    # with probability 0.95
+    policy = policies[PolicyKind.NO_WAIT_DIRECT]
+    model = analytic_throughput(PolicyKind.NO_WAIT_DIRECT, cfg)
+    short = [run_campaign(cfg, policy, 8192, seed=s) for s in range(400)]
+    coverage = np.mean([abs(e.mean - model) <= e.ci_halfwidth for e in short])
+    assert 0.93 <= coverage <= 0.97, coverage
+    # a 4-fold longer campaign halves the interval: the interval does not
+    # depend on how a campaign is cut into slices or stream units
+    long = [run_campaign(cfg, policy, 32_768, seed=s) for s in range(100)]
+    ratio = np.median([e.ci_halfwidth for e in short]) / np.median([e.ci_halfwidth for e in long])
+    assert ratio == pytest.approx(2.0, rel=0.1)
+
+
+def test_short_campaign_interval(cfg, policies):
+    # one slice still gives an interval from its rounds; one round gives none
+    policy = policies[PolicyKind.NO_WAIT_DIRECT]
+    est = run_campaign(cfg, policy, 4000, seed=5)
+    assert math.isfinite(est.ci_halfwidth) and est.ci_halfwidth > 0.0
+    assert est.n_batches == 1
+    assert math.isnan(run_campaign(cfg, policy, 1, seed=5).ci_halfwidth)
 
 
 def test_throughput_near_model_value(cfg, policies, table):
