@@ -15,9 +15,10 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from scipy import special
 
 from .config import ConfigError, NetworkConfig
-from .numerics import snr_floor
+from .numerics import SQRT2, snr_floor
 
 
 CASCADE_TILE = 1 << 16  # elements per tile of cascaded_sums
@@ -43,6 +44,22 @@ def rayleigh_pdf(h, mean_square, weight=1.0):
     weight. The weight is applied first, as weight * (2 h / v) * exp(-h^2 / v)
     left to right, which is how a weighted integrand rounds its product."""
     return weight * (2.0 * h / mean_square) * np.exp(-h * h / mean_square)
+
+
+def surface_pdf(y, mean_square, mu, sigma, weight=1.0):
+    """Density of y = h + X, times weight: h the Rayleigh magnitude with
+    E[|h|^2] = v, X ~ Normal(mu, sigma^2) independent of it. With m = y - mu,
+    d = 2 sigma^2 + v and r = sqrt(v / d), completing the square in h gives
+    (sqrt(2/pi) sigma exp(-m^2 / (2 sigma^2)) + m r exp(-m^2/d) erfc(-m r /
+    (sigma sqrt 2))) / d; sigma == 0 is rayleigh_pdf(y - mu)."""
+    m, safe = y - mu, np.where(sigma > 0.0, sigma, 1.0)
+    d = 2.0 * safe * safe + mean_square
+    r = np.sqrt(mean_square / d)
+    out = weight / d * (math.sqrt(2.0 / math.pi) * safe * np.exp(-0.5 * np.square(m / safe))
+                        + m * r * np.exp(-m * m / d) * special.erfc(-m * r / (SQRT2 * safe)))
+    if np.all(sigma > 0.0):
+        return out
+    return np.where(sigma > 0.0, out, rayleigh_pdf(np.maximum(m, 0.0), mean_square, weight))
 
 
 def rayleigh_cdf(h, mean_square):

@@ -12,14 +12,14 @@ contention is
 and the maximal long-run throughput lam* balances that value against the
 price of the contention itself: attempt_value(lam*) = lam* * tau_o.
 
-The probe value has a closed form: under a Gaussian surrogate for the summed
-cascaded magnitudes, the post-probe SNR credited to the pair is
+The probe value has a closed form: under a Gaussian surrogate X for the
+summed cascaded magnitudes, the post-probe SNR credited to the pair is
 E[max(rho*(h+X)^2, 2^lam - 1)] (worse draws fall back to the continue
-branch), which evaluates to three erf/erfc/Gaussian-density terms.
-probe_form(lam, cfg) binds it to one price: the terms that depend only on
-lam or only on the pair are built once, so that the threshold bisection
-(pair_thresholds), the value integrals (attempt_value, and
-strategies.mean_probe_value) and probe_value evaluate only the terms in h.
+branch), one erfc and a Gaussian density; its log2 is Jensen's bound on the
+mean rate. probe_form(lam, cfg) binds it to one price: the terms that depend
+only on lam or only on the pair are built once, so that the threshold
+bisection (pair_thresholds), attempt_value and probe_value evaluate only the
+terms in h.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .channel import direct_cross, draw_cascaded, pair_tables, rate_direct, rayleigh_pdf
+from .channel import (direct_cross, draw_cascaded, pair_tables, rate_direct, rayleigh_pdf,
+                      surface_pdf)
 from .config import ConfigError, NetworkConfig, config_hash, read_key_values
 from .contention import expected_contention_time, winner_weights
 from .numerics import (
@@ -66,7 +67,7 @@ def _snr_form(lam, mu, sigma, rho_bar):
     alone built once: snr(h, rows) evaluates the rest at direct magnitude h,
     for the entries `rows` of mu and sigma (all of them if None), and returns
     it with its slope in c = 2^lam - 1, the floor probability. One erfc per
-    evaluation serves both: the floor probability takes its erf as 1 - erfc.
+    evaluation serves both: P(h + X < b) is 1 - erfc / 2, b = sqrt(c / rho).
     When every sigma > 0 the pointwise-max branch is skipped; its result
     would be the same to the bit."""
     c = np.expm1(np.asarray(lam, dtype=float) * LN2)
@@ -74,16 +75,14 @@ def _snr_form(lam, mu, sigma, rho_bar):
     mu, sigma = np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
     smooth = bool(np.all(sigma > 0.0))
     safe = np.where(sigma > 0.0, sigma, 1.0)
-    terms = (mu, sigma, safe, 1.0 + special.erf(mu / (SQRT2 * safe)), rho_bar * safe,
-             safe * safe)
+    terms = (mu, sigma, safe, rho_bar * safe, safe * safe)
 
     def snr(h, rows=None):
-        mu, sigma, safe, one_erf_mu, rho_safe, safe2 = (
-            terms if rows is None else [x[rows] for x in terms])
+        mu, sigma, safe, rho_safe, safe2 = terms if rows is None else [x[rows] for x in terms]
         m = h + mu
         z = (b - m) / safe
         erfc_z = special.erfc(z / SQRT2)
-        floor_p = 0.5 * (one_erf_mu - erfc_z)  # the slope in c: P(floor), erf = 1 - erfc
+        floor_p = 1.0 - 0.5 * erfc_z  # the slope in c: P(h + X < b)
         edge_part = rho_safe * (m + b) * np.exp(-0.5 * z * z) * _INV_SQRT_2PI
         tail_part = half_rho * (m * m + safe2) * erfc_z
         out = c * floor_p + edge_part + tail_part
@@ -99,9 +98,11 @@ def _snr_form(lam, mu, sigma, rho_bar):
 def effective_probe_snr(lam, h_s, mu, sigma, rho_bar):
     """E[max(rho_bar*(h_s+X)^2, 2^lam - 1)] for X ~ Normal(mu, sigma^2).
 
-    The SNR a probe is credited with when rates below lam are never used.
-    Closed form; broadcasts over its arguments. sigma == 0 degenerates to the
-    pointwise max (no surface, or a single deterministic reflection).
+    The SNR a probe is credited with when rates below lam are never used, the
+    floor on all of h_s + X < b (the far tail below -b too); only lambda* and
+    the thresholds use it. Closed form; broadcasts over its arguments. sigma
+    == 0 degenerates to the pointwise max (no surface, or a single
+    deterministic reflection).
     """
     out = _snr_form(lam, mu, sigma, rho_bar)(np.asarray(h_s, dtype=float))[0]
     return float(out) if out.ndim == 0 else out
@@ -246,20 +247,29 @@ def pair_thresholds(lam: float, cfg: NetworkConfig, pv, steps: int):
     return zeta, eta
 
 
-def fading_average(cfg: NetworkConfig, f, edges) -> float:
-    """sum_k w_k E[f(k, h_k)] over the direct fading law, w the winner law
-    (contention.winner_weights): the one integral behind every model value.
+def fading_average(cfg: NetworkConfig, f, edges, surface: bool = False) -> float:
+    """sum_k w_k E[f(k, y_k)] over the fading law of y_k, the direct magnitude
+    h_k or with surface h_k + X_k, w the winner law (contention.winner_weights):
+    the one integral behind every model value. f(rows, y) is the vectorized
+    integrand, rows indexing pairs (0-based), and edges each pair's panel
+    edges; zero-width panels are skipped. Every edge is cut to the law's
+    support less a tail mass below 1e-14, [0, sqrt(v ln 1e14)] for h and
+    [mu - 8 sigma, mu + 8 sigma + sqrt(v ln 1e15)] for h + X: a panel reaching
+    far past it leaves both Gauss orders blind to the integrand."""
+    _, v, mu, sigma, _, _ = pair_tables(cfg)
+    w = winner_weights(cfg.p)
+    if surface:
+        lo, hi = mu - 8.0 * sigma, mu + 8.0 * sigma + np.sqrt(v * math.log(1e15))
+    else:
+        lo, hi = 0.0, np.sqrt(v * math.log(1e14))
 
-    f(rows, h) is the vectorized integrand, rows indexing pairs (0-based),
-    and edges each pair's panel edges; zero-width panels are skipped. Every
-    edge is cut to [0, sqrt(v ln 1e14)], the magnitude's 1 - 1e-14 quantile:
-    a panel reaching far past it leaves both Gauss orders blind to the
-    integrand.
-    """
-    v, w = pair_tables(cfg).v, winner_weights(cfg.p)
-    tail = np.sqrt(v * math.log(1e14))
-    return adaptive_panels(lambda rows, h: rayleigh_pdf(h, v[rows], w[rows] * f(rows, h)),
-                           [np.clip(e, 0.0, tail) for e in edges])
+    def law(rows, y):
+        weight = w[rows] * f(rows, y)
+        if surface:
+            return surface_pdf(y, v[rows], mu[rows], sigma[rows], weight)
+        return rayleigh_pdf(y, v[rows], weight)
+
+    return adaptive_panels(law, [np.clip(e, lo, hi) for e in edges])
 
 
 def attempt_value(lam: float, cfg: NetworkConfig) -> float:

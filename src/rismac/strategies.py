@@ -21,23 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .channel import direct_cross, linear_budget, pair_tables, rate_direct
 from .config import ConfigError, NetworkConfig, config_hash
 from .contention import expected_contention_time, winner_weights
-from .numerics import SQRT2, bracket_root
-from .solver import ThresholdTable, direct_branch, fading_average, probe_form, probe_value
-
-_SQRT_PI = math.sqrt(math.pi)
-
-
-@lru_cache(maxsize=1)
-def _hermite_rule(n: int):
-    return hermgauss(n)
+from .numerics import LOG2E, bracket_root, snr_floor
+from .solver import ThresholdTable, direct_branch, fading_average, probe_value
 
 
 class Decision(Enum):
@@ -109,33 +100,33 @@ def decide_level2(rate_ris: float, stop_rate: float) -> Decision:
 
 
 def mean_probe_value(lam: float, cfg: NetworkConfig) -> float:
-    """Unconditional mean of the probe value over the winning pair (weighted
-    by contention.winner_weights) and direct fading.
-
-    The balance curve of the always-probe discipline (no direct stops, no
-    free release): its threshold solves mean_probe_value(lam) = lam*tau_o.
-    """
+    """Unconditional mean of the exact probe value E[max(tau2 R - lam tau1,
+    -lam tau_pc)] over the winning pair (contention.winner_weights) and the
+    post-probe fading h + X: the balance curve of the always-probe discipline,
+    whose threshold solves mean_probe_value(lam) = lam*tau_o."""
     return mean_probe_value_and_slope(lam, cfg)[0]
 
 
 def mean_probe_value_and_slope(lam: float, cfg: NetworkConfig) -> tuple[float, float]:
-    """mean_probe_value at lam and its exact lam-slope, the probe value's
-    slope integrated on the value's own nodes and panels.
+    """mean_probe_value at lam and its exact lam-slope, from one integral
+    over y = h + X (solver.fading_average). The winner stops iff |y| >= b =
+    direct_cross(lam): the value is tau2 E[(R - lam)^+] - lam tau_pc, the
+    slope -tau2 P(|y| >= b) - tau_pc. Each pair's panels split at -b, b, mu,
+    t = mu + 3 sigma, t + sqrt(v) and t + 3 sqrt(v) (at least b), so that a
+    call of a lambda_b solve converges in its first quadrature round (at
+    80 dBm and M <= 2 the call at lam = 0 takes five)."""
+    rho, v, mu, sigma, _, _ = pair_tables(cfg)
+    c, b = snr_floor(lam), direct_cross(lam, rho)
 
-    The probe value bends where the Gaussian surrogate crosses the SNR floor,
-    at t = max(h_cross - mu, 0) (width sigma). Each pair's panels split it at
-    t - 30 sigma, t - 6 sigma, t, t + 6 sigma and t + 30 sigma, so that a
-    call converges in its first quadrature round: one 60-sigma panel across
-    the band takes three halvings to converge.
-    """
-    lam = float(lam)
-    rho, _, mu, sigma, _, _ = pair_tables(cfg)
-    t = np.clip(direct_cross(lam, rho) - mu, 0.0, None)
-    pv = probe_form(lam, cfg)
-    value, slope = fading_average(cfg, lambda rows, h: pv(h, rows, slope=True),
-                                  [0.0, t - 30.0 * sigma, t - 6.0 * sigma, t,
-                                   t + 6.0 * sigma, t + 30.0 * sigma, np.inf])
-    return float(value), float(slope)
+    def gain(rows, y):
+        # R - lam as log2((1 + rho y^2) / (1 + c)), exact near |y| = b; 0 on (-b, b)
+        r = np.log1p((rho * y * y - c) / (1.0 + c)) * LOG2E
+        return np.stack((np.maximum(r, 0.0), r >= 0.0))
+
+    rt, t = np.sqrt(v), mu + 3.0 * sigma
+    edges = [-np.inf, -b, b, *(np.maximum(e, b) for e in (mu, t, t + rt, t + 3.0 * rt)), np.inf]
+    value, p_stop = fading_average(cfg, gain, edges, surface=True)
+    return float(cfg.tau2 * value - lam * cfg.tau_pc), float(-cfg.tau2 * p_stop - cfg.tau_pc)
 
 
 def solve_lambda_b(cfg: NetworkConfig) -> float:
@@ -150,9 +141,10 @@ def solve_lambda_b(cfg: NetworkConfig) -> float:
     The root's precision is its stop width, ROOT_XTOL * min(1, value(0) /
     tau_o), not the quadrature's (the root does not move with QUAD_RTOL
     1000 times smaller). At low power value(0) / tau_o is far above lambda_b
-    (274 times at -60 dBm / 250 ms, 6,790 times at 10 s), so the width is
+    (274 times at -60 dBm / 250 ms, 6,785 times at 10 s), so the width is
     2.7e-9 and 6.8e-8 of lambda_b there; the quadratic last Newton step
-    lands closer, within 1e-10 of a reference root.
+    lands closer, within 3e-14 of the root of a nested scipy quadrature of
+    the same charge, from -60 to 80 dBm and M = 1 to 1024.
     """
     return bracket_root(lambda lam: mean_probe_value_and_slope(lam, cfg),
                         expected_contention_time(cfg))
@@ -167,24 +159,10 @@ def no_wait_direct_throughput(cfg: NetworkConfig) -> float:
 
 
 def no_wait_ris_throughput(cfg: NetworkConfig) -> float:
-    """Long-run throughput when every winner probes and then transmits.
-
-    The mean boosted rate is integrated over the fading law with the summed
-    reflections at their Gaussian surrogate (Hermite rule inside, adaptive
-    panels outside); exact up to the surrogate itself.
-    """
-    rho, v, mu, sigma, _, _ = pair_tables(cfg)
-    tg, wg = _hermite_rule(64)
-
-    def mean_rate(rows, h):
-        # summed in place: one more (n, 64) temporary made this integrand 40% slower
-        x = SQRT2 * sigma[rows][:, None] * tg[None, :]
-        x += mu[rows][:, None]
-        x += h[:, None]
-        return (rate_direct(rho, x) @ wg) / _SQRT_PI
-
-    rate = fading_average(cfg, mean_rate, [0.0, np.sqrt(v), 3.0 * np.sqrt(v), np.inf])
-    return cfg.tau2 * rate / (expected_contention_time(cfg) + cfg.tau1)
+    """Long-run throughput when every winner probes and then transmits:
+    the mean boosted bits tau2 E[R], mean_probe_value at lam = 0, over one
+    round's time."""
+    return mean_probe_value(0.0, cfg) / (expected_contention_time(cfg) + cfg.tau1)
 
 
 def analytic_throughput(kind: PolicyKind, cfg: NetworkConfig,

@@ -265,8 +265,8 @@ def test_criterion_8_property_battery(cfg, table):
         failures.append("probe SNR not increasing in the direct magnitude")
     lam_grid = np.linspace(0.0, 2.5 * lam, 100)
     om_l = effective_probe_snr(lam_grid, 5e-4, mu, sigma, rho)
-    # where the true derivative underflows, the closed form carries a
-    # constant-in-lam erf term that leaves sub-1e-11 absolute dips
+    # where the true derivative underflows, the closed form is flat in lam
+    # up to rounding
     if not np.all(np.diff(om_l) >= -1e-9):
         failures.append("probe SNR not nondecreasing in the time price")
 

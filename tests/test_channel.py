@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from rismac import ConfigError, apply_overrides, channel, replace_config
 from rismac.channel import (
@@ -15,6 +15,8 @@ from rismac.channel import (
     rate_direct,
     rayleigh,
     rayleigh_cdf,
+    rayleigh_pdf,
+    surface_pdf,
 )
 
 # frozen oracles, computed by independent arithmetic from the defaults
@@ -130,6 +132,37 @@ def test_direct_draw_law(cfg):
     ms = np.square(draws)
     se = ms.std(ddof=1) / math.sqrt(n)
     assert abs(ms.mean() - V1) < 5 * se
+
+
+@pytest.mark.parametrize("mu, sd", [(MU1, SG1), (0.1 * H1, 0.1 * H1), (0.5 * H1, 3.0 * H1)],
+                         ids=["default", "M-like-1", "wide-surrogate"])
+def test_surface_density_is_the_convolution(mu, sd):
+    """surface_pdf is the density of h + X, h Rayleigh and X Gaussian: a quad
+    of their product over h, to 1e-12, on both sides of mu and in the tails,
+    and its mass is 1."""
+    def conv(y):
+        return integrate.quad(lambda h: rayleigh_pdf(h, V1) * stats.norm.pdf(y - h, mu, sd),
+                              0.0, 40.0 * H1, points=[max(y - mu, 0.0)], limit=200,
+                              epsabs=0.0, epsrel=1e-13)[0]
+
+    y = mu + np.array([-4.0 * sd, -sd, 0.0, 0.3 * H1, H1, 3.0 * H1 + 2.0 * sd])
+    got = surface_pdf(y, V1, np.full(y.size, mu), np.full(y.size, sd))
+    assert got == pytest.approx([conv(x) for x in y], rel=1e-12)
+    mass = integrate.quad(lambda x: float(surface_pdf(x, V1, mu, sd)), mu - 10.0 * sd,
+                          mu + 10.0 * sd + 8.0 * H1, points=[mu], limit=200)[0]
+    assert mass == pytest.approx(1.0, abs=1e-12)
+
+
+def test_surface_density_without_a_surface():
+    # sigma == 0 (M = 0) is the Rayleigh law shifted by mu, bit for bit, on
+    # the rows that have it; 0 below mu
+    y = np.array([-H1, 0.5 * H1, 2.0 * H1, 0.5 * H1])
+    mu = np.array([0.0, 0.0, 0.5 * H1, MU1])
+    sd = np.array([0.0, 0.0, 0.0, SG1])
+    got = surface_pdf(y, V1, mu, sd, 0.3)
+    assert got[:3].tolist() == [0.0, rayleigh_pdf(0.5 * H1, V1, 0.3),
+                                rayleigh_pdf(1.5 * H1, V1, 0.3)]
+    assert got[3] == surface_pdf(y[3:], V1, mu[3:], sd[3:], 0.3)[0] > 0.0
 
 
 def test_rayleigh_cdf_and_floored_draw():

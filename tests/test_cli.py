@@ -315,6 +315,14 @@ def test_validate_passes_on_default(capsys):
     assert "FAIL" not in out
 
 
+def test_validate_passes_at_one_element(capsys):
+    # crediting the SNR floor only where the surrogate X >= 0 put the
+    # optimal-ris-stop model at 4.7426 against 4.98883 simulated: exit 3
+    code, out, _ = run(capsys, "validate", "--set", "M=1")
+    assert code == 0, out
+    assert "FAIL" not in out
+
+
 def test_simulation_failure_exits_4_with_one_line(tmp_path, capsys, table):
     # a well-formed table whose thresholds release every attempt: the engine's
     # SimulationError used to escape the CLI with a traceback (exit 1)

@@ -105,11 +105,15 @@ def _call_sites(*names):
 
 
 def test_one_fading_integral_site():
-    # every integral over the direct fading law is a solver.fading_average: the
-    # winner weights, the density product and the tail cut live there alone
-    assert _call_sites("rayleigh_pdf", "adaptive_panels") == [
+    # every integral over a fading law, of the direct magnitude h or of the
+    # post-probe magnitude h + X, is a solver.fading_average: the winner
+    # weights, the density product and the tail cut live there alone;
+    # surface_pdf is rayleigh_pdf shifted by mu where there is no surface
+    assert _call_sites("rayleigh_pdf", "surface_pdf", "adaptive_panels") == [
+        ("channel.py", "surface_pdf", "rayleigh_pdf"),
         ("solver.py", "fading_average", "adaptive_panels"),
-        ("solver.py", "fading_average", "rayleigh_pdf")]
+        ("solver.py", "fading_average", "rayleigh_pdf"),
+        ("solver.py", "fading_average", "surface_pdf")]
 
 
 def test_one_threshold_solve_site():
@@ -119,18 +123,20 @@ def test_one_threshold_solve_site():
 
 
 def test_one_probe_value_closed_form():
-    # the erf/erfc closed form of the probe SNR lives in solver._snr_form, its
+    # the erfc closed form of the probe SNR lives in solver._snr_form, its
     # terms builder and the evaluator it returns; effective_probe_snr and
     # every probe value read it, so no second copy of the formula can drift;
-    # the evaluator calls erfc once, and the floor probability reads it too
+    # the evaluator calls erfc once, and the floor probability reads it too.
+    # The density of h + X (channel.surface_pdf) is the one other erfc
     assert _call_sites("erf", "erfc") == [
-        ("solver.py", "_snr_form", "erf"), ("solver.py", "_snr_form", "erfc")]
+        ("channel.py", "surface_pdf", "erfc"), ("solver.py", "_snr_form", "erfc")]
 
 
 def test_one_spectral_rate():
     # log2(1 + snr) is channel.rate_direct, the one rate that the engine,
-    # run_round, probe_value_mc and no_wait_ris_throughput call, and the
-    # solver's two model sites, whose rho * h * h rounds as (rho h) h
+    # run_round and probe_value_mc call, and the solver's two model sites,
+    # whose rho * h * h rounds as (rho h) h; the model's gains over a floor
+    # (the probe form, mean_probe_value) take log1p instead
     assert _call_sites("log2") == [
         ("channel.py", "rate_direct", "log2"),
         ("solver.py", "attempt_value_and_slope", "log2"),

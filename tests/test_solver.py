@@ -82,8 +82,8 @@ def test_effective_probe_snr_vectorized_and_monotone(cfg):
     assert np.all(np.diff(om) > 0.0)  # increasing in the direct magnitude
     lams = np.linspace(0.0, 12.0, 25)
     om_l = effective_probe_snr(lams, 5e-4, mu, sigma, rho)
-    # floor only rises with lam; where its weight underflows, the constant
-    # erf term of the closed form leaves sub-1e-12 dips
+    # floor only rises with lam; where its weight underflows, the closed form
+    # is flat up to rounding
     assert np.all(np.diff(om_l) >= -1e-9)
 
 
@@ -133,6 +133,24 @@ def test_probe_value_against_exact_channel_mc(cfg):
     scale = max(abs(est.mean), lam * (cfg.tau_p + cfg.tau_c))
     assert abs(closed - est.mean) < max(5.0 * est.stderr, 0.03 * scale)
     assert est.n == 400_000 and est.stderr > 0.0
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_probe_values_keep_their_floor(cfg, m):
+    """After a probe the winner may still give the channel back, so no probe
+    value falls below -lam tau_pc, the probe's own charge: not the closed
+    form at any h, and not its mean over the winner and the fading, at
+    lambda_b and at prices far above it. Within 4 ulps of lam tau1, the
+    largest term. With the floor credited only where X >= 0, the mean at
+    M = 1 sat 2.2e-3 below it."""
+    c = replace_config(cfg, M=m)
+    h = np.linspace(0.0, 6.0 * math.sqrt(pair_tables(c).v.max()), 401)
+    k = np.arange(1, c.K + 1)[:, None]
+    for lam in (solve_lambda_b(c), 8.0, 20.0):
+        floor = -lam * c.tau_pc
+        tol = 4.0 * np.spacing(lam * c.tau1)
+        assert probe_value(lam, h, k, c).min() >= floor - tol
+        assert mean_probe_value(lam, c) >= floor - tol
 
 
 def test_probe_value_slope_band(cfg):
@@ -314,22 +332,54 @@ def test_table_parse_errors(table):
         parse_threshold_table(broken)
 
 
+def nested_stop_gain(lam, cfg, epsabs=0.0):
+    """sum_k w_k E[(R - lam)^+] by nested scipy quad, R = log2(1 + rho (h+X)^2)
+    the boosted rate: the inner integral over the Gaussian surrogate X on
+    |h + X| >= sqrt((2^lam - 1) / rho), where R reaches lam, the outer one over
+    the exponential law of h^2 / v. R - lam is taken as log2((1 + rho y^2) /
+    (1 + c)), exact near the floor. So tau2 * gain - lam * tau_pc is
+    E[max(tau2 R - lam tau1, -lam tau_pc)], the level-2 charge
+    mean_probe_value evaluates. The outer quad stops at 1e-12 relative or
+    epsabs."""
+    tab = pair_tables(cfg)
+    rho = tab.rho
+    c = math.expm1(lam * math.log(2.0))
+    b = math.sqrt(c / rho)
+    total = 0.0
+    for k, w in enumerate(winner_weights(cfg.p)):
+        v, mu, sd = tab.v[k], tab.mu[k], tab.sigma[k]
+
+        def excess(y):
+            return math.log1p((rho * y * y - c) / (1.0 + c)) / math.log(2.0)
+
+        def inner(h, mu=mu, sd=sd, excess=excess):
+            if sd == 0.0:  # no surface: the surrogate is the point mu
+                return excess(h + mu) if abs(h + mu) >= b else 0.0
+            # past 40 sd the Gaussian weight is below exp(-800)
+            out = 0.0
+            for lo, hi in ((max(b - h, mu - 40.0 * sd), mu + 40.0 * sd),
+                           (mu - 40.0 * sd, min(-b - h, mu + 40.0 * sd))):
+                if lo < hi:
+                    out += integrate.quad(
+                        lambda x: excess(h + x) * math.exp(-0.5 * ((x - mu) / sd) ** 2),
+                        lo, hi, points=[mu] if lo < mu < hi else None,
+                        epsabs=0.0, epsrel=1e-12, limit=200)[0]
+            return out / (sd * math.sqrt(2.0 * math.pi))
+
+        # the inner value bends where h + mu crosses b, over a few sd
+        points = sorted({min(max(b - mu + z * sd, 0.0), 9.0 * math.sqrt(v)) ** 2 / v
+                         for z in (-6.0, 0.0, 6.0)} - {0.0, 81.0})
+        val, _ = integrate.quad(lambda u: inner(math.sqrt(v * u)) * math.exp(-u), 0.0, 81.0,
+                                points=points or None, limit=400,
+                                epsabs=epsabs, epsrel=1e-12)
+        total += w * val
+    return total
+
+
 def test_mean_probe_value_against_library_quadrature(cfg):
-    w = winner_weights(cfg.p)
     for lam in (3.0, 6.0):
-        total = 0.0
-        for k in range(1, cfg.K + 1):
-            v = pair_tables(cfg).v[k - 1]
-
-            def f(h, k=k, v=v):
-                return float(probe_value(lam, h, k, cfg)) * rayleigh_pdf(h, v)
-
-            hi = math.sqrt(v * math.log(1e14))
-            val, err = integrate.quad(f, 0.0, hi, limit=400,
-                                      epsabs=1e-12, epsrel=1e-12)
-            assert err < 1e-10
-            total += w[k - 1] * val
-        assert mean_probe_value(lam, cfg) == pytest.approx(total, abs=5e-8)
+        ref = cfg.tau2 * nested_stop_gain(lam, cfg) - lam * cfg.tau_pc
+        assert mean_probe_value(lam, cfg) == pytest.approx(ref, abs=5e-8)
 
 
 def test_build_table_accepts_given_root(cfg, table):
@@ -515,13 +565,13 @@ def test_threshold_solve_evaluation_count(cfg, name):
 
 
 @pytest.mark.parametrize("overrides", [[], ["pt=80 dBm", "tau_d=250 ms"],
-                                       ["pt=0 dBm", "tau_d=10 s"], ["M=1024"]],
-                         ids=["default", "80dBm-250ms", "0dBm-10s", "M=1024"])
+                                       ["pt=0 dBm", "tau_d=10 s"], ["M=1024"], ["M=0"], ["M=1"]],
+                         ids=["default", "80dBm-250ms", "0dBm-10s", "M=1024", "M=0", "M=1"])
 def test_lambda_b_quadrature_round_count(cfg, monkeypatch, overrides):
     """Cost guard: every mean_probe_value call of a lambda_b solve converges
     in its first quadrature round, one integrand evaluation per call. With
-    only the +-30 sigma floor-band edges, the four configs took 38, 46, 48
-    and 18 evaluations for 11, 15, 13 and 10 calls."""
+    the floor's edges +-b alone, the six configs took 13, 12, 15, 18, 9 and
+    12 evaluations for 5, 7, 10, 6, 6 and 6 calls."""
     c = apply_overrides(cfg, overrides)
     inner = solver.adaptive_panels
     calls, evaluations = [], []
@@ -679,33 +729,13 @@ def test_root_at_tiny_values_matches_nested_quadrature(cfg):
 
 
 def reference_lambda_b_residual(lam, cfg):
-    """mean_probe_value(lam) - lam*tau_o by scipy quad of the closed form
-    against the Rayleigh density, winner-weighted. The probe value is
-    tau2 * (log2(1 + snr) - lam) - lam*tau_pc with snr >= 2^lam - 1, so the
-    integrand is the gain over the floor, which is the size of the residual's
-    terms near the root, not lam*tau1. Each quad stops at 1e-12 relative or
-    1e-13 of lam*(tau_pc + tau_o), the gain's size at the root."""
-    tab = pair_tables(cfg)
-    c = math.expm1(lam * math.log(2.0))
+    """mean_probe_value(lam) - lam*tau_o by the nested quadrature of the
+    level-2 charge, tau2 * nested_stop_gain - lam*(tau_pc + tau_o). The gain
+    over the floor is the size of the residual's terms near the root, not
+    lam*tau1; its outer quad stops at 1e-12 relative or 1e-13 of
+    lam*(tau_pc + tau_o), the gain's size at the root."""
     cost = lam * (cfg.tau_pc + expected_contention_time(cfg))
-    h_cross = direct_cross(lam, tab.rho)
-    gain = 0.0
-    for k, w in enumerate(winner_weights(cfg.p)):
-        v, mu, sd = tab.v[k], tab.mu[k], tab.sigma[k]
-
-        def f(h, v=v, mu=mu, sd=sd):
-            snr = effective_probe_snr(lam, h, mu, sd, tab.rho)
-            return math.log1p((snr - c) / (1.0 + c)) * rayleigh_pdf(h, v)
-
-        # the density is below exp(-80) past top
-        top = math.sqrt(80.0 * v)
-        t = max(h_cross - mu, 0.0)
-        points = sorted({min(max(x, 0.0), top) for x in (t - 6.0 * sd, t, t + 6.0 * sd)}
-                        - {0.0, top})
-        val, _ = integrate.quad(f, 0.0, top, points=points or None, limit=400,
-                                epsabs=1e-13 * cost * math.log(2.0) / cfg.tau2, epsrel=1e-12)
-        gain += w * val
-    return cfg.tau2 * gain / math.log(2.0) - cost
+    return cfg.tau2 * nested_stop_gain(lam, cfg, epsabs=1e-13 * cost / cfg.tau2) - cost
 
 
 @pytest.mark.parametrize("overrides", [
@@ -774,17 +804,20 @@ def test_attempt_value_at_zero_price_past_the_tail(cfg):
 
 
 @pytest.mark.parametrize("overrides", [
-    ["M=0"], ["M=1"],
+    ["M=0"], ["M=1"], ["M=8"], ["M=8", "pt=-40 dBm"],
+    ["M=2", "pt=-38.9 dBm", "tau_d=84.9 ms"],  # 8 of 8 pairs probe-worthy
     ["pt=80 dBm", "tau_d=5 ms"],   # no pair probe-worthy
     ["pt=80 dBm", "tau_d=15 ms"],  # 6 of 8 pairs probe-worthy
     ["p=0.05,0.6,0.05,0.05,0.6,0.05,0.05,0.05"],  # unequal winner weights
-], ids=["M=0", "M=1", "80dBm-5ms", "80dBm-15ms", "heterogeneous-p"])
+], ids=["M=0", "M=1", "M=8", "M=8--40dBm", "M=2--38.9dBm-84.9ms", "80dBm-5ms", "80dBm-15ms",
+        "heterogeneous-p"])
 def test_attempt_value_matches_nested_quadrature(cfg, overrides):
     """Dominated pairs enter the probe correction as empty panels; with none,
     some or all of the pairs probe-worthy, and with unequal winner weights,
-    attempt_value(lambda*) is the nested-quadrature value. (At M = 8 the
-    closed form's floor term drops the surrogate's mass below X = 0 and sits
-    1.1e-4 below it.)"""
+    attempt_value(lambda*) is the nested-quadrature value. The closed form
+    credits the SNR floor on the surrogate's whole mass below it: crediting it
+    only where X >= 0 left the value 1.1e-4 low at M = 8, 4.9e-4 at M = 8 /
+    -40 dBm and 9.7% at M = 2 / -38.9 dBm / 84.9 ms."""
     c = apply_overrides(cfg, overrides)
     lam = solve_max_throughput(c)
     ref = nested_attempt_value(lam, c)
