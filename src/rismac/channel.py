@@ -47,18 +47,15 @@ def rayleigh_pdf(h, mean_square, weight=1.0):
 
 
 def surface_pdf(y, mean_square, mu, sigma, weight=1.0):
-    """Density of y = h + X, times weight: h the Rayleigh magnitude with
-    E[|h|^2] = v, X ~ Normal(mu, sigma^2) independent of it. With m = y - mu,
-    d = 2 sigma^2 + v and r = sqrt(v / d), completing the square in h gives
-    (sqrt(2/pi) sigma exp(-m^2 / (2 sigma^2)) + m r exp(-m^2/d) erfc(-m r /
-    (sigma sqrt 2))) / d; sigma == 0 is rayleigh_pdf(y - mu)."""
+    """Density of y = h + X, times weight: h Rayleigh with E[|h|^2] = v, X ~
+    Normal(mu, sigma^2) independent of it. With m = y - mu, d = 2 sigma^2 + v
+    and r = sqrt(v / d), completing the square in h gives (sqrt(2/pi) sigma
+    exp(-m^2/(2 sigma^2)) + m r exp(-m^2/d) erfc(-m r/(sigma sqrt 2))) / d."""
     m, safe = y - mu, np.where(sigma > 0.0, sigma, 1.0)
     d = 2.0 * safe * safe + mean_square
     r = np.sqrt(mean_square / d)
     out = weight / d * (math.sqrt(2.0 / math.pi) * safe * np.exp(-0.5 * np.square(m / safe))
                         + m * r * np.exp(-m * m / d) * special.erfc(-m * r / (SQRT2 * safe)))
-    if np.all(sigma > 0.0):
-        return out
     return np.where(sigma > 0.0, out, rayleigh_pdf(np.maximum(m, 0.0), mean_square, weight))
 
 

@@ -248,28 +248,25 @@ def pair_thresholds(lam: float, cfg: NetworkConfig, pv, steps: int):
 
 
 def fading_average(cfg: NetworkConfig, f, edges, surface: bool = False) -> float:
-    """sum_k w_k E[f(k, y_k)] over the fading law of y_k, the direct magnitude
-    h_k or with surface h_k + X_k, w the winner law (contention.winner_weights):
-    the one integral behind every model value. f(rows, y) is the vectorized
-    integrand, rows indexing pairs (0-based), and edges each pair's panel
-    edges; zero-width panels are skipped. Every edge is cut to the law's
-    support less a tail mass below 1e-14, [0, sqrt(v ln 1e14)] for h and
-    [mu - 8 sigma, mu + 8 sigma + sqrt(v ln 1e15)] for h + X: a panel reaching
-    far past it leaves both Gauss orders blind to the integrand."""
+    """sum_k w_k E[f(k, y_k)], w the winner law (contention.winner_weights),
+    y_k the direct magnitude h_k or with surface h_k + X_k: the one integral
+    behind every model value. f(rows, y) is the vectorized integrand (rows:
+    0-based pairs), edges each pair's panel edges; zero-width panels are
+    skipped. Each edge is cut to the law's support less a tail mass below
+    1e-14, [0, sqrt(v ln 1e14)] for h, [mu - 8 sigma, mu + 8 sigma + sqrt(v
+    ln 1e15)] for h + X: a panel far past it blinds both Gauss orders."""
     _, v, mu, sigma, _, _ = pair_tables(cfg)
     w = winner_weights(cfg.p)
     if surface:
-        lo, hi = mu - 8.0 * sigma, mu + 8.0 * sigma + np.sqrt(v * math.log(1e15))
+        pdf, law, lo, hi = (surface_pdf, (v, mu, sigma), mu - 8.0 * sigma,
+                            mu + 8.0 * sigma + np.sqrt(v * math.log(1e15)))
     else:
-        lo, hi = 0.0, np.sqrt(v * math.log(1e14))
+        pdf, law, lo, hi = rayleigh_pdf, (v,), 0.0, np.sqrt(v * math.log(1e14))
 
-    def law(rows, y):
-        weight = w[rows] * f(rows, y)
-        if surface:
-            return surface_pdf(y, v[rows], mu[rows], sigma[rows], weight)
-        return rayleigh_pdf(y, v[rows], weight)
+    def weighted(rows, y):
+        return pdf(y, *(a[rows] for a in law), w[rows] * f(rows, y))
 
-    return adaptive_panels(law, [np.clip(e, lo, hi) for e in edges])
+    return adaptive_panels(weighted, [np.clip(e, lo, hi) for e in edges])
 
 
 def attempt_value(lam: float, cfg: NetworkConfig) -> float:

@@ -92,15 +92,16 @@ def _name(node):
     return getattr(node, "id", getattr(node, "attr", None))
 
 
-def _call_sites(*names):
-    """(module, top-level definition, callee) of every call to one of names."""
+def _use_sites(*names):
+    """(module, top-level definition, name) of every use of one of names: a
+    call, or the function read as a value to be called later."""
     sites = []
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
             for node in ast.walk(stmt):
-                if isinstance(node, ast.Call) and _name(node.func) in names:
-                    sites.append((path.name, getattr(stmt, "name", "<module>"),
-                                  _name(node.func)))
+                if (isinstance(node, (ast.Name, ast.Attribute)) and _name(node) in names
+                        and isinstance(node.ctx, ast.Load)):
+                    sites.append((path.name, getattr(stmt, "name", "<module>"), _name(node)))
     return sorted(sites)
 
 
@@ -109,7 +110,7 @@ def test_one_fading_integral_site():
     # post-probe magnitude h + X, is a solver.fading_average: the winner
     # weights, the density product and the tail cut live there alone;
     # surface_pdf is rayleigh_pdf shifted by mu where there is no surface
-    assert _call_sites("rayleigh_pdf", "surface_pdf", "adaptive_panels") == [
+    assert _use_sites("rayleigh_pdf", "surface_pdf", "adaptive_panels") == [
         ("channel.py", "surface_pdf", "rayleigh_pdf"),
         ("solver.py", "fading_average", "adaptive_panels"),
         ("solver.py", "fading_average", "rayleigh_pdf"),
@@ -119,7 +120,7 @@ def test_one_fading_integral_site():
 def test_one_threshold_solve_site():
     # every pair's (zeta, eta) comes from solver.pair_thresholds, for the
     # panel edges of attempt_value and for the table alike
-    assert _call_sites("vec_bisect") == [("solver.py", "pair_thresholds", "vec_bisect")]
+    assert _use_sites("vec_bisect") == [("solver.py", "pair_thresholds", "vec_bisect")]
 
 
 def test_one_probe_value_closed_form():
@@ -128,7 +129,7 @@ def test_one_probe_value_closed_form():
     # every probe value read it, so no second copy of the formula can drift;
     # the evaluator calls erfc once, and the floor probability reads it too.
     # The density of h + X (channel.surface_pdf) is the one other erfc
-    assert _call_sites("erf", "erfc") == [
+    assert _use_sites("erf", "erfc") == [
         ("channel.py", "surface_pdf", "erfc"), ("solver.py", "_snr_form", "erfc")]
 
 
@@ -137,7 +138,7 @@ def test_one_spectral_rate():
     # run_round and probe_value_mc call, and the solver's two model sites,
     # whose rho * h * h rounds as (rho h) h; the model's gains over a floor
     # (the probe form, mean_probe_value) take log1p instead
-    assert _call_sites("log2") == [
+    assert _use_sites("log2") == [
         ("channel.py", "rate_direct", "log2"),
         ("solver.py", "attempt_value_and_slope", "log2"),
         ("solver.py", "pair_thresholds", "log2")]

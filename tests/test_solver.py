@@ -340,12 +340,12 @@ def nested_stop_gain(lam, cfg, epsabs=0.0):
     (1 + c)), exact near the floor. So tau2 * gain - lam * tau_pc is
     E[max(tau2 R - lam tau1, -lam tau_pc)], the level-2 charge
     mean_probe_value evaluates. The outer quad stops at 1e-12 relative or
-    epsabs."""
+    epsabs; its error estimates, summed over the pairs, come second."""
     tab = pair_tables(cfg)
     rho = tab.rho
     c = math.expm1(lam * math.log(2.0))
     b = math.sqrt(c / rho)
-    total = 0.0
+    total = err = 0.0
     for k, w in enumerate(winner_weights(cfg.p)):
         v, mu, sd = tab.v[k], tab.mu[k], tab.sigma[k]
 
@@ -369,16 +369,18 @@ def nested_stop_gain(lam, cfg, epsabs=0.0):
         # the inner value bends where h + mu crosses b, over a few sd
         points = sorted({min(max(b - mu + z * sd, 0.0), 9.0 * math.sqrt(v)) ** 2 / v
                          for z in (-6.0, 0.0, 6.0)} - {0.0, 81.0})
-        val, _ = integrate.quad(lambda u: inner(math.sqrt(v * u)) * math.exp(-u), 0.0, 81.0,
+        val, e = integrate.quad(lambda u: inner(math.sqrt(v * u)) * math.exp(-u), 0.0, 81.0,
                                 points=points or None, limit=400,
                                 epsabs=epsabs, epsrel=1e-12)
-        total += w * val
-    return total
+        total, err = total + w * val, err + e
+    return total, err
 
 
 def test_mean_probe_value_against_library_quadrature(cfg):
     for lam in (3.0, 6.0):
-        ref = cfg.tau2 * nested_stop_gain(lam, cfg) - lam * cfg.tau_pc
+        gain, err = nested_stop_gain(lam, cfg)
+        assert err < 1e-10
+        ref = cfg.tau2 * gain - lam * cfg.tau_pc
         assert mean_probe_value(lam, cfg) == pytest.approx(ref, abs=5e-8)
 
 
@@ -735,7 +737,7 @@ def reference_lambda_b_residual(lam, cfg):
     lam*tau1; its outer quad stops at 1e-12 relative or 1e-13 of
     lam*(tau_pc + tau_o), the gain's size at the root."""
     cost = lam * (cfg.tau_pc + expected_contention_time(cfg))
-    return cfg.tau2 * nested_stop_gain(lam, cfg, epsabs=1e-13 * cost / cfg.tau2) - cost
+    return cfg.tau2 * nested_stop_gain(lam, cfg, epsabs=1e-13 * cost / cfg.tau2)[0] - cost
 
 
 @pytest.mark.parametrize("overrides", [
