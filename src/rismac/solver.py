@@ -20,6 +20,12 @@ mean rate. probe_form(lam, cfg) binds it to one price: the terms that depend
 only on lam or only on the pair are built once, so that the threshold
 bisection (pair_thresholds), attempt_value and probe_value evaluate only the
 terms in h.
+
+Along the lam* root the threshold solves are warm (predictor-corrector
+continuation): solve_max_throughput hands each value call the trail of the
+solves before it, from which pair_thresholds predicts its roots and bisects
+only the narrow brackets whose signs hold; build_threshold_table's final solve
+warms from the same trail and keeps the bits of a cold solve.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .channel import (direct_cross, draw_cascaded, pair_tables, rate_direct, ray
 from .config import ConfigError, NetworkConfig, config_hash, read_key_values
 from .contention import expected_contention_time, winner_weights
 from .numerics import (
+    BISECT_DEPTH,
     LN2,
     LOG2E,
     SQRT2,
@@ -54,6 +61,13 @@ _MC_CHUNK = 1 << 16  # cascaded draws per Monte-Carlo batch
 _FP_MAX_ITER = 500_000  # steps before the fixed-point reference gives up
 _DOUBLINGS = 8  # doublings of eta's upper end one evaluation tries
 _POW2 = 2.0 ** np.arange(_DOUBLINGS)[:, None]
+# a warm bracket's half-width past its predictor's last term, in the last
+# solve's cold end widths: over the lambda* roots of the 46 pinned configs and
+# the 34 property cases, 306 predictions missed by at most 0.74 beyond that term
+_WARM_WIDTHS = 2.0
+_WARM_GRID = 1 << BISECT_DEPTH  # cells of a warm bracket's grid: one bisection batch
+_GRID_T = np.arange(_WARM_GRID + 1)[:, None, None] / _WARM_GRID
+_LAST_BITS = 53  # bisection steps past which brackets narrow to adjacent floats
 
 
 class MCEstimate(NamedTuple):
@@ -125,7 +139,7 @@ def probe_form(lam, cfg: NetworkConfig):
         value = tau2 * (np.log1p(s) * LOG2E) - lam_tau1
         if not slope:
             return value
-        return np.stack((value, tau2 * 2.0 ** lam * floor_p / (1.0 + s) - tau1))
+        return np.array((value, tau2 * 2.0 ** lam * floor_p / (1.0 + s) - tau1))
 
     return pv
 
@@ -180,7 +194,35 @@ def direct_branch(lam: float, scale, weights, tau1: float) -> np.ndarray:
                      -tau1 * float(weights @ np.exp(-c / capped))])
 
 
-def pair_thresholds(lam: float, cfg: NetworkConfig, pv, steps: int):
+def _warm_bracket(lam: float, trail, h_cross: float):
+    """The warm brackets (lo, up) at lam, (2, K) arrays with zeta's row then
+    eta's, or None before trail holds two solves at a positive price. Each
+    is centred on the Newton interpolating polynomial through the roots of
+    the last two or three such solves, a secant or a quadratic, with a
+    half-width of its last term plus _WARM_WIDTHS of the last solve's cold
+    end widths; and it is cut to its cold bracket, [0, h_cross] for zeta and
+    above h_cross for eta. Where a solve left a column unsolved, its ends
+    are NaN, which no sign check passes."""
+    last = [s for s in trail if s[0] > 0.0][-3:]
+    if len(last) < 2 or last[-2][0] == last[-1][0]:
+        return None
+    (l1, r1, _), (l2, r2, w2) = last[-2:]
+    slope = (r2 - r1) / (l2 - l1)
+    term = slope * (lam - l2)
+    centre = r2 + term
+    if len({s[0] for s in last}) == 3:
+        l0, r0, _ = last[0]
+        term = (slope - (r1 - r0) / (l1 - l0)) / (l2 - l0) * (lam - l2) * (lam - l1)
+        centre = centre + term
+    if np.isnan(centre).all():
+        return None
+    half = np.abs(term) + _WARM_WIDTHS * w2
+    lb, ub = np.array([[0.0], [h_cross]]), np.array([[h_cross], [np.inf]])
+    return (np.minimum(np.maximum(centre - half, lb), ub),
+            np.minimum(np.maximum(centre + half, lb), ub))
+
+
+def pair_thresholds(lam: float, cfg: NetworkConfig, pv, steps: int, trail=None):
     """Every pair's give-up and direct-stop magnitudes (zeta, eta) at lam, as
     K-length arrays; zeta = eta = h_cross where probing is dominated. pv is
     probe_form(lam, cfg), which the caller evaluates again.
@@ -193,13 +235,32 @@ def pair_thresholds(lam: float, cfg: NetworkConfig, pv, steps: int):
     One evaluation of pv over all K pairs makes the three set-up probes: the
     probe-worthy test at h_cross, the give-up test at h = 0 and the first
     _DOUBLINGS doublings of eta's upper end; the bisection then takes one per
-    BISECT_DEPTH steps, so a solve is 1 + ceil(steps / BISECT_DEPTH)
-    evaluations where no upper end needs more doublings.
+    BISECT_DEPTH steps, so a cold solve is 1 + ceil(steps / BISECT_DEPTH)
+    evaluations where no upper end needs more doublings. The bisection runs
+    over every pair's zeta and eta columns, an unsolved one (a dominated
+    pair's, or the zeta of a pair that gives up) on an empty bracket.
+
+    trail, if given, is the list of earlier solves along a root, and this
+    solve appends its record (lam, roots, cold end widths) to it. Once it
+    holds two at a positive price, the solve is warm (predictor-corrector
+    continuation): the set-up evaluation also evaluates each column's gap on
+    a grid of _WARM_GRID cells across the narrow bracket _warm_bracket
+    predicts, and a column whose gap is negative at the grid's lower end and
+    not at its upper end is held in the cell where it first stops being
+    negative; a column without a prediction, or whose signs fail, is cold.
+    Below _LAST_BITS steps the held columns bisect from their cells, and the
+    bisection takes the whole batches of steps that bring every column to
+    the width the cold solve ends at (`steps` whenever a column is cold).
+    From _LAST_BITS steps on, the bisection narrows the brackets to adjacent
+    floats, where the gap of eta changes sign many times within a few hundred
+    floats at every power, so the last bits depend on the bisection's path:
+    there the warm solve follows the cold solve's own path, taking a batch's
+    signs from the cells where they are known, and returns its bits.
     """
     rho, _, mu, sigma, _, _ = pair_tables(cfg)
     h_cross = direct_cross(lam, rho)
-    zeta, eta = np.full(cfg.K, h_cross), np.full(cfg.K, h_cross)
     tau1 = cfg.tau1
+    warm = None if trail is None else _warm_bracket(lam, trail, h_cross)
 
     def lead(h, p):
         # the direct stop value's lead over probe value p at h
@@ -209,19 +270,34 @@ def pair_thresholds(lam: float, cfg: NetworkConfig, pv, steps: int):
     # value leads, as doubling once per evaluation finds it; one evaluation
     # tries the next _DOUBLINGS values of j on the rows not yet led
     hi = np.maximum(2.0 * h_cross, h_cross + 8.0 * (mu + 6.0 * sigma))
-    h = np.concatenate([np.full((1, cfg.K), h_cross), np.zeros((1, cfg.K)), hi * _POW2])
+    h = np.empty((2 + _DOUBLINGS + (0 if warm is None else 2 * _WARM_GRID + 2), cfg.K))
+    h[0], h[1], h[2:2 + _DOUBLINGS] = h_cross, 0.0, hi * _POW2
+    if warm is not None:
+        span = warm[1] - warm[0]
+        grid = h[2 + _DOUBLINGS:].reshape(-1, 2, cfg.K)
+        grid[...] = warm[0] + span * _GRID_T
     p = pv(h)
-    act = np.flatnonzero(p[0] > 0.0)
-    n = act.size
-    if n == 0:
-        return zeta, eta
-    gives_up = p[1, act] >= 0.0
-    hi, h, p = hi[act], h[2:, act], p[2:, act]
-    todo = np.arange(n)
+    worthy = p[0] > 0.0
+    if not worthy.any():
+        if trail is not None:
+            unsolved = np.full((2, cfg.K), np.nan)
+            trail.append((lam, unsolved, unsolved))
+        return np.full(cfg.K, h_cross), np.full(cfg.K, h_cross)
+    gives_up = worthy & (p[1] >= 0.0)
+    solved = np.array((worthy & ~gives_up, worthy))
+    if warm is not None:
+        # the gap (see gap below) on the grid, and the cell where it first
+        # stops being negative
+        on_grid = p[2 + _DOUBLINGS:].reshape(grid.shape)
+        on_grid[:, 1] = lead(grid[:, 1], on_grid[:, 1])
+        neg = on_grid < 0.0
+        held, cell = neg[0] & ~neg[-1], neg.argmin(axis=0)
+    todo = np.flatnonzero(worthy)
+    h, p = h[2:2 + _DOUBLINGS, todo], p[2:2 + _DOUBLINGS, todo]
     for j in range(0, 60, _DOUBLINGS):
         if j:
             h = hi[todo] * _POW2[:min(_DOUBLINGS, 60 - j)]
-            p = pv(h, act[todo])
+            p = pv(h, todo)
         led = ~(lead(h, p) <= 0.0)
         first, done = led.argmax(axis=0), led.any(axis=0)
         hi[todo] = np.where(done, h[first, np.arange(todo.size)], 2.0 * h[-1])
@@ -230,21 +306,51 @@ def pair_thresholds(lam: float, cfg: NetworkConfig, pv, steps: int):
             break
     else:
         raise SolverError("direct value never overtakes the probe value")
-    # both roots in one vector bisection, zeta's columns first, then eta's:
-    # one probe-value evaluation per batch of steps serves both
-    rows = np.tile(act, 2)
 
     def gap(h):
-        # the probe value on zeta's columns; on eta's, the direct stop value's lead
-        out = pv(h, rows)
-        out[:, n:] = lead(h[:, n:], out[:, n:])
-        return out
+        # both roots in one vector bisection, zeta's columns first, then eta's:
+        # the probe value on zeta's, the direct stop value's lead on eta's
+        out = pv(h.reshape(-1, 2, cfg.K))
+        out[:, 1] = lead(h[:, cfg.K:], out[:, 1])
+        return out.reshape(h.shape)
 
-    roots = vec_bisect(gap, np.concatenate([np.zeros(n), np.full(n, h_cross)]),
-                       np.concatenate([np.full(n, h_cross), hi]), steps)
-    zeta[act] = np.where(gives_up, 0.0, roots[:n])
-    eta[act] = roots[n:]
-    return zeta, eta
+    lo, up = np.empty((2, cfg.K)), np.empty((2, cfg.K))
+    lo[0], lo[1], up[0], up[1] = 0.0, h_cross, h_cross, hi
+    end_width = (up - lo) * 2.0 ** -steps  # each column's width after the cold solve
+    f = gap
+    if warm is not None:
+        # the ends of each column's cell: grid points, by the grid's own expression
+        cell_lo = warm[0] + span * ((cell - 1) / _WARM_GRID)
+        cell_up = warm[0] + span * (cell / _WARM_GRID)
+        if steps < _LAST_BITS:
+            # bisect from the cells, to the cold solve's end width in whole
+            # batches: a batch costs one evaluation at any depth
+            lo, up = np.where(held, cell_lo, lo), np.where(held, cell_up, up)
+            if (held | ~solved).all():
+                halvings = max(0, math.frexp(float(((up - lo) / end_width)[solved].max()))[1])
+                steps = min(steps, -(-halvings // BISECT_DEPTH) * BISECT_DEPTH)
+        else:
+            # the cold solve's own path: a batch whose midpoints all lie
+            # outside the cells takes its signs from the cells' ends, and the
+            # path stops at adjacent floats, after which halving changes
+            # nothing (half their spacing leaves a halving for rounding)
+            below = np.where(held, cell_lo, -np.inf)
+            above = np.where(held, cell_up, np.inf)
+            below[~solved] = np.inf  # the sign never matters on an empty bracket
+            below, above = below.ravel(), above.ravel()
+
+            def f(h):
+                known = (h <= below) | (h >= above)
+                return np.where(h <= below, -1.0, 1.0) if known.all() else gap(h)
+
+            floor = np.maximum(end_width, 0.5 * np.spacing(np.where(held, cell_lo, 0.0)))
+            steps = min(steps, max(0, math.frexp(float(((up - lo) / floor)[solved].max()))[1]))
+    # an unsolved column bisects the empty bracket at h_cross, and keeps it
+    lo, up = np.where(solved, lo, h_cross), np.where(solved, up, h_cross)
+    found = vec_bisect(f, lo.ravel(), up.ravel(), steps).reshape(2, cfg.K)
+    if trail is not None:
+        trail.append((lam, np.where(solved, found, np.nan), end_width))
+    return np.where(gives_up, 0.0, found[0]), found[1]
 
 
 def fading_average(cfg: NetworkConfig, f, edges, surface: bool = False) -> float:
@@ -282,18 +388,19 @@ def attempt_value(lam: float, cfg: NetworkConfig) -> float:
     return attempt_value_and_slope(lam, cfg)[0]
 
 
-def attempt_value_and_slope(lam: float, cfg: NetworkConfig) -> tuple[float, float]:
+def attempt_value_and_slope(lam: float, cfg: NetworkConfig, trail=None) -> tuple[float, float]:
     """attempt_value at lam and its exact lam-slope, from the same integral:
     the slope row is each branch's own slope where that branch is best, on
-    the value's nodes and panels (envelope theorem)."""
+    the value's nodes and panels (envelope theorem). trail is passed on to
+    pair_thresholds, whose solves along a root it warms."""
     lam = float(lam)
     rho, v = pair_tables(cfg)[:2]
     tau1 = cfg.tau1
     total = direct_branch(lam, rho * v, winner_weights(cfg.p), tau1)
     h_cross = direct_cross(lam, rho)
     pv = probe_form(lam, cfg)
-    # 18 steps suffice here: the roots only place panel edges
-    zeta, eta = pair_thresholds(lam, cfg, pv, 18)
+    # 18 steps' width suffices here: the roots only place panel edges
+    zeta, eta = pair_thresholds(lam, cfg, pv, 18, trail)
     if (zeta < eta).any():  # else no pair is probe-worthy: the probe correction is 0
 
         def gain(rows, h):
@@ -301,7 +408,7 @@ def attempt_value_and_slope(lam: float, cfg: NetworkConfig) -> tuple[float, floa
             p, dp = pv(h, rows, slope=True)
             g = np.maximum(p - np.maximum(a_val, 0.0), 0.0)
             # above h_cross the gain is over the direct stop, whose slope is -tau1
-            return np.stack((g, np.where(g > 0.0, dp + tau1 * (a_val > 0.0), 0.0)))
+            return np.array((g, np.where(g > 0.0, dp + tau1 * (a_val > 0.0), 0.0)))
 
         # panel edges: the give-up and overtake roots, and h_cross
         total = total + fading_average(cfg, gain, [zeta, np.full(cfg.K, h_cross), eta])
@@ -324,13 +431,16 @@ def admissible_step_band(cfg: NetworkConfig, eps: float) -> tuple[float, float]:
     return eps, hi
 
 
-def solve_max_throughput(cfg: NetworkConfig) -> float:
+def solve_max_throughput(cfg: NetworkConfig, trail=None) -> float:
     """Maximal long-run throughput lam*: root of attempt_value(lam) = lam*tau_o,
     to a precision relative to lam*. attempt_value is convex in lam (each
     branch is, and max and expectation keep it), so bracket_root's Newton
     steps from below stay below lam*; its curvature steps, on the secant of
-    two slopes, close the gap in fewer value calls."""
-    return bracket_root(lambda lam: attempt_value_and_slope(lam, cfg),
+    two slopes, close the gap in fewer value calls. Each call's threshold
+    solve warms from the iterates before it; they are left in trail, if
+    given, a list."""
+    trail = [] if trail is None else trail
+    return bracket_root(lambda lam: attempt_value_and_slope(lam, cfg, trail),
                         expected_contention_time(cfg))
 
 
@@ -369,12 +479,16 @@ class ThresholdTable:
 
 
 def build_threshold_table(cfg: NetworkConfig, lam_star: float | None = None) -> ThresholdTable:
-    """Solve lam* (unless given) and all per-pair thresholds."""
+    """Solve lam* (unless given) and all per-pair thresholds. When it solves
+    lam* itself, the threshold solve warms from the root's last iterates."""
+    trail = None
     if lam_star is None:
-        lam_star = solve_max_throughput(cfg)
+        trail = []
+        lam_star = solve_max_throughput(cfg, trail)
     pv = probe_form(lam_star, cfg)
-    # unlike attempt_value's 18 steps, 64 solve the roots to the last bits
-    zs, es = pair_thresholds(lam_star, cfg, pv, 64)
+    # unlike attempt_value's 18 steps, 64 solve the roots to the last bits,
+    # the same whether the solve is warm or not
+    zs, es = pair_thresholds(lam_star, cfg, pv, 64, trail)
     h_mid = direct_cross(lam_star, pair_tables(cfg).rho)
     # at lam* = 0 nothing is worth pricing: every pair transmits directly
     kstar = frozenset(int(i) + 1 for i in np.flatnonzero(zs < es) if lam_star > 0.0)
