@@ -50,13 +50,22 @@ def surface_pdf(y, mean_square, mu, sigma, weight=1.0):
     """Density of y = h + X, times weight: h Rayleigh with E[|h|^2] = v, X ~
     Normal(mu, sigma^2) independent of it. With m = y - mu, d = 2 sigma^2 + v
     and r = sqrt(v / d), completing the square in h gives (sqrt(2/pi) sigma
-    exp(-m^2/(2 sigma^2)) + m r exp(-m^2/d) erfc(-m r/(sigma sqrt 2))) / d."""
-    m, safe = y - mu, np.where(sigma > 0.0, sigma, 1.0)
+    exp(-m^2/(2 sigma^2)) + m r exp(-m^2/d) erfc(-m r/(sigma sqrt 2))) / d.
+    Where sigma = 0 the law is rayleigh_pdf shifted by mu, evaluated on
+    those entries alone."""
+    m, surface = y - mu, sigma > 0.0
+    safe = np.where(surface, sigma, 1.0)
     d = 2.0 * safe * safe + mean_square
     r = np.sqrt(mean_square / d)
     out = weight / d * (math.sqrt(2.0 / math.pi) * safe * np.exp(-0.5 * np.square(m / safe))
                         + m * r * np.exp(-m * m / d) * special.erfc(-m * r / (SQRT2 * safe)))
-    return np.where(sigma > 0.0, out, rayleigh_pdf(np.maximum(m, 0.0), mean_square, weight))
+    if np.all(surface):
+        return out
+    out = np.asarray(out)
+    flat = np.broadcast_to(np.logical_not(surface), out.shape)
+    m, v, w = (np.broadcast_to(a, out.shape)[flat] for a in (m, mean_square, weight))
+    out[flat] = rayleigh_pdf(np.maximum(m, 0.0), v, w)
+    return out
 
 
 def rayleigh_cdf(h, mean_square):

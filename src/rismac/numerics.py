@@ -8,7 +8,6 @@ floor 2^lam - 1 and an overflow-safe exp(a) * E1(x).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -21,6 +20,8 @@ SQRT2 = math.sqrt(2.0)
 QUAD_RTOL = 1e-9     # tolerance of every value integral, relative to its magnitude
 ROOT_XTOL = 1e-11    # last Newton step (or bisection half-width), relative to the root's bound
 _ORDERS = (16, 32)   # Gauss-Legendre orders compared on each panel
+(_X1, _W1), (_X2, _W2) = (leggauss(n) for n in _ORDERS)
+_OFFSETS = np.concatenate([_X1, _X2])  # both orders' nodes on [-1, 1], fused
 _MAX_ROUNDS = 40     # panel-halving rounds before the quadrature gives up
 _MAX_PANELS = 1 << 18  # panels one integral evaluates before it gives up
 BISECT_DEPTH = 5     # bisection steps one evaluation covers (vec_bisect)
@@ -53,42 +54,35 @@ def scaled_e1(a, x):
     return np.where(big, asym, plain)
 
 
-@lru_cache(maxsize=32)
-def _gl_nodes(n: int):
-    return leggauss(n)
-
-
 def adaptive_panels(fvec, edges):
     """Integrate fvec over every row's panels with adaptive refinement.
 
-    edges is a list of equal-length arrays, one entry per row: row i's
-    panels are [edges[j][i], edges[j+1][i]] for consecutive j, and must not
-    be reversed. fvec(row_idx, h) evaluates the integrand vectorized; each
-    panel is judged by comparing two Gauss-Legendre orders and halved until
-    its share of the tolerance is met. fvec may return rows of integrands
-    (shape (r, n)): row 0 alone judges the panels, and every row is summed
-    over the panels it accepts. The tolerance is QUAD_RTOL times the first
-    round's sum of |panel integrals|, so it scales with the integrand.
-    Only the floor that passes any panel whose error estimate is below 1e-18
-    is absolute: without it, an integral that is zero to rounding (the probe
-    gain at lam = 0) stalls. Returns the integral total, one per row. A NaN
-    or infinite integrand value raises SolverError at once; halving cannot
-    fix it, and neither can more than _MAX_PANELS panels in all rounds, which
-    bounds the last round to about 6M nodes. (A lambda* solve of the default
-    8 pairs at tau_d = 100 s evaluates about 1,000 panels in all.)
+    edges is one (n_edges, n_rows) array (or nested list): row i's panels
+    are [edges[j, i], edges[j+1, i]] for consecutive j, must not be reversed,
+    and are skipped where their width is zero. fvec(row_idx, h) evaluates
+    the integrand vectorized; each panel is judged by comparing two
+    Gauss-Legendre orders and halved until its share of the tolerance is
+    met. fvec may return rows of integrands (shape (r, n)): row 0 alone
+    judges the panels, and every row is summed over the panels it accepts.
+    The tolerance is QUAD_RTOL times the first round's sum of |panel
+    integrals|, so it scales with the integrand. Only the floor that passes
+    any panel whose error estimate is below 1e-18 is absolute: without it,
+    an integral that is zero to rounding (the probe gain at lam = 0) stalls.
+    Returns the integral total, one per row. A NaN or infinite integrand
+    value raises SolverError at once; halving cannot fix it, and neither can
+    more than _MAX_PANELS panels in all rounds, which bounds the last round
+    to about 6M nodes. (A lambda* solve of the default 8 pairs at tau_d =
+    100 s takes 286 panels, in 23 integrand evaluations over 11 calls.)
     """
-    rows = np.tile(np.arange(len(edges[0])), len(edges) - 1)
-    lo = np.concatenate(edges[:-1])
-    hi = np.concatenate(edges[1:])
-    if np.any(hi < lo):
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    if (hi < lo).any():
         raise SolverError("reversed quadrature panel (caller edge ordering bug)")
     keep = hi - lo > 0.0
-    rows, lo, hi = rows[keep], lo[keep], hi[keep]
+    rows, lo, hi = np.nonzero(keep)[1], lo[keep], hi[keep]
     if rows.size == 0:
         return fvec(rows, lo).sum(axis=-1)
     width_total = float((hi - lo).sum())
-    x1, w1 = _gl_nodes(_ORDERS[0])
-    x2, w2 = _gl_nodes(_ORDERS[1])
     n1 = _ORDERS[0]
     total = 0.0
     used = rows.size
@@ -96,14 +90,13 @@ def adaptive_panels(fvec, edges):
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)
         # fused evaluation of both orders across every panel
-        offsets = np.concatenate([x1, x2])
-        h_nodes = mid[:, None] + half[:, None] * offsets[None, :]
-        vals = fvec(np.repeat(rows, offsets.size), h_nodes.ravel())
-        vals = vals.reshape(vals.shape[:-1] + (rows.size, offsets.size))
+        h_nodes = mid[:, None] + half[:, None] * _OFFSETS[None, :]
+        vals = fvec(np.repeat(rows, _OFFSETS.size), h_nodes.ravel())
+        vals = vals.reshape(vals.shape[:-1] + (rows.size, _OFFSETS.size))
         if not np.isfinite(vals).all():
             raise SolverError("non-finite integrand value in quadrature panel")
-        i1 = half * (vals[..., :n1] @ w1)
-        i2 = half * (vals[..., n1:] @ w2)
+        i1 = half * (vals[..., :n1] @ _W1)
+        i2 = half * (vals[..., n1:] @ _W2)
         judged = i2.reshape(-1, rows.size)[0]
         err = np.abs(judged - i1.reshape(-1, rows.size)[0])
         if r == 0:

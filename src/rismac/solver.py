@@ -357,10 +357,11 @@ def fading_average(cfg: NetworkConfig, f, edges, surface: bool = False) -> float
     """sum_k w_k E[f(k, y_k)], w the winner law (contention.winner_weights),
     y_k the direct magnitude h_k or with surface h_k + X_k: the one integral
     behind every model value. f(rows, y) is the vectorized integrand (rows:
-    0-based pairs), edges each pair's panel edges; zero-width panels are
-    skipped. Each edge is cut to the law's support less a tail mass below
-    1e-14, [0, sqrt(v ln 1e14)] for h, [mu - 8 sigma, mu + 8 sigma + sqrt(v
-    ln 1e15)] for h + X: a panel far past it blinds both Gauss orders."""
+    0-based pairs), edges the pairs' panel edges as one (n_edges, K) array;
+    zero-width panels are skipped. One clip cuts every edge to the law's
+    support less a tail mass below 1e-14, [0, sqrt(v ln 1e14)] for h, [mu - 8
+    sigma, mu + 8 sigma + sqrt(v ln 1e15)] for h + X: a panel far past it
+    blinds both Gauss orders."""
     _, v, mu, sigma, _, _ = pair_tables(cfg)
     w = winner_weights(cfg.p)
     if surface:
@@ -372,7 +373,7 @@ def fading_average(cfg: NetworkConfig, f, edges, surface: bool = False) -> float
     def weighted(rows, y):
         return pdf(y, *(a[rows] for a in law), w[rows] * f(rows, y))
 
-    return adaptive_panels(weighted, [np.clip(e, lo, hi) for e in edges])
+    return adaptive_panels(weighted, np.clip(edges, lo, hi))
 
 
 def attempt_value(lam: float, cfg: NetworkConfig) -> float:
@@ -411,7 +412,7 @@ def attempt_value_and_slope(lam: float, cfg: NetworkConfig, trail=None) -> tuple
             return np.array((g, np.where(g > 0.0, dp + tau1 * (a_val > 0.0), 0.0)))
 
         # panel edges: the give-up and overtake roots, and h_cross
-        total = total + fading_average(cfg, gain, [zeta, np.full(cfg.K, h_cross), eta])
+        total = total + fading_average(cfg, gain, np.array((zeta, np.full(cfg.K, h_cross), eta)))
     return float(total[0]), float(total[1])
 
 

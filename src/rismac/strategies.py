@@ -114,17 +114,19 @@ def mean_probe_value_and_slope(lam: float, cfg: NetworkConfig) -> tuple[float, f
     slope -tau2 P(|y| >= b) - tau_pc. Each pair's panels split at -b, b, mu,
     t = mu + 3 sigma, t + sqrt(v) and t + 3 sqrt(v) (at least b), so that a
     call of a lambda_b solve converges in its first quadrature round (at
-    80 dBm and M <= 2 the call at lam = 0 takes five)."""
+    80 dBm the call at lam = 0 takes five at M <= 5, two at M = 12)."""
     rho, v, mu, sigma, _, _ = pair_tables(cfg)
     c, b = snr_floor(lam), direct_cross(lam, rho)
 
     def gain(rows, y):
         # R - lam as log2((1 + rho y^2) / (1 + c)), exact near |y| = b; 0 on (-b, b)
         r = np.log1p((rho * y * y - c) / (1.0 + c)) * LOG2E
-        return np.stack((np.maximum(r, 0.0), r >= 0.0))
+        return np.array((np.maximum(r, 0.0), r >= 0.0))
 
     rt, t = np.sqrt(v), mu + 3.0 * sigma
-    edges = [-np.inf, -b, b, *(np.maximum(e, b) for e in (mu, t, t + rt, t + 3.0 * rt)), np.inf]
+    edges = np.full((8, cfg.K), np.inf)
+    edges[:3] = [[-np.inf], [-b], [b]]
+    edges[3:7] = np.maximum((mu, t, t + rt, t + 3.0 * rt), b)
     value, p_stop = fading_average(cfg, gain, edges, surface=True)
     return float(cfg.tau2 * value - lam * cfg.tau_pc), float(-cfg.tau2 * p_stop - cfg.tau_pc)
 

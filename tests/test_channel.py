@@ -163,6 +163,24 @@ def test_surface_density_without_a_surface():
     assert got[:3].tolist() == [0.0, rayleigh_pdf(0.5 * H1, V1, 0.3),
                                 rayleigh_pdf(1.5 * H1, V1, 0.3)]
     assert got[3] == surface_pdf(y[3:], V1, mu[3:], sd[3:], 0.3)[0] > 0.0
+    # the shapes fading_average passes: per-entry v, mu and sigma picked from
+    # per-pair arrays, a stacked (2, n) weight, and sigma = 0 entries beside
+    # sigma > 0 ones (m < 0 on some sigma = 0 ones); each entry is its own
+    # single-entry evaluation, bit for bit
+    v = np.array([V1, 2.0 * V1, 0.5 * V1, V1, 3.0 * V1])
+    mu = np.array([0.0, MU1, 0.5 * H1, MU8, 0.0])
+    sd = np.array([0.0, SG1, 0.0, SG8, 0.0])
+    rows = np.array([3, 0, 2, 1, 4, 2, 1, 0])
+    y = np.array([0.5 * H1, -0.2 * H1, 0.1 * H1, 2.0 * H1, 0.0, 1.5 * H1, MU1, -H1])
+    weight = np.array([np.linspace(0.1, 0.8, y.size), np.arange(y.size) % 2])
+    single = [[float(surface_pdf(y[i], v[k], mu[k], sd[k], weight[j, i]))
+               for i, k in enumerate(rows)] for j in range(2)]
+    assert surface_pdf(y, v[rows], mu[rows], sd[rows], weight).tolist() == single
+    assert surface_pdf(y, v[rows], mu[rows], sd[rows], weight[0]).tolist() == single[0]
+    # the sigma = 0 entries, m < 0 among them, are the shifted Rayleigh law
+    assert [single[0][i] for i in (1, 2, 4, 7)] == [0.0] * 4
+    assert single[0][5] == rayleigh_pdf(y[5] - mu[2], v[2], weight[0, 5]) > 0.0
+    assert min(single[0][i] for i in (0, 3, 6)) > 0.0
 
 
 def test_rayleigh_cdf_and_floored_draw():

@@ -398,6 +398,42 @@ def test_non_finite_integrand_fails_at_once(bad):
         adaptive_panels(lambda rows, h: np.full_like(h, bad), [[0.0], [1.0]])
 
 
+def test_quadrature_on_an_edges_array():
+    """adaptive_panels takes the edges as one (n_edges, n_rows) array: a
+    zero-width panel is skipped (its row integrates only its other panels),
+    a call whose panels all have zero width gives a zero per integrand row,
+    and a reversed panel is refused."""
+    def f(rows, h):
+        return np.array((3.0 * h * h, rows + 1.0))
+
+    edges = np.array([[0.0, 1.0, 2.0], [0.5, 1.0, 2.0], [1.0, 1.0, 3.0]])
+    got = adaptive_panels(f, edges)
+    assert got == pytest.approx([1.0 + 19.0, 1.0 + 3.0], rel=1e-14)
+    assert adaptive_panels(f, edges[:, 1:2]).tolist() == [0.0, 0.0]
+    with pytest.raises(SolverError, match="reversed"):
+        adaptive_panels(f, edges[::-1])
+
+
+@pytest.mark.parametrize("lam", [0.0, 5.0])
+def test_surface_law_without_a_surface_is_the_direct_law(cfg, lam):
+    """At M = 0 every sigma is 0 and the law of h + X is the law of h, so
+    fading_average over either gives the same value and slope rows for the
+    same integrand and edges; only their support cuts differ."""
+    c = replace_config(cfg, M=0)
+    rho = pair_tables(c).rho
+    b = direct_cross(lam, rho)
+
+    def f(rows, y):
+        r = np.log2(1.0 + rho * y * y) - lam
+        return np.array((np.maximum(r, 0.0), r >= 0.0))
+
+    edges = np.array((np.zeros(c.K), np.full(c.K, b), np.full(c.K, np.inf)))
+    surface = solver.fading_average(c, f, edges, surface=True)
+    direct = solver.fading_average(c, f, edges)
+    assert surface == pytest.approx(direct, rel=1e-12, abs=0.0)
+    assert direct.min() > 0.0
+
+
 def test_newton_root_finds_sign_change_of_smooth_kinked_and_step():
     """The Newton root of value(x) = x (tau_o = 1, so the bracket is [0, 1])
     returns a point within ROOT_XTOL of the sign change. On the smooth and
