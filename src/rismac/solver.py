@@ -24,8 +24,7 @@ terms in h.
 Along the lam* root the threshold solves are warm (predictor-corrector
 continuation): solve_max_throughput hands each value call the trail of the
 solves before it, from which pair_thresholds predicts its roots and bisects
-only the narrow brackets whose signs hold; build_threshold_table's final solve
-warms from the same trail and keeps the bits of a cold solve.
+only the narrow brackets whose signs hold.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ _POW2 = 2.0 ** np.arange(_DOUBLINGS)[:, None]
 _WARM_WIDTHS = 2.0
 _WARM_GRID = 1 << BISECT_DEPTH  # cells of a warm bracket's grid: one bisection batch
 _GRID_T = np.arange(_WARM_GRID + 1)[:, None, None] / _WARM_GRID
-_LAST_BITS = 53  # bisection steps past which brackets narrow to adjacent floats
 
 
 class MCEstimate(NamedTuple):
@@ -241,21 +239,17 @@ def pair_thresholds(lam: float, cfg: NetworkConfig, pv, steps: int, trail=None):
     pair's, or the zeta of a pair that gives up) on an empty bracket.
 
     trail, if given, is the list of earlier solves along a root, and this
-    solve appends its record (lam, roots, cold end widths) to it. Once it
-    holds two at a positive price, the solve is warm (predictor-corrector
-    continuation): the set-up evaluation also evaluates each column's gap on
-    a grid of _WARM_GRID cells across the narrow bracket _warm_bracket
-    predicts, and a column whose gap is negative at the grid's lower end and
-    not at its upper end is held in the cell where it first stops being
-    negative; a column without a prediction, or whose signs fail, is cold.
-    Below _LAST_BITS steps the held columns bisect from their cells, and the
-    bisection takes the whole batches of steps that bring every column to
-    the width the cold solve ends at (`steps` whenever a column is cold).
-    From _LAST_BITS steps on, the bisection narrows the brackets to adjacent
-    floats, where the gap of eta changes sign many times within a few hundred
-    floats at every power, so the last bits depend on the bisection's path:
-    there the warm solve follows the cold solve's own path, taking a batch's
-    signs from the cells where they are known, and returns its bits.
+    solve appends its record (lam, roots, cold end widths) to it; it serves
+    the 18-step solves of the lambda* root. Once it holds two at a positive
+    price, the solve is warm (predictor-corrector continuation): the set-up
+    evaluation also evaluates each column's gap on a grid of _WARM_GRID
+    cells across the narrow bracket _warm_bracket predicts, and a column
+    whose gap is negative at the grid's lower end and not at its upper end
+    is held in the cell where it first stops being negative; a column
+    without a prediction, or whose signs fail, is cold. The held columns
+    bisect from their cells, and the bisection takes the whole batches of
+    steps that bring every column to the width the cold solve ends at
+    (`steps` whenever a column is cold).
     """
     rho, _, mu, sigma, _, _ = pair_tables(cfg)
     h_cross = direct_cross(lam, rho)
@@ -317,37 +311,18 @@ def pair_thresholds(lam: float, cfg: NetworkConfig, pv, steps: int, trail=None):
     lo, up = np.empty((2, cfg.K)), np.empty((2, cfg.K))
     lo[0], lo[1], up[0], up[1] = 0.0, h_cross, h_cross, hi
     end_width = (up - lo) * 2.0 ** -steps  # each column's width after the cold solve
-    f = gap
     if warm is not None:
-        # the ends of each column's cell: grid points, by the grid's own expression
-        cell_lo = warm[0] + span * ((cell - 1) / _WARM_GRID)
-        cell_up = warm[0] + span * (cell / _WARM_GRID)
-        if steps < _LAST_BITS:
-            # bisect from the cells, to the cold solve's end width in whole
-            # batches: a batch costs one evaluation at any depth
-            lo, up = np.where(held, cell_lo, lo), np.where(held, cell_up, up)
-            if (held | ~solved).all():
-                halvings = max(0, math.frexp(float(((up - lo) / end_width)[solved].max()))[1])
-                steps = min(steps, -(-halvings // BISECT_DEPTH) * BISECT_DEPTH)
-        else:
-            # the cold solve's own path: a batch whose midpoints all lie
-            # outside the cells takes its signs from the cells' ends, and the
-            # path stops at adjacent floats, after which halving changes
-            # nothing (half their spacing leaves a halving for rounding)
-            below = np.where(held, cell_lo, -np.inf)
-            above = np.where(held, cell_up, np.inf)
-            below[~solved] = np.inf  # the sign never matters on an empty bracket
-            below, above = below.ravel(), above.ravel()
-
-            def f(h):
-                known = (h <= below) | (h >= above)
-                return np.where(h <= below, -1.0, 1.0) if known.all() else gap(h)
-
-            floor = np.maximum(end_width, 0.5 * np.spacing(np.where(held, cell_lo, 0.0)))
-            steps = min(steps, max(0, math.frexp(float(((up - lo) / floor)[solved].max()))[1]))
+        # bisect from the cells, whose ends are grid points by the grid's own
+        # expression, to the cold solve's end width in whole batches: a batch
+        # costs one evaluation at any depth
+        lo = np.where(held, warm[0] + span * ((cell - 1) / _WARM_GRID), lo)
+        up = np.where(held, warm[0] + span * (cell / _WARM_GRID), up)
+        if (held | ~solved).all():
+            halvings = max(0, math.frexp(float(((up - lo) / end_width)[solved].max()))[1])
+            steps = min(steps, -(-halvings // BISECT_DEPTH) * BISECT_DEPTH)
     # an unsolved column bisects the empty bracket at h_cross, and keeps it
     lo, up = np.where(solved, lo, h_cross), np.where(solved, up, h_cross)
-    found = vec_bisect(f, lo.ravel(), up.ravel(), steps).reshape(2, cfg.K)
+    found = vec_bisect(gap, lo.ravel(), up.ravel(), steps).reshape(2, cfg.K)
     if trail is not None:
         trail.append((lam, np.where(solved, found, np.nan), end_width))
     return np.where(gives_up, 0.0, found[0]), found[1]
@@ -432,15 +407,14 @@ def admissible_step_band(cfg: NetworkConfig, eps: float) -> tuple[float, float]:
     return eps, hi
 
 
-def solve_max_throughput(cfg: NetworkConfig, trail=None) -> float:
+def solve_max_throughput(cfg: NetworkConfig) -> float:
     """Maximal long-run throughput lam*: root of attempt_value(lam) = lam*tau_o,
     to a precision relative to lam*. attempt_value is convex in lam (each
     branch is, and max and expectation keep it), so bracket_root's Newton
     steps from below stay below lam*; its curvature steps, on the secant of
     two slopes, close the gap in fewer value calls. Each call's threshold
-    solve warms from the iterates before it; they are left in trail, if
-    given, a list."""
-    trail = [] if trail is None else trail
+    solve warms from the iterates before it."""
+    trail = []
     return bracket_root(lambda lam: attempt_value_and_slope(lam, cfg, trail),
                         expected_contention_time(cfg))
 
@@ -480,16 +454,12 @@ class ThresholdTable:
 
 
 def build_threshold_table(cfg: NetworkConfig, lam_star: float | None = None) -> ThresholdTable:
-    """Solve lam* (unless given) and all per-pair thresholds. When it solves
-    lam* itself, the threshold solve warms from the root's last iterates."""
-    trail = None
+    """Solve lam* (unless given) and all per-pair thresholds."""
     if lam_star is None:
-        trail = []
-        lam_star = solve_max_throughput(cfg, trail)
+        lam_star = solve_max_throughput(cfg)
     pv = probe_form(lam_star, cfg)
-    # unlike attempt_value's 18 steps, 64 solve the roots to the last bits,
-    # the same whether the solve is warm or not
-    zs, es = pair_thresholds(lam_star, cfg, pv, 64, trail)
+    # unlike attempt_value's 18 steps, 64 solve the roots to the last bits
+    zs, es = pair_thresholds(lam_star, cfg, pv, 64)
     h_mid = direct_cross(lam_star, pair_tables(cfg).rho)
     # at lam* = 0 nothing is worth pricing: every pair transmits directly
     kstar = frozenset(int(i) + 1 for i in np.flatnonzero(zs < es) if lam_star > 0.0)
