@@ -12,11 +12,11 @@ strict-mode check failed, 4 numerical failure inside the solver or the simulator
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from .config import (
-    ConfigError,
     NetworkConfig,
     apply_overrides,
     default_config_path,
@@ -26,13 +26,17 @@ from .harness import (
     AXES,
     UsageError,
     cmd_simulate,
-    cmd_solve,
     cmd_sweep,
     cmd_validate,
     relative_gap,
     sweep_rows_to_csv,
 )
-from .solver import SolverError, parse_threshold_table
+from .solver import (
+    SolverError,
+    build_threshold_table,
+    parse_threshold_table,
+    serialize_threshold_table,
+)
 from .strategies import PolicyKind
 
 EXIT_OK = 0
@@ -48,10 +52,27 @@ def _load_config(path: str | None, overrides: list[str]) -> NetworkConfig:
                            overrides)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _tolerance(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, not {text!r}")
+    return value
+
+
+def _add_common(p: argparse.ArgumentParser, campaign: tuple[int, int] | None = None,
+                strict: bool = False) -> None:
+    """--config and --set; given campaign = (rounds, seed) defaults, the run options."""
     p.add_argument("--config", help="configuration file (defaults to the built-in one)")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override a configuration key (repeatable), e.g. pt=26dBm")
+    if campaign is None:
+        return
+    p.add_argument("--rounds", type=int, default=campaign[0])
+    p.add_argument("--seed", type=int, default=campaign[1])
+    p.add_argument("--workers", type=int, default=None)
+    if strict:
+        p.add_argument("--strict", type=_tolerance, default=None, metavar="TOL",
+                       help="fail (exit 3) if any |simulated-model|/model exceeds TOL")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,17 +87,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the threshold table here (default: stdout)")
 
     p = sub.add_parser("simulate", help="Monte-Carlo one policy")
-    _add_common(p)
+    _add_common(p, (100_000, 1), strict=True)
     p.add_argument("--policy", required=True, choices=_POLICY_NAMES)
-    p.add_argument("--rounds", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--table", help="threshold table file (needed for proposed)")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--strict", type=float, default=None, metavar="TOL",
-                   help="fail (exit 3) if |simulated-model|/model exceeds TOL")
+    p.add_argument("--table", help="threshold table for proposed (default: solve it)")
 
     p = sub.add_parser("sweep", help="simulate policies along a parameter axis")
-    _add_common(p)
+    _add_common(p, (100_000, 1), strict=True)
     p.add_argument("--axis", required=True,
                    choices=sorted(AXES),
                    help="pt/pt_dbm sweeps transmit power in dBm; "
@@ -85,38 +101,40 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated axis values, e.g. 20,22,24,26,28,30")
     p.add_argument("--policy", action="append", choices=_POLICY_NAMES,
                    help="restrict to these policies (default: all)")
-    p.add_argument("--rounds", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", help="write CSV here (default: stdout)")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--strict", type=float, default=None, metavar="TOL",
-                   help="fail (exit 3) if any |simulated-model|/model exceeds TOL")
 
     p = sub.add_parser("validate", help="run the internal-consistency battery")
-    _add_common(p)
-    p.add_argument("--rounds", type=int, default=40_000)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--tol", type=float, default=0.05,
+    _add_common(p, (40_000, 7))
+    p.add_argument("--tol", type=_tolerance, default=0.05,
                    help="relative tolerance for simulation-vs-model checks")
-    p.add_argument("--workers", type=int, default=None)
     return ap
 
 
-def _run_solve(args) -> int:
-    cfg = _load_config(args.config, args.set)
-    table, text = cmd_solve(cfg)
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote threshold table to {args.out}")
+def _write(out: str | None, text: str, what: str) -> None:
+    if out:
+        Path(out).write_text(text)
+        print(f"wrote {what} to {out}")
     else:
         sys.stdout.write(text)
+
+
+def _strict(args, gap: float, what: str) -> int:
+    if args.strict is not None and gap > args.strict:
+        print(f"strict check failed: {what} {gap:.4%} > {args.strict:.4%}",
+              file=sys.stderr)
+        return EXIT_VALIDATION
+    return EXIT_OK
+
+
+def _run_solve(args, cfg: NetworkConfig) -> int:
+    table = build_threshold_table(cfg)
+    _write(args.out, serialize_threshold_table(table), "threshold table")
     print(f"lambda_star = {table.lambda_star!r}", file=sys.stderr)
     print(f"probe-worthy pairs: {sorted(table.kstar)}", file=sys.stderr)
     return EXIT_OK
 
 
-def _run_simulate(args) -> int:
-    cfg = _load_config(args.config, args.set)
+def _run_simulate(args, cfg: NetworkConfig) -> int:
     table = None
     if args.table:
         table = parse_threshold_table(Path(args.table).read_text())
@@ -127,39 +145,22 @@ def _run_simulate(args) -> int:
     print(f"policy={result.policy} rounds={est.n_rounds} seed={args.seed} "
           f"mean={est.mean!r} ci_halfwidth={est.ci_halfwidth!r} "
           f"analytic={result.analytic!r} rel_gap={gap:.4%}")
-    if args.strict is not None and gap > args.strict:
-        print(f"strict check failed: gap {gap:.4%} > {args.strict:.4%}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
-    return EXIT_OK
+    return _strict(args, gap, "gap")
 
 
-def _run_sweep(args) -> int:
-    cfg = _load_config(args.config, args.set)
+def _run_sweep(args, cfg: NetworkConfig) -> int:
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise UsageError(f"bad --values: {exc}") from None
     rows = cmd_sweep(cfg, args.axis, values, args.policy, args.rounds,
                      args.seed, workers=args.workers)
-    text = sweep_rows_to_csv(rows)
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        sys.stdout.write(text)
-    if args.strict is not None:
-        worst = max(relative_gap(r["simulated_mean"], r["analytic_lambda"])
-                    for r in rows)
-        if worst > args.strict:
-            print(f"strict check failed: worst gap {worst:.4%} > {args.strict:.4%}",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
-    return EXIT_OK
+    _write(args.out, sweep_rows_to_csv(rows), f"{len(rows)} rows")
+    return _strict(args, max(relative_gap(r["simulated_mean"], r["analytic_lambda"])
+                             for r in rows), "worst gap")
 
 
-def _run_validate(args) -> int:
-    cfg = _load_config(args.config, args.set)
+def _run_validate(args, cfg: NetworkConfig) -> int:
     checks = cmd_validate(cfg, n_rounds=args.rounds, seed=args.seed,
                           tol=args.tol, workers=args.workers)
     failed = 0
@@ -181,8 +182,8 @@ _RUNNERS = {"solve": _run_solve, "simulate": _run_simulate,
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _RUNNERS[args.command](args)
-    except (ConfigError, UsageError, ValueError, OSError) as exc:
+        return _RUNNERS[args.command](args, _load_config(args.config, args.set))
+    except (ValueError, OSError) as exc:  # ConfigError and UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SolverError as exc:

@@ -1,7 +1,8 @@
 """Programmatic command layer shared by the CLI and the test suite.
 
 Each cmd_* function does the work of one subcommand and returns plain data;
-argument parsing, printing, and exit codes live in the CLI module.
+every campaign runs through cmd_simulate (`rismac solve` is the solver's
+build_threshold_table). Parsing, printing and exit codes live in the CLI.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .simulator import ThroughputEstimate, run_campaign
 from .solver import (
     ThresholdTable,
     build_threshold_table,
-    serialize_threshold_table,
     throughput_residual,
 )
 from .strategies import PolicyKind, bind_policy, policy_from_name
@@ -45,12 +45,6 @@ AXES = {"pt_dbm": _axis_pt_dbm, "tau_d_ms": _axis_tau_d_ms,
         "pt": _axis_pt_dbm, "tau_d": _axis_tau_d_ms}
 
 
-def cmd_solve(cfg: NetworkConfig) -> tuple[ThresholdTable, str]:
-    """Solve lambda* and the thresholds; returns (table, serialized text)."""
-    table = build_threshold_table(cfg)
-    return table, serialize_threshold_table(table)
-
-
 def relative_gap(simulated: float, analytic: float) -> float:
     """|simulated - analytic| / |analytic|; inf when only the model is 0."""
     if analytic == 0.0:
@@ -68,7 +62,10 @@ class SimResult:
 def cmd_simulate(cfg: NetworkConfig, policy_name: str, n_rounds: int, seed: int,
                  table: ThresholdTable | None = None,
                  workers: int | None = None) -> SimResult:
+    """Bind one discipline (solving the proposed table if none is given) and run it."""
     kind = policy_from_name(policy_name)
+    if kind is PolicyKind.PROPOSED and table is None:
+        table = build_threshold_table(cfg)
     policy, analytic = bind_policy(kind, cfg, table)
     est = run_campaign(cfg, policy, n_rounds, seed, workers=workers)
     return SimResult(kind.value, est, analytic)
@@ -97,14 +94,12 @@ def cmd_sweep(cfg: NetworkConfig, axis: str, values: list[float],
     rows = []
     for i, value in enumerate(values):
         cfg_i = AXES[axis](cfg, value)
-        table = (build_threshold_table(cfg_i)
-                 if PolicyKind.PROPOSED in kinds else None)
         for j, kind in enumerate(kinds):
             point_seed = _derived_seed(seed, i, j)
-            policy, analytic = bind_policy(kind, cfg_i, table)
-            est = run_campaign(cfg_i, policy, n_rounds, point_seed, workers=workers)
+            r = cmd_simulate(cfg_i, kind.value, n_rounds, point_seed, workers=workers)
+            est = r.estimate
             rows.append(dict(zip(CSV_HEADER, (
-                axis, value, kind.value, analytic, est.mean, est.ci_halfwidth,
+                axis, value, r.policy, r.analytic, est.mean, est.ci_halfwidth,
                 est.n_rounds, point_seed))))
     return rows
 
@@ -129,7 +124,7 @@ def cmd_validate(cfg: NetworkConfig, n_rounds: int = 40_000, seed: int = 7,
     """Internal-consistency battery: lambda* brackets the root, threshold
     invariants, and simulation-vs-model gaps for every policy."""
     checks: list[Check] = []
-    table, _ = cmd_solve(cfg)
+    table = build_threshold_table(cfg)
     lam = table.lambda_star
 
     # the residual changes sign within ROOT_RTOL of lambda*; 0 needs residual(0) <= 0
@@ -141,15 +136,14 @@ def cmd_validate(cfg: NetworkConfig, n_rounds: int = 40_000, seed: int = 7,
     ordered = all(table.zeta[k] < table.eta[k] for k in table.kstar)
     checks.append(Check("threshold ordering", ordered,
                         f"{len(table.kstar)} probe-worthy pairs"))
-    for name in [k.value for k in PolicyKind]:
-        result = cmd_simulate(cfg, name, n_rounds, seed,
-                              table=table if name == "proposed" else None,
+    for kind in PolicyKind:
+        result = cmd_simulate(cfg, kind.value, n_rounds, seed, table=table,
                               workers=workers)
         est = result.estimate
         margin = max(tol * abs(result.analytic), 3.0 * est.ci_halfwidth)
         ok = abs(est.mean - result.analytic) <= margin
         checks.append(Check(
-            f"simulation vs model [{name}]", ok,
+            f"simulation vs model [{kind.value}]", ok,
             f"simulated {est.mean:.6g} vs model {result.analytic:.6g} "
             f"(ci {est.ci_halfwidth:.2g}, n {est.n_rounds})"))
     return checks

@@ -6,7 +6,7 @@ import warnings
 import pytest
 
 from rismac import default_config, parse_threshold_table, serialize_threshold_table
-from rismac.cli import main
+from rismac.cli import _build_parser, main
 from rismac.config import config_hash
 from rismac.harness import CSV_HEADER
 
@@ -42,11 +42,14 @@ def test_simulate_baselines(capsys):
         assert f"policy={policy}" in out and "mean=" in out
 
 
-def test_simulate_proposed_needs_table(capsys):
-    code, _, err = run(capsys, "simulate", "--policy", "proposed",
-                       "--rounds", "1000", "--seed", "1")
-    assert code == 2
-    assert "solve" in err
+def test_simulate_proposed_solves_its_table(tmp_path, capsys):
+    # without --table the proposed table is solved in-process, to the same bits
+    path = tmp_path / "table.txt"
+    assert run(capsys, "solve", "--out", str(path))[0] == 0
+    argv = ("simulate", "--policy", "proposed", "--rounds", "4096", "--seed", "1")
+    code, with_table, _ = run(capsys, *argv, "--table", str(path))
+    assert code == 0
+    assert run(capsys, *argv) == (0, with_table, "")
 
 
 def test_simulate_proposed_with_table(tmp_path, capsys):
@@ -300,6 +303,34 @@ def test_weak_pair_among_strong_ones_solves_without_warnings(capsys):
     assert parse_threshold_table(out).lambda_star == pytest.approx(25.963, abs=1e-3)
     assert "Warning" not in err
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--policy", "no-wait-direct", "--rounds", "4096", "--strict"),
+    ("sweep", "--axis", "pt", "--values", "30", "--rounds", "4096", "--strict"),
+    ("validate", "--rounds", "4096", "--tol"),
+], ids=["simulate-strict", "sweep-strict", "validate-tol"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_bad_tolerance_rejected_at_parse_time(capsys, argv, tol):
+    # nan used to pass every strict check and fail every validate check; -1
+    # ran the campaign before failing, and inf passed everything
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, tol])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"must be a finite number >= 0, not '{tol}'" in err
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (("simulate", "--policy", "proposed"),
+     dict(rounds=100_000, seed=1, workers=None, strict=None)),
+    (("sweep", "--axis", "pt", "--values", "30"),
+     dict(rounds=100_000, seed=1, workers=None, strict=None)),
+    (("validate",), dict(rounds=40_000, seed=7, tol=0.05, workers=None)),
+], ids=["simulate", "sweep", "validate"])
+def test_campaign_option_defaults(argv, defaults):
+    args = vars(_build_parser().parse_args(list(argv)))
+    assert {key: args[key] for key in defaults} == defaults
 
 
 def test_unknown_policy_rejected_by_parser(capsys):

@@ -5,8 +5,8 @@ winner law."""
 import math
 
 from rismac import apply_overrides, default_config, make_policy, run_campaign, solve_lambda_b
-from rismac import strategies
-from rismac.harness import AXES, cmd_simulate, cmd_solve, cmd_sweep, cmd_validate, relative_gap
+from rismac import build_threshold_table, strategies
+from rismac.harness import AXES, cmd_simulate, cmd_sweep, cmd_validate, relative_gap
 from rismac.strategies import PolicyKind
 
 
@@ -66,7 +66,7 @@ def test_model_values_follow_the_winner_law():
     # winner weights 0.016 and 0.452: averaging the pairs uniformly put three
     # of the four model values 2.1-2.8% above their campaigns
     cfg = apply_overrides(default_config(), ["p=0.05,0.6,0.05,0.05,0.6,0.05,0.05,0.05"])
-    table, _ = cmd_solve(cfg)
+    table = build_threshold_table(cfg)
     for kind in PolicyKind:
         result = cmd_simulate(cfg, kind.value, 200_000, 3,
                               table=table if kind is PolicyKind.PROPOSED else None)
