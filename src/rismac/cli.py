@@ -24,7 +24,6 @@ from .config import (
 )
 from .harness import (
     AXES,
-    UsageError,
     cmd_simulate,
     cmd_sweep,
     cmd_validate,
@@ -52,11 +51,15 @@ def _load_config(path: str | None, overrides: list[str]) -> NetworkConfig:
                            overrides)
 
 
-def _tolerance(text: str) -> float:
-    value = float(text)  # argparse reports a ValueError as an invalid value
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, not {text!r}")
-    return value
+def _at_least(low: float, parse=int):
+    """argparse type: a finite number >= low, read by parse (int or float)."""
+    def number(text: str):
+        value = parse(text)  # argparse reports a ValueError as an invalid value
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number >= {low:g}, not {text!r}")
+        return value
+    return number
 
 
 def _add_common(p: argparse.ArgumentParser, campaign: tuple[int, int] | None = None,
@@ -67,11 +70,11 @@ def _add_common(p: argparse.ArgumentParser, campaign: tuple[int, int] | None = N
                    help="override a configuration key (repeatable), e.g. pt=26dBm")
     if campaign is None:
         return
-    p.add_argument("--rounds", type=int, default=campaign[0])
-    p.add_argument("--seed", type=int, default=campaign[1])
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--rounds", type=_at_least(1), default=campaign[0])
+    p.add_argument("--seed", type=_at_least(0), default=campaign[1])
+    p.add_argument("--workers", type=_at_least(1), default=None)
     if strict:
-        p.add_argument("--strict", type=_tolerance, default=None, metavar="TOL",
+        p.add_argument("--strict", type=_at_least(0.0, float), default=None, metavar="TOL",
                        help="fail (exit 3) if any |simulated-model|/model exceeds TOL")
 
 
@@ -105,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the internal-consistency battery")
     _add_common(p, (40_000, 7))
-    p.add_argument("--tol", type=_tolerance, default=0.05,
+    p.add_argument("--tol", type=_at_least(0.0, float), default=0.05,
                    help="relative tolerance for simulation-vs-model checks")
     return ap
 
@@ -138,7 +141,7 @@ def _run_simulate(args, cfg: NetworkConfig) -> int:
     table = None
     if args.table:
         table = parse_threshold_table(Path(args.table).read_text())
-    result = cmd_simulate(cfg, args.policy, args.rounds, args.seed,
+    result = cmd_simulate(cfg, PolicyKind(args.policy), args.rounds, args.seed,
                           table=table, workers=args.workers)
     est = result.estimate
     gap = relative_gap(est.mean, result.analytic)
@@ -152,9 +155,10 @@ def _run_sweep(args, cfg: NetworkConfig) -> int:
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
-        raise UsageError(f"bad --values: {exc}") from None
-    rows = cmd_sweep(cfg, args.axis, values, args.policy, args.rounds,
-                     args.seed, workers=args.workers)
+        raise ValueError(f"bad --values: {exc}") from None
+    kinds = [PolicyKind(name) for name in args.policy] if args.policy else None
+    rows = cmd_sweep(cfg, args.axis, values, kinds, args.rounds, args.seed,
+                     workers=args.workers)
     _write(args.out, sweep_rows_to_csv(rows), f"{len(rows)} rows")
     return _strict(args, max(relative_gap(r["simulated_mean"], r["analytic_lambda"])
                              for r in rows), "worst gap")
@@ -183,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _RUNNERS[args.command](args, _load_config(args.config, args.set))
-    except (ValueError, OSError) as exc:  # ConfigError and UsageError included
+    except (ValueError, OSError) as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SolverError as exc:

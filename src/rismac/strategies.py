@@ -13,7 +13,7 @@ it stops iff the boosted rate reaches stop_rate. The three reference
 disciplines are degenerate thresholds of it: always transmit directly
 (eta = -inf), always probe and transmit (zeta = -inf, eta = +inf, stop at
 any rate), and always probe with an optimal stop (the same, stopping at
-lambda_b).
+lambda_b). make_policy is the one place a discipline is bound to a network.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from .channel import direct_cross, linear_budget, pair_tables, rate_direct
 from .config import ConfigError, NetworkConfig, config_hash
 from .contention import expected_contention_time, winner_weights
 from .numerics import LOG2E, bracket_root, snr_floor
-from .solver import ThresholdTable, direct_branch, fading_average, probe_value
+from .solver import (ThresholdTable, build_threshold_table, direct_branch, fading_average,
+                     probe_value)
 
 
 class Decision(Enum):
@@ -43,14 +44,6 @@ class PolicyKind(Enum):
     NO_WAIT_DIRECT = "no-wait-direct"
     NO_WAIT_RIS = "no-wait-ris"
     OPTIMAL_RIS_STOP = "optimal-ris-stop"
-
-
-def policy_from_name(name: str) -> PolicyKind:
-    for kind in PolicyKind:
-        if kind.value == name:
-            return kind
-    raise ValueError(f"unknown policy {name!r}; choose from "
-                     + ", ".join(k.value for k in PolicyKind))
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,8 +169,9 @@ def analytic_throughput(kind: PolicyKind, cfg: NetworkConfig,
 def make_policy(kind: PolicyKind, cfg: NetworkConfig,
                 table: ThresholdTable | None = None) -> Policy:
     """Bind a discipline to its thresholds for this network (only the
-    proposed discipline reads the table). A table solved for another
-    configuration, or naming a pair outside 1..K, is a ConfigError.
+    proposed discipline reads the table, and solves it when none is given). A
+    table solved for another configuration, or naming a pair outside 1..K, is
+    a ConfigError.
 
     proposed: the table's zeta_k and eta_k on probe-worthy pairs; elsewhere
     both sit at the direct cutoff h_cross(lam*), so the pair transmits or
@@ -196,8 +190,7 @@ def make_policy(kind: PolicyKind, cfg: NetworkConfig,
     stop_rate = -math.inf
     if kind is PolicyKind.PROPOSED:
         if table is None:
-            raise ValueError("the proposed discipline needs a threshold table: "
-                             "run solve and pass its output")
+            table = build_threshold_table(cfg)
         zeta[:] = direct_cross(table.lambda_star, pair_tables(cfg).rho)
         eta[:] = zeta
         for k in table.kstar:
@@ -215,9 +208,9 @@ def make_policy(kind: PolicyKind, cfg: NetworkConfig,
 
 def bind_policy(kind: PolicyKind, cfg: NetworkConfig,
                 table: ThresholdTable | None = None) -> tuple[Policy, float]:
-    """The discipline bound to this network and its model throughput (only
-    the proposed discipline reads the table). The proposed and optimal-ris-stop
-    models are the policy's own stop rate, so lambda_b is solved once."""
+    """The discipline bound to this network by make_policy and its model
+    throughput. The proposed and optimal-ris-stop models are the policy's own
+    stop rate, so lambda_b or the table is solved once."""
     policy = make_policy(kind, cfg, table)
     if kind is PolicyKind.NO_WAIT_DIRECT:
         return policy, no_wait_direct_throughput(cfg)

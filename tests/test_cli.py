@@ -211,10 +211,12 @@ def test_malformed_number_override_rejected(capsys, item):
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_simulate_rejects_workers_below_one(capsys, workers):
-    code, _, err = run(capsys, "simulate", "--policy", "no-wait-direct", "--rounds", "100",
-                       "--seed", "1", "--workers", workers)
-    assert code == 2
-    assert "workers must be at least 1" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--policy", "no-wait-direct", "--rounds", "100",
+              "--seed", "1", "--workers", workers])
+    assert exc.value.code == 2
+    assert f"argument --workers: must be a finite number >= 1, not '{workers}'" in (
+        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -321,6 +323,27 @@ def test_bad_tolerance_rejected_at_parse_time(capsys, argv, tol):
     assert f"must be a finite number >= 0, not '{tol}'" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--policy", "proposed"),
+    ("sweep", "--axis", "pt", "--values", "30"),
+    ("validate",),
+], ids=["simulate", "sweep", "validate"])
+@pytest.mark.parametrize("option, value, low", [
+    ("--rounds", "0", 1), ("--seed", "-1", 0), ("--workers", "0", 1),
+], ids=["rounds", "seed", "workers"])
+def test_bad_run_option_rejected_at_parse_time(monkeypatch, capsys, argv, option, value,
+                                               low):
+    # these used to be refused only after the configuration load and the
+    # table solve, and --seed -1 with a message that named no option
+    monkeypatch.setattr("rismac.cli._load_config",
+                        lambda *a: pytest.fail("configuration loaded"))
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: must be a finite number >= {low}, not '{value}'" in err
+
+
 @pytest.mark.parametrize("argv, defaults", [
     (("simulate", "--policy", "proposed"),
      dict(rounds=100_000, seed=1, workers=None, strict=None)),
@@ -334,9 +357,13 @@ def test_campaign_option_defaults(argv, defaults):
 
 
 def test_unknown_policy_rejected_by_parser(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--policy", "magic", "--rounds", "10", "--seed", "1"])
-    assert exc.value.code == 2
+    # argparse's choices check every policy name before it becomes a PolicyKind
+    for argv in (("simulate", "--policy", "wait-forever"),
+                 ("sweep", "--axis", "pt", "--values", "30", "--policy", "wait-forever")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "invalid choice: 'wait-forever'" in capsys.readouterr().err
 
 
 def test_validate_passes_on_default(capsys):

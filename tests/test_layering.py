@@ -123,6 +123,16 @@ def test_one_threshold_solve_site():
     assert _use_sites("vec_bisect") == [("solver.py", "pair_thresholds", "vec_bisect")]
 
 
+def test_one_table_solve_site():
+    # the proposed table is solved where its discipline is bound
+    # (strategies.make_policy), and otherwise only by `rismac solve`, which
+    # writes it, and validate, which checks its root
+    assert _use_sites("build_threshold_table") == [
+        ("cli.py", "_run_solve", "build_threshold_table"),
+        ("harness.py", "cmd_validate", "build_threshold_table"),
+        ("strategies.py", "make_policy", "build_threshold_table")]
+
+
 def test_one_probe_value_closed_form():
     # the erfc closed form of the probe SNR lives in solver._snr_form, its
     # terms builder and the evaluator it returns; effective_probe_snr and

@@ -25,18 +25,7 @@ from rismac import (
 )
 from rismac.channel import linear_budget, pair_tables, rate_direct
 from rismac.contention import winner_weights
-from rismac.strategies import (
-    no_wait_direct_throughput,
-    no_wait_ris_throughput,
-    policy_from_name,
-)
-
-
-def test_policy_names_round_trip():
-    for kind in PolicyKind:
-        assert policy_from_name(kind.value) is kind
-    with pytest.raises(ValueError, match="unknown policy"):
-        policy_from_name("wait-forever")
+from rismac.strategies import no_wait_direct_throughput, no_wait_ris_throughput
 
 
 def test_threshold_rule_regions(cfg, table):
@@ -110,9 +99,12 @@ def test_nonworthy_pair_uses_direct_cutoff(cfg):
 
 
 def test_make_policy_contracts(cfg, table):
-    with pytest.raises(ValueError, match="threshold table"):
-        make_policy(PolicyKind.PROPOSED, cfg)
     prop = make_policy(PolicyKind.PROPOSED, cfg, table)
+    # without a table, the proposed discipline solves its own, to the same bits
+    solved = make_policy(PolicyKind.PROPOSED, cfg)
+    assert solved.zeta.tobytes() == prop.zeta.tobytes()
+    assert solved.eta.tobytes() == prop.eta.tobytes()
+    assert solved.stop_rate == prop.stop_rate
     assert prop.stop_rate == table.lambda_star
     for k in table.kstar:
         assert (prop.zeta[k - 1], prop.eta[k - 1]) == (table.zeta[k], table.eta[k])
@@ -206,6 +198,7 @@ def test_no_wait_ris_analytic_vs_nested_quadrature(cfg):
 
 def test_analytic_throughput_dispatch(cfg, table):
     assert analytic_throughput(PolicyKind.PROPOSED, cfg, table) == table.lambda_star
+    assert analytic_throughput(PolicyKind.PROPOSED, cfg) == table.lambda_star
     assert analytic_throughput(PolicyKind.NO_WAIT_DIRECT, cfg) == pytest.approx(
         no_wait_direct_throughput(cfg), rel=1e-12)
     assert analytic_throughput(PolicyKind.NO_WAIT_RIS, cfg) == pytest.approx(
