@@ -4,11 +4,14 @@ Direct links fade Rayleigh with mean-square gain d^-alpha1. Each reflecting
 element contributes the product of two independent Rayleigh magnitudes
 (source->element and element->destination, mean-square d1^-alpha2 and
 d2^-alpha2). Under per-element co-phasing the magnitudes add, so phases are
-never materialized.
+never materialized. A pair's M-element sum is sqrt(ms1 ms2) times one law
+S_M, the sum of M unit double-Rayleigh magnitudes, which cascaded_law
+tabulates once per M; draw_cascaded keeps the per-element draw as its oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from functools import lru_cache
@@ -21,7 +24,10 @@ from .config import ConfigError, NetworkConfig
 from .numerics import SQRT2, snr_floor
 
 
-CASCADE_TILE = 1 << 16  # elements per tile of cascaded_sums
+LAW_CELLS = 1 << 16  # cells of cascaded_law's CDF table, and of its guide table
+_LAW_TAIL = math.log(1e16)  # the law's window leaves out at most e^-_LAW_TAIL at each end
+_LAW_EPS = 1e-8  # bound on the CDF error from the frequencies the inversion drops
+_LAW_BLOCK = LAW_CELLS // 8  # frequencies evaluated at a time
 _W_MIN = 1.0 / sys.float_info.max  # 1 / w overflows for a direct SNR scale w at or below it
 
 
@@ -87,6 +93,11 @@ class PairTables(NamedTuple):
     ms2: np.ndarray     # element->destination leg mean-square d2^-alpha2
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=128)
 def pair_tables(cfg: NetworkConfig) -> PairTables:
     """Every pair's fading laws in one table, computed once per config.
@@ -124,10 +135,7 @@ def pair_tables(cfg: NetworkConfig) -> PairTables:
             raise ConfigError(f"pair {k}: direct mean-square gain d^-alpha1 = {row[0]:g} times "
                               f"the link budget {rho:g} underflows below 1/float-max")
         rows.append(row)
-    cols = [np.array(col) for col in zip(*rows)]
-    for col in cols:
-        col.flags.writeable = False
-    return PairTables(rho, *cols)
+    return PairTables(rho, *(_frozen(np.array(col)) for col in zip(*rows)))
 
 
 def _row(cfg: NetworkConfig, k: int) -> int:
@@ -156,45 +164,104 @@ def draw_cascaded(rng: np.random.Generator, cfg: NetworkConfig, k: int, n: int |
     return rayleigh(rng, tab.ms1[i], shape) * rayleigh(rng, tab.ms2[i], shape)
 
 
-def _exp_legs(k, out):
-    """Exp(1) legs -log u of 32-bit words k, written to the float32 out:
-    u = (k + 1/2) 2^-32 in float32 lies in (0, 1], so every leg is finite and
-    at least 0 (at most 22.87, at k = 0)."""
-    np.add(k, 0.5, out=out, dtype=np.float32, casting="unsafe")
-    out *= 2.0 ** -32
-    np.log(out, out=out)
-    return np.negative(out, out=out)
+def _z_mgf(s):
+    """E[exp(s Z)] for real -2 < s < 2, and Z's characteristic function at
+    s = i t, Z = sqrt(E1 E2) with E1, E2 ~ Exp(1): Z has density 4 z K0(2 z)
+    (Salo, El-Sallabi and Vainikainen 2006), whose Laplace transform is
+    4/d + 4 s arccos(-s/2) / d^(3/2) with d = 4 - s^2."""
+    d = 4.0 - s * s
+    return (4.0 + 4.0 * s * np.arccos(-0.5 * s) / np.sqrt(d)) / d
 
 
-def cascaded_sums(rng: np.random.Generator, ms1, ms2, m: int) -> np.ndarray:
-    """Each row's sum over m elements of |f_m||g_m|, legs with mean squares
-    ms1[i] and ms2[i]: the law of draw_cascaded(...).sum(axis=1).
+class CascadedLaw(NamedTuple):
+    """S_M, the sum of m i.i.d. Z = sqrt(E1 E2), as a CDF table: F at the nodes
+    lo + j step, j = 0..LAW_CELLS, linear between them (uniform within a cell).
+    guide[i] is the cell holding u = i / (guide.size - 1). m = 0 is the point
+    mass at 0, one cell wide with step 0."""
 
-    sqrt(ms1 E1) sqrt(ms2 E2) = sqrt(ms1 ms2) sqrt(E1 E2) with E1, E2 ~ Exp(1),
-    so each element costs one sqrt and the row's scale is applied once, after
-    the sum. Each element takes one raw generator word, whose two 32-bit
-    halves give E1 and E2 through _exp_legs; the legs, their product and its
-    sqrt are float32 and each row is summed in float64. Over all 2^32 halves
-    the leg's mean is 1 + 3.5e-9 and its sqrt's mean sqrt(pi)/2 (1 + 1.8e-9).
-    Rows are drawn in tiles of about CASCADE_TILE elements into one reused
-    leg buffer, so memory stays flat in the number of rows.
+    m: int
+    lo: float
+    step: float
+    cdf: np.ndarray    # read-only, 0 at the first node and 1 at the last
+    guide: np.ndarray  # read-only int32
+
+
+@lru_cache(maxsize=8)
+def cascaded_law(m: int) -> CascadedLaw:
+    """S_M's law, built the first time it is asked for at each m.
+
+    The window [lo, hi] holds all but e^-_LAW_TAIL of the mass at each end, by
+    Chernoff's bound P(S >= x) <= E[e^{sZ}]^m e^{-s x} (s > 0; s < 0 for the
+    left end, cut at 0). On it, F is the Fourier series of the periodized
+    density (Abate and Whitt 1995): with t_k = 2 pi k / w, w = hi - lo, and
+    g_k = E[e^{i t_k Z}]^m e^{-i t_k lo} / (-i t_k),
+    F(lo + j w / n) = j / n + (2 / w) Re sum_{k >= 1} g_k (e^{-2 pi i k j / n} - 1),
+    one FFT over the g_k folded mod n. |g_k| falls as k^-(2m+1) (log factors
+    aside), so the terms past K move F by at most (2 / w) K |g_K| = t_K |g_K| / pi;
+    frequencies are added _LAW_BLOCK at a time until that is below _LAW_EPS:
+    one block from m = 2 on, 15 at m = 1. Rounding is then made monotone.
     """
-    scale = np.sqrt(np.multiply(ms1, ms2, dtype=float))
-    out = np.zeros(scale.shape)
-    n = out.size
-    if n == 0 or m == 0:
-        return out
-    rows = min(n, max(1, CASCADE_TILE // m))
-    legs = np.empty((rows, m, 2), dtype=np.float32)
-    for lo in range(0, n, rows):
-        r = min(rows, n - lo)
-        words = rng.bit_generator.random_raw(r * m).view(np.uint32).reshape(r, m, 2)
-        e = _exp_legs(words, legs[:r])
-        prod = np.multiply(e[..., 0], e[..., 1], out=e[..., 0])
-        np.sqrt(prod, out=prod)
-        prod.sum(axis=1, dtype=np.float64, out=out[lo:lo + r])
-    out *= scale
-    return out
+    if m == 0:
+        return CascadedLaw(0, 0.0, 0.0, _frozen(np.array([0.0, 1.0])),
+                           _frozen(np.array([0, 1], dtype=np.int32)))
+    s = np.linspace(0.01, 1.99, 199)
+    hi = float(np.min((m * np.log(_z_mgf(s)) + _LAW_TAIL) / s))
+    lo = max(0.0, float(np.max((m * np.log(_z_mgf(-s)) + _LAW_TAIL) / -s)))
+    n, w = LAW_CELLS, hi - lo
+    bins = np.zeros(n, dtype=complex)  # bins[j] sums the g_k with k = j mod n
+    for first in itertools.count(1, _LAW_BLOCK):
+        k = np.arange(first, first + _LAW_BLOCK)
+        t = (2.0 * math.pi / w) * k
+        g = np.log(_z_mgf(1j * t))
+        g *= m
+        g -= 1j * lo * t
+        np.exp(g, out=g)
+        g *= 1j / t
+        bins[k % n] += g
+        if t[-1] * abs(g[-1]) / math.pi <= _LAW_EPS:
+            break
+    total = bins.sum().real
+    series = np.fft.fft(bins, out=bins).real
+    series -= total
+    series *= 2.0 / w
+    cdf = np.arange(n + 1.0) / n
+    cdf[:n] += series
+    np.clip(cdf, 0.0, 1.0, out=cdf)
+    np.maximum.accumulate(cdf, out=cdf)
+    cdf[0], cdf[n] = 0.0, 1.0
+    guide = np.searchsorted(cdf, np.arange(n + 1.0) / n, side="right") - 1
+    return CascadedLaw(m, lo, w / n, _frozen(cdf), _frozen(guide.astype(np.int32)))
+
+
+def cascaded_sums(rng: np.random.Generator, law: CascadedLaw, scale) -> np.ndarray:
+    """Each row's cascaded sum, scale[i] times a draw of law: the law of
+    draw_cascaded(...).sum(axis=1) for scale = sqrt(ms1 ms2) and law =
+    cascaded_law(M), since sqrt(ms1 E1) sqrt(ms2 E2) = sqrt(ms1 ms2) Z.
+
+    One uniform u per row goes through the inverse of the linear CDF: the
+    guide table gives u's cell outright where its guide cell spans at most
+    one node, and a binary search elsewhere (a few percent of rows, in the
+    tails). m = 0 draws nothing.
+    """
+    scale = np.asarray(scale, dtype=float)
+    if law.m == 0:
+        return np.zeros(scale.shape)
+    cdf, guide = law.cdf, law.guide
+    u = rng.random(scale.shape)
+    i = (u * (guide.size - 1)).astype(np.intp)
+    cell = guide[i].astype(np.intp)
+    wide = np.flatnonzero(guide[i + 1] - cell > 1)
+    cell += cdf[cell + 1] <= u
+    cell[wide] = np.searchsorted(cdf, u[wide], side="right") - 1
+    # in place from here: lo + step (cell + the share of the cell's mass below u)
+    below = cdf[cell]
+    x = u - below
+    x /= cdf[cell + 1] - below
+    x += cell
+    x *= law.step
+    x += law.lo
+    x *= scale
+    return x
 
 
 def direct_cross(lam: float, rho_bar: float) -> float:

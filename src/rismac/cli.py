@@ -62,6 +62,22 @@ def _at_least(low: float, parse=int):
     return number
 
 
+def _values(text: str) -> list[float]:
+    """argparse type of sweep's --values: comma-separated finite numbers, at least one."""
+    values = []
+    for item in filter(str.strip, text.split(",")):
+        try:
+            value = float(item)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{item.strip()!r} is not a finite number")
+        values.append(value)
+    if not values:
+        raise argparse.ArgumentTypeError(f"needs at least one value, not {text!r}")
+    return values
+
+
 def _add_common(p: argparse.ArgumentParser, campaign: tuple[int, int] | None = None,
                 strict: bool = False) -> None:
     """--config and --set; given campaign = (rounds, seed) defaults, the run options."""
@@ -100,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=sorted(AXES),
                    help="pt/pt_dbm sweeps transmit power in dBm; "
                         "tau_d/tau_d_ms sweeps coherence time in ms")
-    p.add_argument("--values", required=True,
+    p.add_argument("--values", type=_values, required=True,
                    help="comma-separated axis values, e.g. 20,22,24,26,28,30")
     p.add_argument("--policy", action="append", choices=_POLICY_NAMES,
                    help="restrict to these policies (default: all)")
@@ -152,12 +168,8 @@ def _run_simulate(args, cfg: NetworkConfig) -> int:
 
 
 def _run_sweep(args, cfg: NetworkConfig) -> int:
-    try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ValueError(f"bad --values: {exc}") from None
     kinds = [PolicyKind(name) for name in args.policy] if args.policy else None
-    rows = cmd_sweep(cfg, args.axis, values, kinds, args.rounds, args.seed,
+    rows = cmd_sweep(cfg, args.axis, args.values, kinds, args.rounds, args.seed,
                      workers=args.workers)
     _write(args.out, sweep_rows_to_csv(rows), f"{len(rows)} rows")
     return _strict(args, max(relative_gap(r["simulated_mean"], r["analytic_lambda"])

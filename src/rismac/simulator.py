@@ -24,9 +24,12 @@ probability q = sum_k w_k P(h_k <= zeta_k) (w the winner law), so the engine
 draws only acting attempts, those that transmit directly or probe, in
 vectorized chunks: winner from w_k (1 - r_k) / (1 - q) with failed slots,
 direct magnitude past zeta_k (|h|^2 is memoryless), code (direct at or above
-eta_k, else probe) and, where it probes, the cascaded draw; before each, a
-geometric count of skipped releases (none drawn at q = 0, so the reference
-disciplines, with zeta = -inf, draw no extra numbers). A round is the run of
+eta_k, else probe) and, where it probes, the cascaded sum, one uniform
+through S_M's tabulated law (channel.cascaded_law, built the first time an
+M needs it and looked up once per campaign, before any worker starts), so a
+probe costs the same at any M; before each, a geometric count of skipped
+releases (none drawn at q = 0, so the reference disciplines, with
+zeta = -inf, draw no extra numbers). A round is the run of
 acting attempts up to the first that transmits plus the releases skipped
 before them, so it costs O(acting attempts); the skipped releases' failed
 slots are one negative-binomial draw per round, and a round's failed slots
@@ -49,6 +52,8 @@ import numpy as np
 from scipy import special
 
 from .channel import (
+    CascadedLaw,
+    cascaded_law,
     cascaded_sums,
     draw_cascaded,
     draw_direct,
@@ -168,12 +173,13 @@ def _acting_law(cfg: NetworkConfig, policy: Policy):
 
 
 def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy, m: int,
-                   cum_weights, q: float):
+                   cum_weights, q: float, law: CascadedLaw | None):
     """m i.i.d. acting attempts: contention, direct draw past zeta, level-1
-    code and, where it probes, the cascaded draw; before each, the geometric
-    count of releases skipped (none drawn when q = 0). Returns per-attempt
-    (failed slots, bits, terminal code: 0 probe released, 1 direct,
-    2 surface; releases skipped)."""
+    code and, where it probes, the cascaded sum drawn from law (None where
+    no pair probes); before each, the geometric count of releases skipped
+    (none drawn when q = 0). Returns per-attempt (failed slots, bits,
+    terminal code: 0 probe released, 1 direct, 2 surface; releases
+    skipped)."""
     tab = pair_tables(cfg)
     winners, fails = draw_contention(rng, cfg, m, cum_weights)
     winners -= 1
@@ -194,8 +200,7 @@ def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy,
     terminal[direct] = 1
     rows = np.flatnonzero(~direct)
     if rows.size:
-        ww = winners[rows]
-        casc = cascaded_sums(rng, tab.ms1[ww], tab.ms2[ww], cfg.M)
+        casc = cascaded_sums(rng, law, np.sqrt(tab.ms1 * tab.ms2)[winners[rows]])
         rr = rate_direct(tab.rho, h[rows] + casc)
         stop = rr >= policy.stop_rate
         bits[rows[stop]] = cfg.tau2 * rr[stop]
@@ -204,7 +209,8 @@ def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy,
 
 
 def _simulate_unit(seed: int, unit: int, n_rounds: int, cfg: NetworkConfig,
-                   policy: Policy, cum_weights, q: float) -> RoundArrays:
+                   policy: Policy, cum_weights, q: float,
+                   law: CascadedLaw | None) -> RoundArrays:
     """n_rounds rounds cut from one stream of i.i.d. acting attempts: a round
     is the run of acting attempts up to and including its first terminal
     one, plus the releases skipped before each of them. Every acting attempt
@@ -224,7 +230,7 @@ def _simulate_unit(seed: int, unit: int, n_rounds: int, cfg: NetworkConfig,
     drawn = done = 0
     size = n_rounds
     while done < n_rounds:
-        chunk = _draw_attempts(rng, cfg, policy, size, cum_weights, q)
+        chunk = _draw_attempts(rng, cfg, policy, size, cum_weights, q, law)
         if held:
             chunk = [np.concatenate(pair) for pair in zip(held, chunk)]
         fails, bits, terminal, skipped = chunk
@@ -259,7 +265,8 @@ def _run_units(cfg: NetworkConfig, policy: Policy, n_rounds: int, seed: int,
                workers: int | None, reduce) -> list:
     """reduce(RoundArrays) of every stream unit of an n_rounds campaign, in
     unit order, on up to `workers` threads (default min(4, CPUs)). The
-    acting law is solved, and refused, before any thread starts."""
+    acting law is solved, and refused, and the cascaded law built where a
+    pair can probe, before any thread starts."""
     if n_rounds <= 0:
         raise ValueError("n_rounds must be positive")
     if workers is None:
@@ -267,12 +274,14 @@ def _run_units(cfg: NetworkConfig, policy: Policy, n_rounds: int, seed: int,
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     cum_weights, q = _acting_law(cfg, policy)
+    # a direct magnitude is never below an eta <= 0: no-wait-direct never probes
+    law = cascaded_law(cfg.M) if np.any(policy.eta > 0.0) else None
     full, rem = divmod(n_rounds, STREAM_ROUNDS)
     plan = [(i, STREAM_ROUNDS) for i in range(full)] + ([(full, rem)] if rem else [])
     nw = min(workers, len(plan))
 
     def one(item):
-        return reduce(_simulate_unit(seed, *item, cfg, policy, cum_weights, q))
+        return reduce(_simulate_unit(seed, *item, cfg, policy, cum_weights, q, law))
 
     if nw == 1:
         return [one(item) for item in plan]

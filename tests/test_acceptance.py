@@ -27,7 +27,8 @@ from rismac import (
     throughput_residual,
     PolicyKind,
 )
-from rismac.channel import cascaded_sums, draw_direct, linear_budget, pair_tables, rate_direct
+from rismac.channel import (cascaded_law, cascaded_sums, draw_direct, linear_budget, pair_tables,
+                            rate_direct)
 from rismac.config import dbm_to_watt
 from rismac.contention import contention_time, draw_contention, slot_law, split_failed_slots
 from rismac.solver import admissible_step_band
@@ -112,7 +113,8 @@ def test_criterion_3_closed_form_fidelity(cfg, table):
                         f"probe-SNR pair {k} lam={lam:.2f} h={h:.2e}: {rel:.3%}")
         del x
         # the exact channel's row sums, drawn as the engine draws them
-        sums = cascaded_sums(rng, np.full(n, tab.ms1[k - 1]), tab.ms2[k - 1], cfg.M)
+        sums = cascaded_sums(rng, cascaded_law(cfg.M),
+                             np.full(n, math.sqrt(tab.ms1[k - 1] * tab.ms2[k - 1])))
         for lam in lams:
             for h in hs:
                 vals = np.maximum(

@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
-from rismac import ConfigError, apply_overrides, channel, replace_config
+from rismac import ConfigError, apply_overrides, replace_config
 from rismac.channel import (
-    CASCADE_TILE,
+    LAW_CELLS,
+    cascaded_law,
     cascaded_sums,
     draw_cascaded,
     draw_direct,
@@ -227,13 +233,69 @@ def test_scalar_draws(cfg):
 
 def _pair_sums(cfg, k, n, seed):
     tab = pair_tables(cfg)
-    return cascaded_sums(np.random.default_rng(seed), np.full(n, tab.ms1[k - 1]),
-                         np.full(n, tab.ms2[k - 1]), cfg.M)
+    return cascaded_sums(np.random.default_rng(seed), cascaded_law(cfg.M),
+                         np.full(n, math.sqrt(tab.ms1[k - 1] * tab.ms2[k - 1])))
 
 
-@pytest.mark.parametrize("m", [1, 32, 1024])
+def _law_moments(law):
+    # mean and variance of the law cascaded_sums draws: the CDF is linear
+    # between nodes, so each cell holds a uniform share of its mass
+    x = law.lo + law.step * np.arange(law.cdf.size)
+    p, a, b = np.diff(law.cdf), x[:-1], x[1:]
+    mean = p @ (0.5 * (a + b))
+    return mean, p @ ((a * a + a * b + b * b) / 3.0) - mean * mean
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 32, 64, 256, 1024, 65536])
+def test_cascaded_law_moments(m):
+    # no sampling: S_M has mean M pi/4 and variance M (1 - pi^2/16)
+    start = time.perf_counter()
+    law = cascaded_law(m)
+    built = time.perf_counter() - start
+    mean, var = _law_moments(law)
+    assert mean == pytest.approx(m * math.pi / 4.0, rel=1e-7)
+    assert var == pytest.approx(m * (1.0 - math.pi**2 / 16.0), rel=1e-5)
+    assert law.cdf.size == law.guide.size == LAW_CELLS + 1
+    assert law.cdf.nbytes + law.guide.nbytes <= 1_000_000
+    assert law.cdf[0] == 0.0 and law.cdf[-1] == 1.0 and np.all(np.diff(law.cdf) >= 0.0)
+    assert built < 0.5  # a loose guard; BENCH_cascadelaw.json has the build times
+
+
+def test_cascaded_law_single_element_cdf():
+    # at M = 1 the law is Z's own: CDF 1 - 2 z K1(2 z), checked between the
+    # nodes as well as at them, on a grid finer than the table
+    law = cascaded_law(1)
+    z = np.linspace(0.0, 8.0, 400_001)[1:]
+    table = np.interp(z, law.lo + law.step * np.arange(law.cdf.size), law.cdf)
+    exact = 1.0 - 2.0 * z * special.k1(2.0 * z)
+    assert np.max(np.abs(table - exact)) < 1e-6
+
+
+def test_cascaded_law_is_built_once_and_read_only():
+    law = cascaded_law(8)
+    assert cascaded_law(8) is law
+    for a in (law.cdf, law.guide):
+        with pytest.raises(ValueError):
+            a[0] = 1
+    none = cascaded_law(0)
+    assert none.m == 0 and none.step == 0.0
+
+
+def test_cascaded_law_not_built_by_import_or_solve():
+    # the law is built the first time a campaign needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    code = ("import rismac; from rismac.channel import cascaded_law; "
+            "before = cascaded_law.cache_info().currsize; "
+            "rismac.build_threshold_table(rismac.default_config()); "
+            "print(before, cascaded_law.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["0", "0"]
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 32, 64, 1024])
 def test_cascaded_sums_law_matches_oracle(cfg, m):
-    # the engine's tiled one-sqrt sums against the per-element oracle
+    # the engine's one-uniform draw from the table against the per-element oracle
     wide = replace_config(cfg, M=m)
     n = 4000
     sums = _pair_sums(wide, 8, n, seed=31)
@@ -250,11 +312,12 @@ def test_cascaded_sums_moments(cfg):
 
 
 def test_cascaded_sums_per_row_scale(cfg):
-    # each row takes its own pair's legs
+    # each row takes its own pair's scale
     tab = pair_tables(cfg)
     n = 20000
     pairs = np.arange(n) % 2 * 7  # rows alternate pair 1 and pair 8
-    sums = cascaded_sums(np.random.default_rng(9), tab.ms1[pairs], tab.ms2[pairs], cfg.M)
+    sums = cascaded_sums(np.random.default_rng(9), cascaded_law(cfg.M),
+                         np.sqrt(tab.ms1[pairs] * tab.ms2[pairs]))
     for row, mu, sg in ((0, MU1, SG1), (7, MU8, SG8)):
         part = sums[pairs == row]
         assert abs(part.mean() - mu) < 5 * sg / math.sqrt(part.size)
@@ -262,32 +325,19 @@ def test_cascaded_sums_per_row_scale(cfg):
 
 def test_cascaded_sums_determinism(cfg):
     wide = replace_config(cfg, M=1000)
-    rows = CASCADE_TILE // wide.M
-    n = 3 * rows + 7  # ends on a partial tile
-    a = _pair_sums(wide, 3, n, seed=11)
-    b = _pair_sums(wide, 3, n, seed=11)
-    assert np.array_equal(a, b)
+    a = _pair_sums(wide, 3, 5000, seed=11)
+    assert np.array_equal(a, _pair_sums(wide, 3, 5000, seed=11))
     assert np.all(a > 0)
-    assert not np.array_equal(a, _pair_sums(wide, 3, n, seed=12))
-
-
-def test_exp_leg_law():
-    # the engine's float32 legs -log u against the float64 map of the same
-    # words, 2^20 half-words spread evenly over the 32-bit range
-    k = (4096 * np.arange(1 << 20, dtype=np.uint64) + 2048).astype(np.uint32)
-    legs = channel._exp_legs(k, np.empty(k.size, dtype=np.float32))
-    exact = -np.log((k + 0.5) * 2.0 ** -32)
-    assert legs.mean(dtype=np.float64) == pytest.approx(exact.mean(), rel=1e-8)
-    assert np.sqrt(legs).mean(dtype=np.float64) == pytest.approx(np.sqrt(exact).mean(), rel=1e-8)
-    # the extreme words stay finite: u is never 0, and never above 1
-    ends = channel._exp_legs(np.array([0, 2**32 - 1], dtype=np.uint32), np.empty(2, np.float32))
-    assert ends[0] == pytest.approx(33 * math.log(2), rel=1e-6)
-    assert ends[1] == 0.0
+    assert not np.array_equal(a, _pair_sums(wide, 3, 5000, seed=12))
+    # one uniform per row: a draw's rows do not depend on how many follow
+    assert np.array_equal(a[:700], _pair_sums(wide, 3, 700, seed=11))
 
 
 def test_cascaded_sums_empty(cfg):
-    off = replace_config(cfg, M=0)
-    zeros = _pair_sums(off, 1, 64, seed=1)
+    # M = 0 draws nothing, so the stream goes on as if no probe had been made
+    rng = np.random.default_rng(1)
+    zeros = cascaded_sums(rng, cascaded_law(0), np.ones(64))
     assert zeros.shape == (64,) and np.all(zeros == 0.0)
+    assert rng.random() == np.random.default_rng(1).random()
     none = _pair_sums(cfg, 1, 0, seed=1)
     assert none.shape == (0,)

@@ -175,11 +175,18 @@ def test_sweep_strict_failure(capsys):
     assert "strict" in err
 
 
-def test_sweep_bad_values(capsys):
-    code, _, err = run(capsys, "sweep", "--axis", "pt_dbm", "--values", "a,b",
-                       "--rounds", "100", "--seed", "1")
-    assert code == 2
-    assert "values" in err
+def test_sweep_bad_values(monkeypatch, capsys):
+    # refused by the parser, before the configuration load, so ahead of a bad --set
+    monkeypatch.setattr("rismac.cli._load_config",
+                        lambda *a: pytest.fail("configuration loaded"))
+    for argv, message in ((["a,b"], "'a' is not a finite number"),
+                          ([","], "needs at least one value, not ','"),
+                          (["30,nan"], "'nan' is not a finite number"),
+                          ([",", "--set", "nonsense=3"], "needs at least one value, not ','")):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--axis", "pt_dbm", "--rounds", "100", "--values", *argv])
+        assert exc.value.code == 2
+        assert f"argument --values: {message}" in capsys.readouterr().err
 
 
 def test_bad_config_path(capsys):

@@ -73,12 +73,14 @@ def test_public_surface_is_pinned():
 
 def test_one_rayleigh_draw_site():
     # every fading draw is made in channel.py, so a cheaper draw has one place
-    # to land: the ziggurat Exp(1) of channel.rayleigh, and the raw words whose
-    # halves channel._exp_legs maps to the engine's cascaded legs
-    for token in ("standard_exponential", "random_raw"):
+    # to land: the ziggurat Exp(1) of channel.rayleigh, and the uniforms that
+    # channel.cascaded_sums maps through the cascaded law; the only other
+    # uniforms are contention.py's sender and winner draws
+    allowed = {"standard_exponential": ["channel.py"], ".random(": ["channel.py", "contention.py"]}
+    for token, expected in allowed.items():
         sites = [path.name for path in sorted(PACKAGE.glob("*.py"))
                  if token in path.read_text(encoding="utf-8")]
-        assert sites == ["channel.py"], token
+        assert sites == expected, token
 
 
 def test_one_rayleigh_density_site():

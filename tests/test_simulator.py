@@ -27,7 +27,7 @@ from rismac import (
     simulate_rounds,
 )
 from rismac import simulator
-from rismac.channel import pair_tables
+from rismac.channel import cascaded_law, pair_tables
 from rismac.simulator import BLOCK_ROUNDS, STREAM_ROUNDS
 from rismac.contention import winner_weights
 
@@ -134,9 +134,21 @@ def test_campaign_refusals_come_before_any_thread(cfg, monkeypatch):
         run_campaign(cfg, never, 2 * STREAM_ROUNDS, seed=1, workers=2)
 
 
+def test_cascaded_law_resolved_once_before_any_thread(cfg, monkeypatch):
+    # the engine looks the law up once per campaign, not once per stream unit
+    # (each campaign here has three), and not at all for no-wait-direct
+    built = []
+    monkeypatch.setattr(simulator, "cascaded_law", lambda m: built.append(m) or cascaded_law(m))
+    n = 3 * STREAM_ROUNDS
+    for kind in PolicyKind:
+        run_campaign(cfg, make_policy(kind, cfg), n, seed=1, workers=2)
+    assert built == [cfg.M] * 3
+
+
 def test_wide_draw_memory_is_bounded(cfg):
     # 4096 probing attempts at M = 1024 are 4M elements per leg (32 MiB each)
-    # if drawn whole; the tiled draw holds about one tile
+    # if drawn per element; the tabulated law draws one uniform per probe, and
+    # the law itself (built before the traced campaign) is under 1 MB
     wide = replace_config(cfg, M=1024)
     policy = make_policy(PolicyKind.NO_WAIT_RIS, wide)
     simulate_rounds(wide, policy, 64, seed=1, workers=1)  # warm the caches
