@@ -21,7 +21,7 @@ import numpy as np
 from scipy import special
 
 from .config import ConfigError, NetworkConfig
-from .numerics import SQRT2, snr_floor
+from .numerics import SQRT2, guide_lookup, guide_table, snr_floor
 
 
 LAW_CELLS = 1 << 16  # cells of cascaded_law's CDF table, and of its guide table
@@ -176,8 +176,8 @@ def _z_mgf(s):
 class CascadedLaw(NamedTuple):
     """S_M, the sum of m i.i.d. Z = sqrt(E1 E2), as a CDF table: F at the nodes
     lo + j step, j = 0..LAW_CELLS, linear between them (uniform within a cell).
-    guide[i] is the cell holding u = i / (guide.size - 1). m = 0 is the point
-    mass at 0, one cell wide with step 0."""
+    cdf and guide are a numerics.GuideTable's, so numerics.guide_lookup reads
+    the law as it is. m = 0 is the point mass at 0, one cell wide with step 0."""
 
     m: int
     lo: float
@@ -202,8 +202,7 @@ def cascaded_law(m: int) -> CascadedLaw:
     one block from m = 2 on, 15 at m = 1. Rounding is then made monotone.
     """
     if m == 0:
-        return CascadedLaw(0, 0.0, 0.0, _frozen(np.array([0.0, 1.0])),
-                           _frozen(np.array([0, 1], dtype=np.int32)))
+        return CascadedLaw(0, 0.0, 0.0, *guide_table(np.array([0.0, 1.0]), 1))
     s = np.linspace(0.01, 1.99, 199)
     hi = float(np.min((m * np.log(_z_mgf(s)) + _LAW_TAIL) / s))
     lo = max(0.0, float(np.max((m * np.log(_z_mgf(-s)) + _LAW_TAIL) / -s)))
@@ -229,8 +228,7 @@ def cascaded_law(m: int) -> CascadedLaw:
     np.clip(cdf, 0.0, 1.0, out=cdf)
     np.maximum.accumulate(cdf, out=cdf)
     cdf[0], cdf[n] = 0.0, 1.0
-    guide = np.searchsorted(cdf, np.arange(n + 1.0) / n, side="right") - 1
-    return CascadedLaw(m, lo, w / n, _frozen(cdf), _frozen(guide.astype(np.int32)))
+    return CascadedLaw(m, lo, w / n, *guide_table(cdf, n))
 
 
 def cascaded_sums(rng: np.random.Generator, law: CascadedLaw, scale) -> np.ndarray:
@@ -238,21 +236,17 @@ def cascaded_sums(rng: np.random.Generator, law: CascadedLaw, scale) -> np.ndarr
     draw_cascaded(...).sum(axis=1) for scale = sqrt(ms1 ms2) and law =
     cascaded_law(M), since sqrt(ms1 E1) sqrt(ms2 E2) = sqrt(ms1 ms2) Z.
 
-    One uniform u per row goes through the inverse of the linear CDF: the
-    guide table gives u's cell outright where its guide cell spans at most
-    one node, and a binary search elsewhere (a few percent of rows, in the
-    tails). m = 0 draws nothing.
+    One uniform u per row goes through the inverse of the linear CDF: its
+    cell by numerics.guide_lookup (a binary search for the few percent of
+    rows, in the tails, whose guide cell spans more than one node), then its
+    place within the cell. m = 0 draws nothing.
     """
     scale = np.asarray(scale, dtype=float)
     if law.m == 0:
         return np.zeros(scale.shape)
-    cdf, guide = law.cdf, law.guide
+    cdf = law.cdf
     u = rng.random(scale.shape)
-    i = (u * (guide.size - 1)).astype(np.intp)
-    cell = guide[i].astype(np.intp)
-    wide = np.flatnonzero(guide[i + 1] - cell > 1)
-    cell += cdf[cell + 1] <= u
-    cell[wide] = np.searchsorted(cdf, u[wide], side="right") - 1
+    cell = guide_lookup(law, u)
     # in place from here: lo + step (cell + the share of the cell's mass below u)
     below = cdf[cell]
     x = u - below

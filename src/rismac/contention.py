@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ConfigError, NetworkConfig
+from .numerics import GuideTable, geometric, guide_lookup, guide_table
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class SlotLaw(NamedTuple):
     p_idle: float  # P(no sender)
     idle_share: float  # P(idle | the slot failed)
     weights: np.ndarray  # winning pair's law, given a single-sender slot
-    cum_weights: np.ndarray
+    winner_table: GuideTable  # the weights' CDF, as winner_table() builds it
 
 
 @lru_cache(maxsize=32)
@@ -62,12 +63,21 @@ def slot_law(p: tuple[float, ...]) -> SlotLaw:
         raise ConfigError("no slot can have exactly one sender (p_s = 0)")
     w = np.array(terms)
     weights = w / w.sum()
-    cum_weights = np.cumsum(weights)
     weights.flags.writeable = False
-    cum_weights.flags.writeable = False
     # at tiny p the quotient rounds above 1 (p_idle and 1 - p_s agree to 1e-16)
     idle_share = min(p_idle / (1.0 - p_s), 1.0) if p_s < 1.0 else 0.0
-    return SlotLaw(p_s, p_idle, idle_share, weights, cum_weights)
+    return SlotLaw(p_s, p_idle, idle_share, weights, winner_table(np.cumsum(weights)))
+
+
+def winner_table(cum_weights: np.ndarray) -> GuideTable:
+    """The guide table of a winner CDF c (K cumulative weights): nodes
+    0, min(c_1, 1), ..., min(c_{K-1}, 1), 1 over the smallest power of two
+    of cells at or above 8 K. A uniform u's cell is then
+    min(searchsorted(c, u, "right"), K - 1), the 0-based winner, however the
+    sum rounds near 1; a zero-weight pair is a flat step."""
+    k = cum_weights.size
+    cdf = np.concatenate(([0.0], np.minimum(cum_weights[:-1], 1.0), [1.0]))
+    return guide_table(cdf, 1 << (8 * k - 1).bit_length())
 
 
 def winner_weights(p) -> np.ndarray:
@@ -109,13 +119,18 @@ def simulate_contention(rng: np.random.Generator, cfg: NetworkConfig) -> Content
             n_coll += 1
 
 
-def draw_contention(rng: np.random.Generator, cfg: NetworkConfig, n: int, cum_weights):
-    """n independent contentions: 1-based winners, drawn from the winner CDF
-    cum_weights, and the geometric count of failed slots before each win,
-    which is independent of the winner."""
-    fails = rng.geometric(slot_law(cfg.p).p_s, n) - 1
-    winners = np.searchsorted(cum_weights, rng.random(n), side="right")
-    return np.minimum(winners, cfg.K - 1) + 1, fails
+def draw_contention(rng: np.random.Generator, cfg: NetworkConfig, n: int,
+                    winner_cdf: GuideTable):
+    """n independent contentions: 1-based winners and the count of failed
+    slots before each win, which is independent of the winner. The counts
+    are drawn first, geometric in p_s (numerics.geometric); then one uniform
+    per winner goes through winner_cdf (slot_law(cfg.p).winner_table, or a
+    winner_table of another winner law) by numerics.guide_lookup."""
+    fails = geometric(rng, slot_law(cfg.p).p_s, n)
+    fails -= 1
+    winners = guide_lookup(winner_cdf, rng.random(n))
+    winners += 1
+    return winners, fails
 
 
 def failed_slots(rng: np.random.Generator, cfg: NetworkConfig, wins):

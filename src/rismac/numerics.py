@@ -1,13 +1,16 @@
-"""Numerical building blocks shared by the solver and the baseline analytics.
+"""Numerical building blocks shared by the solver, the baseline analytics
+and the simulator's draws.
 
 Adaptive Gauss-Legendre panels, vector bisection, the safeguarded Newton
 root of a balance value(lam) = lam * tau_o on the value's own slope, the SNR
-floor 2^lam - 1 and an overflow-safe exp(a) * E1(x).
+floor 2^lam - 1 and an overflow-safe exp(a) * E1(x); for the draws, the
+guide-table inverse of a tabulated CDF and whole-array geometric counts.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -25,6 +28,7 @@ _OFFSETS = np.concatenate([_X1, _X2])  # both orders' nodes on [-1, 1], fused
 _MAX_ROUNDS = 40     # panel-halving rounds before the quadrature gives up
 _MAX_PANELS = 1 << 18  # panels one integral evaluates before it gives up
 BISECT_DEPTH = 5     # bisection steps one evaluation covers (vec_bisect)
+_INT64_CAP = 2.0 ** 63  # the smallest double above INT64_MAX, where numpy caps a geometric
 
 
 class SolverError(RuntimeError):
@@ -206,3 +210,60 @@ def bracket_root(value, tau_o: float) -> float:
         below = (lam, d) if r > 0.0 else None
         lam = nxt
         v, d = value(lam)
+
+
+class GuideTable(NamedTuple):
+    """A tabulated CDF with its guide table (Chen and Asau, AIIE Trans. 6(2),
+    1974): nodes 0 = cdf[0] <= cdf[1] <= ... <= cdf[-1] = 1, flat steps
+    allowed, and guide[j] the last node at or below j / n, j = 0..n, for a
+    power of two n, so that j / n and u * n are exact. Arrays read-only."""
+
+    cdf: np.ndarray
+    guide: np.ndarray  # int32
+
+
+def guide_table(cdf: np.ndarray, cells: int) -> GuideTable:
+    """cdf (frozen in place) with its guide over `cells` equal cells of
+    [0, 1], cells a power of two."""
+    guide = np.searchsorted(cdf, np.arange(cells + 1.0) / cells, side="right") - 1
+    guide = guide.astype(np.int32)
+    cdf.flags.writeable = guide.flags.writeable = False
+    return GuideTable(cdf, guide)
+
+
+def guide_lookup(table, u: np.ndarray) -> np.ndarray:
+    """searchsorted(table.cdf, u, side="right") - 1 for u in [0, 1): the last
+    node at or below each u, found in O(1). table is a GuideTable or anything
+    with its cdf and guide. u's guide cell i bounds the answer to
+    [guide[i], guide[i + 1]]; where that span holds at most one further node
+    one comparison settles it, and elsewhere (a guide cell holding a flat step
+    or two or more nodes) a binary search does."""
+    cdf, guide = table.cdf, table.guide
+    i = (u * (guide.size - 1)).astype(np.intp)
+    cell = guide[i].astype(np.intp)
+    wide = np.flatnonzero(guide[i + 1] - cell > 1)
+    cell += cdf[cell + 1] <= u
+    cell[wide] = np.searchsorted(cdf, u[wide], side="right") - 1
+    return cell
+
+
+def geometric(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
+    """rng.geometric(p, n) for 0 < p <= 1, value for value, leaving rng at
+    the same next draw. numpy takes p >= 1/3 by a search, summing the pmf
+    until it passes one uniform (a few terms there), and inverts one
+    exponential below it (Devroye, Non-Uniform Random Variate Generation,
+    1986): ceil(E / -log1p(-p)), capped at INT64_MAX. numpy recomputes
+    log1p(-p) for every draw of that branch; here it is one exponential fill
+    and a few array steps."""
+    if p >= 1.0 / 3.0:
+        return rng.geometric(p, n)
+    z = rng.standard_exponential(n)
+    z /= -math.log1p(-p)
+    np.ceil(z, out=z)
+    big = z >= _INT64_CAP  # only below p of about 1e-17
+    if not big.any():
+        return z.astype(np.int64)
+    z[big] = 0.0
+    out = z.astype(np.int64)
+    out[big] = np.iinfo(np.int64).max
+    return out

@@ -22,21 +22,37 @@ walks every attempt, and a block engine built on attempts being i.i.d. under
 a fixed policy. An attempt releases at level 1 with the closed-form
 probability q = sum_k w_k P(h_k <= zeta_k) (w the winner law), so the engine
 draws only acting attempts, those that transmit directly or probe, in
-vectorized chunks: winner from w_k (1 - r_k) / (1 - q) with failed slots,
+vectorized chunks: failed slots and winner from w_k (1 - r_k) / (1 - q),
 direct magnitude past zeta_k (|h|^2 is memoryless), code (direct at or above
 eta_k, else probe) and, where it probes, the cascaded sum, one uniform
 through S_M's tabulated law (channel.cascaded_law, built the first time an
 M needs it and looked up once per campaign, before any worker starts), so a
-probe costs the same at any M; before each, a geometric count of skipped
-releases (none drawn at q = 0, so the reference disciplines, with
-zeta = -inf, draw no extra numbers). A round is the run of
-acting attempts up to the first that transmits plus the releases skipped
-before them, so it costs O(acting attempts); the skipped releases' failed
-slots are one negative-binomial draw per round, and a round's failed slots
-are split into idle and collision slots once. A campaign runs in stream
-units of up to STREAM_ROUNDS rounds (four 4096-round slices), each its own
-PCG64 stream seeded by (seed, unit) and one worker task; the plan does not
-depend on the worker count, so campaign results are bit-identical for any.
+probe costs the same at any M; one spectral rate per attempt, of the direct
+magnitude or of it plus the cascaded sum; before each, at q > 0, a
+geometric count of skipped releases. At q = 0 none is drawn, held or summed,
+so the reference disciplines, with zeta = -inf, draw no extra numbers.
+
+Every draw returns numpy's own values in whole-array steps. A winner and a
+cascaded sum are one uniform each through a guide table
+(numerics.guide_lookup; the acting winner table is built once per campaign,
+before any worker starts), equal to a binary search of the CDF. A geometric
+count (failed slots in p_s, skipped releases in 1 - q) is
+numerics.geometric, split at p = 1/3 where numpy splits: below it numpy
+inverts one exponential per draw, which is one array fill and one log1p,
+and at or above it numpy searches one uniform's cumulative pmf in a
+data-dependent loop of a few terms, kept as numpy's call. Either way the
+stream is consumed as numpy's geometric consumes it. The binomial
+idle/collision split and the negative-binomial draw stay numpy's calls.
+
+A round is the run of acting attempts up to the first that transmits plus
+the releases skipped before them, so it costs O(acting attempts); a chunk
+whose every attempt ends its round (the no-wait disciplines) is already per
+round and is not summed. The skipped releases' failed slots are one
+negative-binomial draw per round, and a round's failed slots are split into
+idle and collision slots once. A campaign runs in stream units of up to
+STREAM_ROUNDS rounds (four 4096-round slices), each its own PCG64 stream
+seeded by (seed, unit) and one worker task; the plan does not depend on the
+worker count, so campaign results are bit-identical for any.
 Rounds are i.i.d. renewal cycles, so a campaign's interval is regenerative.
 """
 
@@ -65,8 +81,8 @@ from .channel import (
 )
 from .config import NetworkConfig
 from .contention import (contention_time, draw_contention, failed_slots, simulate_contention,
-                         slot_law, split_failed_slots)
-from .numerics import SolverError
+                         slot_law, split_failed_slots, winner_table)
+from .numerics import GuideTable, SolverError, geometric
 from .strategies import Decision, Policy, decide_level1_threshold, decide_level2
 
 BLOCK_ROUNDS = 4096  # rounds per slice of a campaign's sums
@@ -150,13 +166,14 @@ def _unit_rng(seed: int, unit: int) -> np.random.Generator:
 
 
 def _acting_law(cfg: NetworkConfig, policy: Policy):
-    """The release probability q = sum_k w_k r_k of one attempt, with
-    r_k = P(h_k <= zeta_k), and the winner CDF of an acting attempt (one that
-    transmits directly or probes), w_k (1 - r_k) / (1 - q). At q = 0 that is
-    the slot law's own CDF. A slot law with p_s < _MAX_ATTEMPTS / 2^63 (about
-    1.1e-14) is refused: a round of up to _MAX_ATTEMPTS contentions fails
-    (1 - p_s) / p_s slots per contention on average, so its int64 count could
-    pass 2^63 - 1 (at p_s = 8e-300 every geometric draw saturates there)."""
+    """The winner table of an acting attempt (one that transmits directly or
+    probes), whose law is w_k (1 - r_k) / (1 - q), and the release
+    probability q = sum_k w_k r_k of one attempt, with r_k = P(h_k <= zeta_k).
+    At q = 0 that is the slot law's own table, built with it. A slot law with
+    p_s < _MAX_ATTEMPTS / 2^63 (about 1.1e-14) is refused: a round of up to
+    _MAX_ATTEMPTS contentions fails (1 - p_s) / p_s slots per contention on
+    average, so its int64 count could pass 2^63 - 1 (at p_s = 8e-300 every
+    geometric draw saturates there)."""
     law = slot_law(cfg.p)
     if law.p_s * 2.0 ** 63 < _MAX_ATTEMPTS:
         raise SimulationError(
@@ -165,51 +182,53 @@ def _acting_law(cfg: NetworkConfig, policy: Policy):
     r = rayleigh_cdf(policy.zeta, pair_tables(cfg).v)
     q = float(law.weights @ r)
     if q == 0.0:
-        return law.cum_weights, q
+        return law.winner_table, q
     acting = np.cumsum(law.weights * (1.0 - r))
     if q >= 1.0 or acting[-1] <= 0.0:
         raise SimulationError(f"every attempt releases (q = {q}): rounds did not terminate")
-    return acting / acting[-1], q
+    return winner_table(acting / acting[-1]), q
 
 
 def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy, m: int,
-                   cum_weights, q: float, law: CascadedLaw | None):
+                   winner_cdf: GuideTable, q: float, law: CascadedLaw | None):
     """m i.i.d. acting attempts: contention, direct draw past zeta, level-1
     code and, where it probes, the cascaded sum drawn from law (None where
-    no pair probes); before each, the geometric count of releases skipped
-    (none drawn when q = 0). Returns per-attempt (failed slots, bits,
-    terminal code: 0 probe released, 1 direct, 2 surface; releases
-    skipped)."""
+    no pair probes); before each, at q > 0, the geometric count of releases
+    skipped. Returns per-attempt [failed slots, bits (0 where a probe
+    releases), terminal code: 0 probe released, 1 direct, 2 surface], with
+    the releases skipped appended at q > 0."""
     tab = pair_tables(cfg)
-    winners, fails = draw_contention(rng, cfg, m, cum_weights)
+    winners, fails = draw_contention(rng, cfg, m, winner_cdf)
     winners -= 1
+    floor = 0.0
     if q:
-        skipped = rng.geometric(1.0 - q, m) - 1
+        skipped = geometric(rng, 1.0 - q, m)
+        skipped -= 1
         if skipped.max() >= _MAX_ATTEMPTS:
             raise SimulationError(
                 f"a round did not terminate in {_MAX_ATTEMPTS} attempts (q = {q})")
         floor = np.maximum(policy.zeta[winners], 0.0)
-    else:
-        skipped, floor = np.zeros(m, dtype=np.int64), 0.0
     h = rayleigh(rng, tab.v[winners], m, floor)
-    # an acting attempt transmits directly at or above eta and probes below
+    # an acting attempt transmits directly at or above eta and probes below,
+    # which adds the cascaded sum to its magnitude; one rate serves both
     direct = h >= policy.eta[winners]
-    bits = np.zeros(m)
-    terminal = np.zeros(m, dtype=np.uint8)
-    bits[direct] = cfg.tau1 * rate_direct(tab.rho, h[direct])
-    terminal[direct] = 1
     rows = np.flatnonzero(~direct)
     if rows.size:
-        casc = cascaded_sums(rng, law, np.sqrt(tab.ms1 * tab.ms2)[winners[rows]])
-        rr = rate_direct(tab.rho, h[rows] + casc)
-        stop = rr >= policy.stop_rate
-        bits[rows[stop]] = cfg.tau2 * rr[stop]
-        terminal[rows[stop]] = 2
-    return fails, bits, terminal, skipped
+        h[rows] += cascaded_sums(rng, law, np.sqrt(tab.ms1 * tab.ms2)[winners[rows]])
+    rate = rate_direct(tab.rho, h)
+    # code 2 * stop - direct (1 direct, 2 a probe that stops, 0 one that
+    # releases); bits are the rate times the code's window, tau1, tau2 or 0
+    stop = rate >= policy.stop_rate
+    stop |= direct
+    terminal = stop.view(np.uint8) << 1
+    terminal -= direct
+    bits = np.array((0.0, cfg.tau1, cfg.tau2)).take(terminal)
+    bits *= rate
+    return [fails, bits, terminal, skipped] if q else [fails, bits, terminal]
 
 
 def _simulate_unit(seed: int, unit: int, n_rounds: int, cfg: NetworkConfig,
-                   policy: Policy, cum_weights, q: float,
+                   policy: Policy, winner_cdf: GuideTable, q: float,
                    law: CascadedLaw | None) -> RoundArrays:
     """n_rounds rounds cut from one stream of i.i.d. acting attempts: a round
     is the run of acting attempts up to and including its first terminal
@@ -219,8 +238,9 @@ def _simulate_unit(seed: int, unit: int, n_rounds: int, cfg: NetworkConfig,
 
     Each chunk is summed per round as soon as it is drawn, so memory stays
     O(n_rounds); the attempts of the round left open at a chunk's end are
-    held over to the front of the next chunk. The skipped releases' failed
-    slots are drawn per round in one negative-binomial draw, and failed
+    held over to the front of the next chunk. A chunk whose every attempt
+    ends its round is already per round. At q > 0 the skipped releases'
+    failed slots are drawn per round in one negative-binomial draw; failed
     slots are split into idle and collision slots per round, once, at the
     end.
     """
@@ -230,31 +250,34 @@ def _simulate_unit(seed: int, unit: int, n_rounds: int, cfg: NetworkConfig,
     drawn = done = 0
     size = n_rounds
     while done < n_rounds:
-        chunk = _draw_attempts(rng, cfg, policy, size, cum_weights, q, law)
+        chunk = _draw_attempts(rng, cfg, policy, size, winner_cdf, q, law)
         if held:
             chunk = [np.concatenate(pair) for pair in zip(held, chunk)]
-        fails, bits, terminal, skipped = chunk
-        ends = np.flatnonzero(terminal)[:n_rounds - done]
+        ends = np.flatnonzero(chunk[2])[:n_rounds - done]
         cut = ends[-1] + 1 if ends.size else 0
         held = [a[cut:] for a in chunk]
-        if held[0].size + held[3].sum() >= _MAX_ATTEMPTS:
+        if held[0].size + (held[3].sum() if q else 0) >= _MAX_ATTEMPTS:
             raise SimulationError(
                 f"unit {unit}: a round did not terminate in {_MAX_ATTEMPTS} attempts")
-        if ends.size:
+        if ends.size == cut:  # every attempt ends its round: one acting attempt each
+            parts.append([a[:cut] for a in chunk] + [np.ones(cut, dtype=np.int64)])
+        else:
+            fails, bits, terminal, *skipped = chunk
             starts = np.concatenate(([0], ends[:-1] + 1))
-            parts.append((bits[ends], np.add.reduceat(fails[:cut], starts),
-                          ends - starts + 1, np.add.reduceat(skipped[:cut], starts),
-                          terminal[ends]))
+            parts.append([np.add.reduceat(fails[:cut], starts), bits[ends], terminal[ends],
+                          *(np.add.reduceat(s[:cut], starts) for s in skipped),
+                          ends - starts + 1])
         drawn += size
         done += ends.size
         # size the next chunk from the acting attempts per round seen so far
         size = min(STREAM_ROUNDS, -(-(n_rounds - done) * drawn // max(done, 1)))
-    bits, fails, acting, skipped, terminal = (np.concatenate(c) for c in zip(*parts))
-    attempts = acting + skipped
+    fails, bits, terminal, *skipped, acting = (np.concatenate(c) for c in zip(*parts))
+    attempts = acting + skipped[0] if q else acting
     if attempts.max() > _MAX_ATTEMPTS:
         raise SimulationError(
             f"unit {unit}: a round did not terminate in {_MAX_ATTEMPTS} attempts")
-    fails += failed_slots(rng, cfg, skipped)
+    if q:
+        fails += failed_slots(rng, cfg, skipped[0])
     cont_time = contention_time(cfg, attempts, *split_failed_slots(rng, cfg, fails))
     releases = acting - 1
     total = cont_time + releases * cfg.tau_pc + cfg.tau1
@@ -273,7 +296,7 @@ def _run_units(cfg: NetworkConfig, policy: Policy, n_rounds: int, seed: int,
         workers = min(4, os.cpu_count() or 1)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    cum_weights, q = _acting_law(cfg, policy)
+    winner_cdf, q = _acting_law(cfg, policy)
     # a direct magnitude is never below an eta <= 0: no-wait-direct never probes
     law = cascaded_law(cfg.M) if np.any(policy.eta > 0.0) else None
     full, rem = divmod(n_rounds, STREAM_ROUNDS)
@@ -281,7 +304,7 @@ def _run_units(cfg: NetworkConfig, policy: Policy, n_rounds: int, seed: int,
     nw = min(workers, len(plan))
 
     def one(item):
-        return reduce(_simulate_unit(seed, *item, cfg, policy, cum_weights, q, law))
+        return reduce(_simulate_unit(seed, *item, cfg, policy, winner_cdf, q, law))
 
     if nw == 1:
         return [one(item) for item in plan]

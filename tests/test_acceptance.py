@@ -138,7 +138,7 @@ def test_criterion_4_contention_analytics(cfg):
     and the winner distribution is uniform by chi-square at the 1% level."""
     tau_o = expected_contention_time(cfg)
     rng = np.random.default_rng(4040)
-    winners, fails = draw_contention(rng, cfg, 1_000_000, slot_law(cfg.p).cum_weights)
+    winners, fails = draw_contention(rng, cfg, 1_000_000, slot_law(cfg.p).winner_table)
     elapsed = contention_time(cfg, 1, *split_failed_slots(rng, cfg, fails))
     rel = abs(elapsed.mean() - tau_o) / tau_o
     counts = np.bincount(winners - 1, minlength=cfg.K)

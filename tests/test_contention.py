@@ -12,8 +12,10 @@ from rismac import (
     replace_config,
     simulate_contention,
 )
+from rismac.channel import cascaded_law
 from rismac.contention import (contention_time, draw_contention, slot_law, split_failed_slots,
-                               winner_weights)
+                               winner_table, winner_weights)
+from rismac.numerics import geometric, guide_lookup
 
 # frozen oracles from independent arithmetic
 TAU_O_DEFAULT = 0.0002956803497712527
@@ -83,7 +85,7 @@ def test_scalar_slot_simulation(cfg):
 def engine_contentions(rng, cfg, n):
     """n contentions through the engine's steps: winners, elapsed, n_idle,
     n_collisions (the engine splits the failed slots once per round)."""
-    winners, fails = draw_contention(rng, cfg, n, slot_law(cfg.p).cum_weights)
+    winners, fails = draw_contention(rng, cfg, n, slot_law(cfg.p).winner_table)
     n_idle, n_coll = split_failed_slots(rng, cfg, fails)
     return winners, contention_time(cfg, 1, n_idle, n_coll), n_idle, n_coll
 
@@ -124,3 +126,67 @@ def test_single_pair_always_wins(cfg):
     assert out.winner == 1
     assert out.elapsed == solo.tau_m1
     assert expected_contention_time(solo) == pytest.approx(solo.tau_m1, rel=1e-14)
+
+
+# the engine's two draw helpers return numpy's own values: failed slots and
+# skipped releases through numerics.geometric, on both sides of numpy's
+# p = 1/3 switch and past its INT64_MAX cap (p = 1e-19 and 1e-300); winners
+# and cascaded sums through numerics.guide_lookup
+GEOMETRIC_P = [1e-300, 1e-19, 1e-14, 1e-9, 1e-3, "p_s", float(np.nextafter(1.0 / 3.0, 0.0)),
+               1.0 / 3.0, 0.5, 0.75, 1.0]
+
+
+@pytest.mark.parametrize("p", GEOMETRIC_P)
+def test_geometric_is_numpys(cfg, p):
+    p = slot_law(cfg.p).p_s if p == "p_s" else p
+    ours, numpys = np.random.default_rng(17), np.random.default_rng(17)
+    got = geometric(ours, p, 50_000)
+    want = numpys.geometric(p, 50_000)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert ours.random(4).tolist() == numpys.random(4).tolist()  # the same next draws
+
+
+def _probe_points(table, n=100_000):
+    """Uniforms, every node below 1 and the float just below it, every guide
+    cell's left end, and the last float below 1."""
+    inner = table.cdf[table.cdf < 1.0]
+    cells = table.guide.size - 1
+    return np.concatenate((np.random.default_rng(3).random(n), inner,
+                           np.nextafter(inner[inner > 0.0], 0.0), np.arange(cells) / cells,
+                           [np.nextafter(1.0, 0.0)]))
+
+
+WINNER_CDFS = {
+    "zero-weight pairs": np.cumsum([0.0, 0.0, 0.2, 0.0, 0.3, 0.0, 0.5, 0.0]),
+    "sum past 1": np.array([0.25, 0.5, 1.0000000000000002, 1.0000000000000002]),
+    "tiny weight": np.array([0.0, 1.2e-8, 0.0214, 0.348, 0.674, 1.0]),
+    "tenths": np.cumsum(np.full(10, 0.1)),
+    "K = 1": np.array([1.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(WINNER_CDFS))
+def test_winner_lookup_is_clamped_searchsorted(name):
+    cw = WINNER_CDFS[name]
+    table = winner_table(cw)
+    u = np.concatenate((_probe_points(table), cw[cw < 1.0]))
+    want = np.minimum(np.searchsorted(cw, u, side="right"), cw.size - 1)
+    assert np.array_equal(guide_lookup(table, u), want)
+
+
+def test_engine_winners_are_clamped_searchsorted(cfg):
+    cum = np.cumsum(winner_weights(cfg.p))
+    winners, _ = draw_contention(np.random.default_rng(8), cfg, 20_000,
+                                 slot_law(cfg.p).winner_table)
+    rng = np.random.default_rng(8)
+    rng.geometric(slot_law(cfg.p).p_s, 20_000)
+    u = rng.random(20_000)
+    assert np.array_equal(winners, np.minimum(np.searchsorted(cum, u, side="right"), cfg.K - 1) + 1)
+
+
+@pytest.mark.parametrize("m", [1, 32])
+def test_cascaded_lookup_is_searchsorted(m):
+    law = cascaded_law(m)
+    u = _probe_points(law)
+    want = np.searchsorted(law.cdf, u, side="right") - 1
+    assert np.array_equal(guide_lookup(law, u), want)

@@ -75,8 +75,10 @@ def test_one_rayleigh_draw_site():
     # every fading draw is made in channel.py, so a cheaper draw has one place
     # to land: the ziggurat Exp(1) of channel.rayleigh, and the uniforms that
     # channel.cascaded_sums maps through the cascaded law; the only other
-    # uniforms are contention.py's sender and winner draws
-    allowed = {"standard_exponential": ["channel.py"], ".random(": ["channel.py", "contention.py"]}
+    # uniforms are contention.py's sender and winner draws, and the only other
+    # exponentials numerics.geometric's inversion branch
+    allowed = {"standard_exponential": ["channel.py", "numerics.py"],
+               ".random(": ["channel.py", "contention.py"]}
     for token, expected in allowed.items():
         sites = [path.name for path in sorted(PACKAGE.glob("*.py"))
                  if token in path.read_text(encoding="utf-8")]

@@ -74,8 +74,11 @@ def test_engine_accounting_identity(cfg, policies):
             assert np.all(arr.probe_releases == 0)
 
 
-def test_determinism_across_worker_counts(cfg, policies):
-    policy = policies[PolicyKind.PROPOSED]
+@pytest.mark.parametrize("kind", list(PolicyKind), ids=lambda kind: kind.value)
+def test_determinism_across_worker_counts(cfg, policies, kind):
+    # every discipline: q = 0 draws no skipped releases, and a chunk whose
+    # every attempt ends its round is not summed, both inside worker threads
+    policy = policies[kind]
     est1 = run_campaign(cfg, policy, 40_000, seed=5, workers=1)
     est3 = run_campaign(cfg, policy, 40_000, seed=5, workers=3)
     assert est1 == est3  # bitwise identical, including the interval
