@@ -225,8 +225,8 @@ class GuideTable(NamedTuple):
 def guide_table(cdf: np.ndarray, cells: int) -> GuideTable:
     """cdf (frozen in place) with its guide over `cells` equal cells of
     [0, 1], cells a power of two."""
-    guide = np.searchsorted(cdf, np.arange(cells + 1.0) / cells, side="right") - 1
-    guide = guide.astype(np.int32)
+    nodes = np.arange(cells + 1.0) / cells
+    guide = (np.searchsorted(cdf, nodes, side="right") - 1).astype(np.int32)
     cdf.flags.writeable = guide.flags.writeable = False
     return GuideTable(cdf, guide)
 

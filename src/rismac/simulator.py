@@ -29,31 +29,26 @@ through S_M's tabulated law (channel.cascaded_law, built the first time an
 M needs it and looked up once per campaign, before any worker starts), so a
 probe costs the same at any M; one spectral rate per attempt, of the direct
 magnitude or of it plus the cascaded sum; before each, at q > 0, a
-geometric count of skipped releases. At q = 0 none is drawn, held or summed,
-so the reference disciplines, with zeta = -inf, draw no extra numbers.
-
-Every draw returns numpy's own values in whole-array steps. A winner and a
-cascaded sum are one uniform each through a guide table
-(numerics.guide_lookup; the acting winner table is built once per campaign,
-before any worker starts), equal to a binary search of the CDF. A geometric
-count (failed slots in p_s, skipped releases in 1 - q) is
-numerics.geometric, split at p = 1/3 where numpy splits: below it numpy
-inverts one exponential per draw, which is one array fill and one log1p,
-and at or above it numpy searches one uniform's cumulative pmf in a
-data-dependent loop of a few terms, kept as numpy's call. Either way the
-stream is consumed as numpy's geometric consumes it. The binomial
-idle/collision split and the negative-binomial draw stay numpy's calls.
+geometric count of skipped releases (none at q = 0, so the reference
+disciplines, with zeta = -inf, draw no extra numbers). Winners and cascaded
+sums go through numerics.guide_lookup (the acting winner table is built once
+per campaign, before any worker starts) and geometric counts through
+numerics.geometric. Both return numpy's own values from the same stream in
+whole-array steps; the geometric splits at p = 1/3 because numpy does,
+inverting one exponential per draw below it (one array fill here) and
+searching one uniform's pmf sum at or above it (numpy's call kept).
 
 A round is the run of acting attempts up to the first that transmits plus
 the releases skipped before them, so it costs O(acting attempts); a chunk
-whose every attempt ends its round (the no-wait disciplines) is already per
-round and is not summed. The skipped releases' failed slots are one
-negative-binomial draw per round, and a round's failed slots are split into
-idle and collision slots once. A campaign runs in stream units of up to
-STREAM_ROUNDS rounds (four 4096-round slices), each its own PCG64 stream
-seeded by (seed, unit) and one worker task; the plan does not depend on the
-worker count, so campaign results are bit-identical for any.
-Rounds are i.i.d. renewal cycles, so a campaign's interval is regenerative.
+whose every attempt ends its round is already per round. The skipped
+releases' failed slots are one negative-binomial draw per round, and a
+round's failed slots are split into idle and collision slots once.
+
+A campaign runs in stream units of up to STREAM_ROUNDS rounds (four
+4096-round slices), each its own PCG64 stream seeded by (seed, unit) and one
+worker task; the plan does not depend on the worker count, so campaign
+results are bit-identical for any. Rounds are i.i.d. renewal cycles, so a
+campaign's interval is regenerative.
 """
 
 from __future__ import annotations
