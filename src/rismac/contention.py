@@ -119,36 +119,19 @@ def simulate_contention(rng: np.random.Generator, cfg: NetworkConfig) -> Content
             n_coll += 1
 
 
-def draw_contention(rng: np.random.Generator, cfg: NetworkConfig, n: int,
-                    winner_cdf: GuideTable):
-    """n independent contentions: 1-based winners and the count of failed
-    slots before each win, which is independent of the winner. The counts
-    are drawn first, geometric in p_s (numerics.geometric); then one uniform
-    per winner goes through winner_cdf (slot_law(cfg.p).winner_table, or a
+def draw_contention(rng: np.random.Generator, p_end: float, n: int, winner_cdf: GuideTable):
+    """n independent contentions, each run until a slot that ends it, which
+    has probability p_end (the slot law's p_s; for the engine's acting
+    attempts, p_s (1 - q)): 1-based winners and the count of slots before
+    each end, which is independent of the winner. The counts are drawn
+    first, geometric in p_end (numerics.geometric); then one uniform per
+    winner goes through winner_cdf (slot_law(cfg.p).winner_table, or a
     winner_table of another winner law) by numerics.guide_lookup."""
-    fails = geometric(rng, slot_law(cfg.p).p_s, n)
-    fails -= 1
+    slots = geometric(rng, p_end, n)
+    slots -= 1
     winners = guide_lookup(winner_cdf, rng.random(n))
     winners += 1
-    return winners, fails
-
-
-def failed_slots(rng: np.random.Generator, cfg: NetworkConfig, wins):
-    """Failed slots summed over each entry's count of further contention wins:
-    the failures before wins successes are negative binomial, drawn once per
-    nonzero count (zero where wins = 0)."""
-    out = np.zeros_like(wins)
-    some = np.flatnonzero(wins)
-    if some.size:
-        out[some] = rng.negative_binomial(wins[some], slot_law(cfg.p).p_s)
-    return out
-
-
-def split_failed_slots(rng: np.random.Generator, cfg: NetworkConfig, fails):
-    """(n_idle, n_collisions): each failed slot is idle with the same chance,
-    independently, so a count summed over contentions splits in one draw."""
-    n_idle = rng.binomial(fails, slot_law(cfg.p).idle_share)
-    return n_idle, fails - n_idle
+    return winners, slots
 
 
 def contention_time(cfg: NetworkConfig, wins, n_idle, n_collisions):

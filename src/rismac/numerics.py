@@ -4,12 +4,14 @@ and the simulator's draws.
 Adaptive Gauss-Legendre panels, vector bisection, the safeguarded Newton
 root of a balance value(lam) = lam * tau_o on the value's own slope, the SNR
 floor 2^lam - 1 and an overflow-safe exp(a) * E1(x); for the draws, the
-guide-table inverse of a tabulated CDF and whole-array geometric counts.
+guide-table inverse of a tabulated CDF, whole-array geometric counts and
+binomial counts through one table per probability.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -224,9 +226,12 @@ class GuideTable(NamedTuple):
 
 def guide_table(cdf: np.ndarray, cells: int) -> GuideTable:
     """cdf (frozen in place) with its guide over `cells` equal cells of
-    [0, 1], cells a power of two."""
-    nodes = np.arange(cells + 1.0) / cells
-    guide = (np.searchsorted(cdf, nodes, side="right") - 1).astype(np.int32)
+    [0, 1], cells a power of two. A node x is at or below j / cells exactly
+    where ceil(x cells) <= j (x cells is exact), so guide[j] counts those
+    nodes, less one."""
+    at = np.bincount(np.ceil(cdf * cells).astype(np.intp), minlength=cells + 1)
+    guide = np.cumsum(at, dtype=np.int32)
+    guide -= 1
     cdf.flags.writeable = guide.flags.writeable = False
     return GuideTable(cdf, guide)
 
@@ -267,3 +272,80 @@ def geometric(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
     out = z.astype(np.int64)
     out[big] = np.iinfo(np.int64).max
     return out
+
+
+_BINOMIAL_INVERSION = 30.0  # numpy inverts one uniform where n min(p, 1 - p) <= 30
+_BINOMIAL_ROWS = 256        # rows n = 0..255 at most: 32,897 nodes, 257 KiB
+_BINOMIAL_CELLS = 128       # guide cells per row
+
+
+class BinomialTable(NamedTuple):
+    """Bin(n, p) for n = 0..n_max as one flattened guide table (arrays
+    read-only): row n holds the nodes (n + F_n(k - 1)) / span, k = 0..n, F_n
+    the CDF of Bin(n, min(p, 1 - p)), so row n spans [n, n + 1) / span. span
+    is the power of two at or above n_max + 1, and a last node 1 closes the
+    table. cdf and guide are None where min(p, 1 - p) = 0."""
+
+    cdf: np.ndarray | None
+    guide: np.ndarray | None
+    p: float      # min(p, 1 - p), the law the table holds
+    flip: bool    # p > 1/2: a draw is n minus a draw of the table
+    n_max: int
+    scale: float  # 1 / span
+
+
+@lru_cache(maxsize=32)
+def binomial_table(p: float) -> BinomialTable:
+    """The table of Bin(., p) for 0 <= p <= 1, over numpy's inversion range
+    n min(p, 1 - p) <= 30, capped at _BINOMIAL_ROWS rows. Row n's pmf at k
+    is (1 - p)^n times the running product of (n - i + 1) / i * p / (1 - p)
+    over i = 1..k, all rows in one array step."""
+    flip = p > 0.5
+    p = 1.0 - p if flip else p
+    if p == 0.0:
+        return BinomialTable(None, None, 0.0, flip, 0, 1.0)
+    n_max = min(int(_BINOMIAL_INVERSION / p), _BINOMIAL_ROWS - 1)
+    n = np.arange(n_max + 1.0)
+    # a[n, j] = n + F_n(j - 1): column j first holds the pmf factor of k = j - 1
+    a = np.subtract.outer(n, n)
+    a += 2.0
+    np.maximum(a, 0.0, out=a)
+    a[:, 2:] *= (p / (1.0 - p)) / n[1:-1]
+    a[:, 1] = np.exp(n * math.log1p(-p))
+    a[:, 0] = 0.0
+    np.cumprod(a[:, 1:], axis=1, out=a[:, 1:])
+    np.cumsum(a, axis=1, out=a)
+    np.minimum(a, 1.0, out=a)
+    a += n[:, None]
+    span = 1 << n_max.bit_length()
+    cdf = np.concatenate((a[np.tri(n_max + 1, dtype=bool)],
+                          [n_max + 1.0] if span > n_max + 1 else [], [span]))
+    cdf /= span
+    return BinomialTable(*guide_table(cdf, span * _BINOMIAL_CELLS), p, flip, n_max, 1.0 / span)
+
+
+def binomial(rng: np.random.Generator, table: BinomialTable, n: np.ndarray) -> np.ndarray:
+    """Bin(n_i, p) for each count of n (int64), p the table's: rng.binomial's
+    law, not its values. Each entry's uniform u goes to (n_i + u) / span,
+    looked up in the table by guide_lookup; an entry past the table's
+    n_max instead takes rng.binomial, in a second call. p in {0, 1} draws
+    nothing."""
+    if table.cdf is None:
+        return n.copy() if table.flip else np.zeros_like(n)
+    rows = np.minimum(n, table.n_max)
+    u = rng.random(n.shape)
+    u += rows
+    u *= table.scale
+    k = guide_lookup(table, u)
+    # a row's first node is at n (n + 1) / 2; n + u can round up to n + 1
+    first = rows + 1
+    first *= rows
+    first >>= 1
+    k -= first
+    np.minimum(k, rows, out=k)
+    past = np.flatnonzero(n > table.n_max)
+    if past.size:
+        k[past] = rng.binomial(n[past], table.p)
+    if table.flip:
+        np.subtract(n, k, out=k)
+    return k

@@ -22,27 +22,34 @@ walks every attempt, and a block engine built on attempts being i.i.d. under
 a fixed policy. An attempt releases at level 1 with the closed-form
 probability q = sum_k w_k P(h_k <= zeta_k) (w the winner law), so the engine
 draws only acting attempts, those that transmit directly or probe, in
-vectorized chunks: failed slots and winner from w_k (1 - r_k) / (1 - q),
-direct magnitude past zeta_k (|h|^2 is memoryless), code (direct at or above
-eta_k, else probe) and, where it probes, the cascaded sum, one uniform
-through S_M's tabulated law (channel.cascaded_law, built the first time an
-M needs it and looked up once per campaign, before any worker starts), so a
-probe costs the same at any M; one spectral rate per attempt, of the direct
-magnitude or of it plus the cascaded sum; before each, at q > 0, a
-geometric count of skipped releases (none at q = 0, so the reference
-disciplines, with zeta = -inf, draw no extra numbers). Winners and cascaded
-sums go through numerics.guide_lookup (the acting winner table is built once
-per campaign, before any worker starts) and geometric counts through
-numerics.geometric. Both return numpy's own values from the same stream in
-whole-array steps; the geometric splits at p = 1/3 because numpy does,
-inverting one exponential per draw below it (one array fill here) and
-searching one uniform's pmf sum at or above it (numpy's call kept).
+vectorized chunks: the slots before its win and the winner from
+w_k (1 - r_k) / (1 - q), direct magnitude past zeta_k (|h|^2 is memoryless),
+code (direct at or above eta_k, else probe) and, where it probes, the
+cascaded sum, one uniform through S_M's tabulated law (channel.cascaded_law,
+built the first time an M needs it and looked up once per campaign, before
+any worker starts), so a probe costs the same at any M; one spectral rate
+per attempt, of the direct magnitude or of it plus the cascaded sum.
+Winners and cascaded sums go through numerics.guide_lookup (the acting
+winner table is built once per campaign, before any worker starts) and the
+slot counts through numerics.geometric. Both return numpy's own values from
+the same stream in whole-array steps; the geometric splits at p = 1/3
+because numpy does, inverting one exponential per draw below it (one array
+fill here) and searching one uniform's pmf sum at or above it (numpy's call
+kept).
 
-A round is the run of acting attempts up to the first that transmits plus
-the releases skipped before them, so it costs O(acting attempts); a chunk
-whose every attempt ends its round is already per round. The skipped
-releases' failed slots are one negative-binomial draw per round, and a
-round's failed slots are split into idle and collision slots once.
+Each slot is idle, a collision or a win, and the attempt a win starts
+releases with probability q. So the slots before an acting attempt's win
+that are not acting wins number N ~ Geom0(p_act), p_act = p_s (1 - q); at
+q = 0 that is the failed-slot count. A round is the run of acting attempts
+up to the first that transmits, so it costs O(acting attempts); a chunk
+whose every attempt ends its round is already per round. A round's sum of
+N is then split once by two binomial draws (numerics.binomial, one uniform
+each through a table the campaign builds before any worker starts):
+R ~ Bin(N, p_s q / (1 - p_act)) releases' wins (none at q = 0, where
+nothing is drawn, so the reference disciplines, with zeta = -inf, draw no
+extra numbers), and, of the F = N - R failed slots, I ~ Bin(F, idle_share)
+idle ones and F - I collisions. The round made acting + R attempts, and
+its contention time is their tau_m1 each plus I delta + (F - I) tau_r.
 
 A campaign runs in stream units of up to STREAM_ROUNDS rounds (four
 4096-round slices), each its own PCG64 stream seeded by (seed, unit) and one
@@ -75,9 +82,9 @@ from .channel import (
     rayleigh_cdf,
 )
 from .config import NetworkConfig
-from .contention import (contention_time, draw_contention, failed_slots, simulate_contention,
-                         slot_law, split_failed_slots, winner_table)
-from .numerics import GuideTable, SolverError, geometric
+from .contention import (contention_time, draw_contention, simulate_contention, slot_law,
+                         winner_table)
+from .numerics import BinomialTable, GuideTable, SolverError, binomial, binomial_table
 from .strategies import Decision, Policy, decide_level1_threshold, decide_level2
 
 BLOCK_ROUNDS = 4096  # rounds per slice of a campaign's sums
@@ -160,15 +167,33 @@ def _unit_rng(seed: int, unit: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _acting_law(cfg: NetworkConfig, policy: Policy):
-    """The winner table of an acting attempt (one that transmits directly or
-    probes), whose law is w_k (1 - r_k) / (1 - q), and the release
+class _ActingLaw(NamedTuple):
+    """What a campaign's stream units share: the acting attempts' law and
+    the split tables of their slots (see _acting_law)."""
+
+    winner_cdf: GuideTable  # the winner law of an acting attempt
+    q: float                # P(an attempt releases at level 1)
+    p_act: float            # P(a slot is an acting attempt's win) = p_s (1 - q)
+    release: BinomialTable  # P(a slot that is no acting win is a release's win)
+    idle: BinomialTable     # P(a failed slot is idle), the slot law's idle_share
+
+
+def _acting_law(cfg: NetworkConfig, policy: Policy) -> _ActingLaw:
+    """The law of an acting attempt (one that transmits directly or probes):
+    its winner table, of w_k (1 - r_k) / (1 - q), and the release
     probability q = sum_k w_k r_k of one attempt, with r_k = P(h_k <= zeta_k).
-    At q = 0 that is the slot law's own table, built with it. A slot law with
-    p_s < _MAX_ATTEMPTS / 2^63 (about 1.1e-14) is refused: a round of up to
-    _MAX_ATTEMPTS contentions fails (1 - p_s) / p_s slots per contention on
-    average, so its int64 count could pass 2^63 - 1 (at p_s = 8e-300 every
-    geometric draw saturates there)."""
+    At q = 0 that is the slot law's own table, built with it. A slot is an
+    acting attempt's win with probability p_act = p_s (1 - q); one that is
+    not is a release's win with probability p_s q / (1 - p_act), else a
+    failed slot, idle with probability idle_share. The tables of those two
+    binomial splits are built here, before any worker starts.
+
+    A slot law with p_s < _MAX_ATTEMPTS / 2^63 (about 1.1e-14) is refused: a
+    round of up to _MAX_ATTEMPTS contentions fails (1 - p_s) / p_s slots per
+    contention on average, so its int64 count could pass 2^63 - 1 (at p_s =
+    8e-300 every geometric draw saturates there). p_act below the same bound
+    (q within about 5e-14 of 1 at the default slot law) is refused as a round
+    that does not terminate, for the same reason."""
     law = slot_law(cfg.p)
     if law.p_s * 2.0 ** 63 < _MAX_ATTEMPTS:
         raise SimulationError(
@@ -176,33 +201,33 @@ def _acting_law(cfg: NetworkConfig, policy: Policy):
             f"round of up to {_MAX_ATTEMPTS} contentions could pass int64")
     r = rayleigh_cdf(policy.zeta, pair_tables(cfg).v)
     q = float(law.weights @ r)
-    if q == 0.0:
-        return law.winner_table, q
-    acting = np.cumsum(law.weights * (1.0 - r))
-    if q >= 1.0 or acting[-1] <= 0.0:
-        raise SimulationError(f"every attempt releases (q = {q}): rounds did not terminate")
-    return winner_table(acting / acting[-1]), q
+    winner_cdf = law.winner_table
+    if q:
+        acting = np.cumsum(law.weights * (1.0 - r))
+        if q >= 1.0 or acting[-1] <= 0.0:
+            raise SimulationError(f"every attempt releases (q = {q}): rounds did not terminate")
+        winner_cdf = winner_table(acting / acting[-1])
+    p_act = law.p_s * (1.0 - q)
+    if p_act * 2.0 ** 63 < _MAX_ATTEMPTS:
+        raise SimulationError(
+            f"rounds did not terminate: an attempt acts with probability 1 - q = {1.0 - q:g}, "
+            f"so the slots of a round could pass int64")
+    release = min(law.p_s * q / (1.0 - p_act), 1.0) if q else 0.0
+    return _ActingLaw(winner_cdf, q, p_act, binomial_table(release),
+                      binomial_table(law.idle_share))
 
 
 def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy, m: int,
-                   winner_cdf: GuideTable, q: float, law: CascadedLaw | None):
+                   acting: _ActingLaw, law: CascadedLaw | None):
     """m i.i.d. acting attempts: contention, direct draw past zeta, level-1
     code and, where it probes, the cascaded sum drawn from law (None where
-    no pair probes); before each, at q > 0, the geometric count of releases
-    skipped. Returns per-attempt [failed slots, bits (0 where a probe
-    releases), terminal code: 0 probe released, 1 direct, 2 surface], with
-    the releases skipped appended at q > 0."""
+    no pair probes). Returns per-attempt [slots before its win (failed or
+    won by a release), bits (0 where a probe releases), terminal code: 0
+    probe released, 1 direct, 2 surface]."""
     tab = pair_tables(cfg)
-    winners, fails = draw_contention(rng, cfg, m, winner_cdf)
+    winners, slots = draw_contention(rng, acting.p_act, m, acting.winner_cdf)
     winners -= 1
-    floor = 0.0
-    if q:
-        skipped = geometric(rng, 1.0 - q, m)
-        skipped -= 1
-        if skipped.max() >= _MAX_ATTEMPTS:
-            raise SimulationError(
-                f"a round did not terminate in {_MAX_ATTEMPTS} attempts (q = {q})")
-        floor = np.maximum(policy.zeta[winners], 0.0)
+    floor = np.maximum(policy.zeta[winners], 0.0) if acting.q else 0.0
     h = rayleigh(rng, tab.v[winners], m, floor)
     # an acting attempt transmits directly at or above eta and probes below,
     # which adds the cascaded sum to its magnitude; one rate serves both
@@ -219,25 +244,22 @@ def _draw_attempts(rng: np.random.Generator, cfg: NetworkConfig, policy: Policy,
     terminal -= direct
     bits = np.array((0.0, cfg.tau1, cfg.tau2)).take(terminal)
     bits *= rate
-    return [fails, bits, terminal, skipped] if q else [fails, bits, terminal]
+    return [slots, bits, terminal]
 
 
 def _simulate_unit(seed: int, unit: int, n_rounds: int, cfg: NetworkConfig,
-                   policy: Policy, winner_cdf: GuideTable, q: float,
-                   law: CascadedLaw | None) -> RoundArrays:
+                   policy: Policy, acting: _ActingLaw, law: CascadedLaw | None) -> RoundArrays:
     """n_rounds rounds cut from one stream of i.i.d. acting attempts: a round
     is the run of acting attempts up to and including its first terminal
-    one, plus the releases skipped before each of them. Every acting attempt
-    but the last probes and releases, so a round of n acting attempts has
-    n - 1 probe-then-release outcomes.
+    one. Every acting attempt but the last probes and releases, so a round
+    of n acting attempts has n - 1 probe-then-release outcomes.
 
     Each chunk is summed per round as soon as it is drawn, so memory stays
     O(n_rounds); the attempts of the round left open at a chunk's end are
     held over to the front of the next chunk. A chunk whose every attempt
-    ends its round is already per round. At q > 0 the skipped releases'
-    failed slots are drawn per round in one negative-binomial draw; failed
-    slots are split into idle and collision slots per round, once, at the
-    end.
+    ends its round is already per round. At the end, a round's slots before
+    its acting wins are split once: the releases' wins (a binomial draw,
+    none at q = 0), then the idle and collision slots among the rest.
     """
     rng = _unit_rng(seed, unit)
     parts = []
@@ -245,36 +267,37 @@ def _simulate_unit(seed: int, unit: int, n_rounds: int, cfg: NetworkConfig,
     drawn = done = 0
     size = n_rounds
     while done < n_rounds:
-        chunk = _draw_attempts(rng, cfg, policy, size, winner_cdf, q, law)
+        chunk = _draw_attempts(rng, cfg, policy, size, acting, law)
         if held:
             chunk = [np.concatenate(pair) for pair in zip(held, chunk)]
         ends = np.flatnonzero(chunk[2])[:n_rounds - done]
         cut = ends[-1] + 1 if ends.size else 0
         held = [a[cut:] for a in chunk]
-        if held[0].size + (held[3].sum() if q else 0) >= _MAX_ATTEMPTS:
+        if held[0].size >= _MAX_ATTEMPTS:
             raise SimulationError(
                 f"unit {unit}: a round did not terminate in {_MAX_ATTEMPTS} attempts")
         if ends.size == cut:  # every attempt ends its round: one acting attempt each
             parts.append([a[:cut] for a in chunk] + [np.ones(cut, dtype=np.int64)])
         else:
-            fails, bits, terminal, *skipped = chunk
+            slots, bits, terminal = chunk
             starts = np.concatenate(([0], ends[:-1] + 1))
-            parts.append([np.add.reduceat(fails[:cut], starts), bits[ends], terminal[ends],
-                          *(np.add.reduceat(s[:cut], starts) for s in skipped),
+            parts.append([np.add.reduceat(slots[:cut], starts), bits[ends], terminal[ends],
                           ends - starts + 1])
         drawn += size
         done += ends.size
         # size the next chunk from the acting attempts per round seen so far
         size = min(STREAM_ROUNDS, -(-(n_rounds - done) * drawn // max(done, 1)))
-    fails, bits, terminal, *skipped, acting = (np.concatenate(c) for c in zip(*parts))
-    attempts = acting + skipped[0] if q else acting
+    slots, bits, terminal, n_acting = (np.concatenate(c) for c in zip(*parts))
+    attempts = binomial(rng, acting.release, slots)  # the releases' wins
+    slots -= attempts  # the failed slots
+    attempts += n_acting
     if attempts.max() > _MAX_ATTEMPTS:
         raise SimulationError(
             f"unit {unit}: a round did not terminate in {_MAX_ATTEMPTS} attempts")
-    if q:
-        fails += failed_slots(rng, cfg, skipped[0])
-    cont_time = contention_time(cfg, attempts, *split_failed_slots(rng, cfg, fails))
-    releases = acting - 1
+    n_idle = binomial(rng, acting.idle, slots)
+    slots -= n_idle
+    cont_time = contention_time(cfg, attempts, n_idle, slots)
+    releases = n_acting - 1
     total = cont_time + releases * cfg.tau_pc + cfg.tau1
     return RoundArrays(bits, total, cont_time, releases, attempts, terminal)
 
@@ -291,7 +314,7 @@ def _run_units(cfg: NetworkConfig, policy: Policy, n_rounds: int, seed: int,
         workers = min(4, os.cpu_count() or 1)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    winner_cdf, q = _acting_law(cfg, policy)
+    acting = _acting_law(cfg, policy)
     # a direct magnitude is never below an eta <= 0: no-wait-direct never probes
     law = cascaded_law(cfg.M) if np.any(policy.eta > 0.0) else None
     full, rem = divmod(n_rounds, STREAM_ROUNDS)
@@ -299,7 +322,7 @@ def _run_units(cfg: NetworkConfig, policy: Policy, n_rounds: int, seed: int,
     nw = min(workers, len(plan))
 
     def one(item):
-        return reduce(_simulate_unit(seed, *item, cfg, policy, winner_cdf, q, law))
+        return reduce(_simulate_unit(seed, *item, cfg, policy, acting, law))
 
     if nw == 1:
         return [one(item) for item in plan]

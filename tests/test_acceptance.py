@@ -30,7 +30,8 @@ from rismac import (
 from rismac.channel import (cascaded_law, cascaded_sums, draw_direct, linear_budget, pair_tables,
                             rate_direct)
 from rismac.config import dbm_to_watt
-from rismac.contention import contention_time, draw_contention, slot_law, split_failed_slots
+from rismac.contention import contention_time, draw_contention, slot_law
+from rismac.numerics import binomial, binomial_table
 from rismac.solver import admissible_step_band
 from rismac.harness import cmd_sweep
 
@@ -138,8 +139,10 @@ def test_criterion_4_contention_analytics(cfg):
     and the winner distribution is uniform by chi-square at the 1% level."""
     tau_o = expected_contention_time(cfg)
     rng = np.random.default_rng(4040)
-    winners, fails = draw_contention(rng, cfg, 1_000_000, slot_law(cfg.p).winner_table)
-    elapsed = contention_time(cfg, 1, *split_failed_slots(rng, cfg, fails))
+    law = slot_law(cfg.p)
+    winners, fails = draw_contention(rng, law.p_s, 1_000_000, law.winner_table)
+    n_idle = binomial(rng, binomial_table(law.idle_share), fails)
+    elapsed = contention_time(cfg, 1, n_idle, fails - n_idle)
     rel = abs(elapsed.mean() - tau_o) / tau_o
     counts = np.bincount(winners - 1, minlength=cfg.K)
     pval = float(stats.chisquare(counts).pvalue)

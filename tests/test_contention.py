@@ -13,9 +13,9 @@ from rismac import (
     simulate_contention,
 )
 from rismac.channel import cascaded_law
-from rismac.contention import (contention_time, draw_contention, slot_law, split_failed_slots,
-                               winner_table, winner_weights)
-from rismac.numerics import geometric, guide_lookup
+from rismac.contention import (contention_time, draw_contention, slot_law, winner_table,
+                               winner_weights)
+from rismac.numerics import binomial, binomial_table, geometric, guide_lookup
 
 # frozen oracles from independent arithmetic
 TAU_O_DEFAULT = 0.0002956803497712527
@@ -84,9 +84,12 @@ def test_scalar_slot_simulation(cfg):
 
 def engine_contentions(rng, cfg, n):
     """n contentions through the engine's steps: winners, elapsed, n_idle,
-    n_collisions (the engine splits the failed slots once per round)."""
-    winners, fails = draw_contention(rng, cfg, n, slot_law(cfg.p).winner_table)
-    n_idle, n_coll = split_failed_slots(rng, cfg, fails)
+    n_collisions (the engine splits the failed slots once per round, by a
+    binomial draw in the idle share)."""
+    law = slot_law(cfg.p)
+    winners, fails = draw_contention(rng, law.p_s, n, law.winner_table)
+    n_idle = binomial(rng, binomial_table(law.idle_share), fails)
+    n_coll = fails - n_idle
     return winners, contention_time(cfg, 1, n_idle, n_coll), n_idle, n_coll
 
 
@@ -128,10 +131,10 @@ def test_single_pair_always_wins(cfg):
     assert expected_contention_time(solo) == pytest.approx(solo.tau_m1, rel=1e-14)
 
 
-# the engine's two draw helpers return numpy's own values: failed slots and
-# skipped releases through numerics.geometric, on both sides of numpy's
+# numerics.geometric and numerics.guide_lookup return numpy's own values: the
+# slots before each acting win through geometric, on both sides of numpy's
 # p = 1/3 switch and past its INT64_MAX cap (p = 1e-19 and 1e-300); winners
-# and cascaded sums through numerics.guide_lookup
+# and cascaded sums through guide_lookup
 GEOMETRIC_P = [1e-300, 1e-19, 1e-14, 1e-9, 1e-3, "p_s", float(np.nextafter(1.0 / 3.0, 0.0)),
                1.0 / 3.0, 0.5, 0.75, 1.0]
 
@@ -144,6 +147,46 @@ def test_geometric_is_numpys(cfg, p):
     want = numpys.geometric(p, 50_000)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert ours.random(4).tolist() == numpys.random(4).tolist()  # the same next draws
+
+
+# numerics.binomial has rng.binomial's law, not its values: at p = 0 and 1 it
+# draws nothing; its table's pmf is math.comb's at every row, up to n_max, the
+# end of numpy's inversion range n min(p, 1 - p) <= 30 (capped); an entry
+# past n_max is numpy's own draw, after the uniforms; and 10^6 draws at n_max
+# pass a chi-square against 10^6 of numpy's
+BINOMIAL_P = [0.0, 1e-9, "idle_share", 0.5, 0.93, 1.0]
+
+
+@pytest.mark.parametrize("p", BINOMIAL_P)
+def test_binomial_law(cfg, p):
+    p = slot_law(cfg.p).idle_share if p == "idle_share" else p
+    table = binomial_table(p)
+    counts = np.arange(300)
+    ours, numpys = np.random.default_rng(19), np.random.default_rng(19)
+    if p in (0.0, 1.0):
+        assert binomial(ours, table, counts).tolist() == (p * counts).tolist()
+        assert ours.random(4).tolist() == numpys.random(4).tolist()
+        return
+    q = min(p, 1.0 - p)
+    assert table.n_max == min(int(30.0 / q), 255)
+    nodes = table.cdf / table.scale
+    for n in range(table.n_max + 1):
+        first = n * (n + 1) // 2
+        pmf = np.diff(np.append(nodes[first:first + n + 1], n + 1.0))
+        exact = [math.comb(n, k) * q ** k * (1.0 - q) ** (n - k) for k in range(n + 1)]
+        assert np.allclose(pmf, exact, rtol=0.0, atol=1e-12), n
+    past = np.full(1000, table.n_max + 1)
+    numpys.random(past.size)
+    want = numpys.binomial(past, p)
+    assert np.array_equal(binomial(ours, table, past), want)
+    m = 10 ** 6
+    a = binomial(ours, table, np.full(m, table.n_max))
+    b = numpys.binomial(table.n_max, p, m)
+    # pool each tail into the value at its 0.1% quantile
+    lo, hi = np.quantile(np.concatenate((a, b)), [1e-3, 1.0 - 1e-3]).astype(int)
+    if lo < hi:
+        cells = [np.bincount(np.clip(x, lo, hi) - lo, minlength=hi - lo + 1) for x in (a, b)]
+        assert stats.chi2_contingency(cells).pvalue > 1e-3
 
 
 def _probe_points(table, n=100_000):
@@ -176,8 +219,8 @@ def test_winner_lookup_is_clamped_searchsorted(name):
 
 def test_engine_winners_are_clamped_searchsorted(cfg):
     cum = np.cumsum(winner_weights(cfg.p))
-    winners, _ = draw_contention(np.random.default_rng(8), cfg, 20_000,
-                                 slot_law(cfg.p).winner_table)
+    law = slot_law(cfg.p)
+    winners, _ = draw_contention(np.random.default_rng(8), law.p_s, 20_000, law.winner_table)
     rng = np.random.default_rng(8)
     rng.geometric(slot_law(cfg.p).p_s, 20_000)
     u = rng.random(20_000)

@@ -75,14 +75,26 @@ def test_one_rayleigh_draw_site():
     # every fading draw is made in channel.py, so a cheaper draw has one place
     # to land: the ziggurat Exp(1) of channel.rayleigh, and the uniforms that
     # channel.cascaded_sums maps through the cascaded law; the only other
-    # uniforms are contention.py's sender and winner draws, and the only other
+    # uniforms are contention.py's sender and winner draws and those that
+    # numerics.binomial maps through its table, and the only other
     # exponentials numerics.geometric's inversion branch
     allowed = {"standard_exponential": ["channel.py", "numerics.py"],
-               ".random(": ["channel.py", "contention.py"]}
+               ".random(": ["channel.py", "contention.py", "numerics.py"]}
     for token, expected in allowed.items():
         sites = [path.name for path in sorted(PACKAGE.glob("*.py"))
                  if token in path.read_text(encoding="utf-8")]
         assert sites == expected, token
+
+
+def test_one_binomial_draw_site():
+    # numpy's binomial draws are made in numerics.py alone: numerics.binomial
+    # takes the counts past its table's rows to rng.binomial, and no module
+    # draws a negative binomial (a round's slots are one geometric count per
+    # acting attempt, split by numerics.binomial)
+    draw = re.compile(r"\.(negative_)?binomial\(")
+    sites = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if draw.search(path.read_text(encoding="utf-8"))]
+    assert sites == ["numerics.py"]
 
 
 def test_one_rayleigh_density_site():

@@ -76,7 +76,7 @@ def test_engine_accounting_identity(cfg, policies):
 
 @pytest.mark.parametrize("kind", list(PolicyKind), ids=lambda kind: kind.value)
 def test_determinism_across_worker_counts(cfg, policies, kind):
-    # every discipline: q = 0 draws no skipped releases, and a chunk whose
+    # every discipline: q = 0 draws no release split, and a chunk whose
     # every attempt ends its round is not summed, both inside worker threads
     policy = policies[kind]
     est1 = run_campaign(cfg, policy, 40_000, seed=5, workers=1)
@@ -135,6 +135,11 @@ def test_campaign_refusals_come_before_any_thread(cfg, monkeypatch):
                                 zeta=np.full(v.shape, np.inf), eta=np.full(v.shape, np.inf))
     with pytest.raises(SimulationError, match="every attempt releases"):
         run_campaign(cfg, never, 2 * STREAM_ROUNDS, seed=1, workers=2)
+    # q within 1e-15 of 1: an acting win takes about 5e15 slots on average,
+    # so the slots of a round of many acting attempts could pass int64
+    almost = dataclasses.replace(never, zeta=np.sqrt(-v * math.log(1e-15)))
+    with pytest.raises(SimulationError, match="did not terminate"):
+        run_campaign(cfg, almost, 2 * STREAM_ROUNDS, seed=1, workers=2)
 
 
 def test_cascaded_law_resolved_once_before_any_thread(cfg, monkeypatch):
@@ -209,7 +214,8 @@ def test_engine_and_scalar_paths_agree(cfg, policies):
 
 def test_engine_and_scalar_paths_agree_when_releases_dominate(cfg):
     # about 16 attempts per round, nearly all of them level-1 releases, which
-    # the engine skips in one geometric draw and the scalar path walks
+    # the engine counts among a round's slots before its acting wins and
+    # splits off in one binomial draw, and the scalar path walks
     c = apply_overrides(cfg, ["pt=30 dBm", "tau_d=100 ms"])
     policy = make_policy(PolicyKind.PROPOSED, c, build_threshold_table(c))
     _compare_engine_and_scalar(c, policy, "release-heavy")
@@ -365,8 +371,8 @@ def test_skipped_releases_follow_the_closed_form(cfg):
 
 
 # run_campaign's (mean, total_bits, total_time), 8,192 rounds, seed 5,
-# 1 worker: the reference disciplines never release at level 1, so skipping
-# releases draws nothing extra from their streams
+# 1 worker: the reference disciplines never release at level 1, so the
+# release split of a round's slots draws nothing from their streams
 REFERENCE_STREAMS = {"default": [], "-40 dBm / 250 ms": ["pt=-40 dBm", "tau_d=250 ms"]}
 REFERENCE_KINDS = (PolicyKind.NO_WAIT_DIRECT, PolicyKind.NO_WAIT_RIS, PolicyKind.OPTIMAL_RIS_STOP)
 
