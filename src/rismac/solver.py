@@ -20,11 +20,6 @@ mean rate. probe_form(lam, cfg) binds it to one price: the terms that depend
 only on lam or only on the pair are built once, so that the threshold
 bisection (pair_thresholds), attempt_value and probe_value evaluate only the
 terms in h.
-
-Along the lam* root the threshold solves are warm (predictor-corrector
-continuation): solve_max_throughput hands each value call the trail of the
-solves before it, from which pair_thresholds predicts its roots and bisects
-only the narrow brackets whose signs hold.
 """
 
 from __future__ import annotations
@@ -42,7 +37,6 @@ from .channel import (direct_cross, draw_cascaded, pair_tables, rate_direct, ray
 from .config import ConfigError, NetworkConfig, config_hash, read_key_values
 from .contention import expected_contention_time, winner_weights
 from .numerics import (
-    BISECT_DEPTH,
     LN2,
     LOG2E,
     SQRT2,
@@ -60,12 +54,6 @@ _MC_CHUNK = 1 << 16  # cascaded draws per Monte-Carlo batch
 _FP_MAX_ITER = 500_000  # steps before the fixed-point reference gives up
 _DOUBLINGS = 8  # doublings of eta's upper end one evaluation tries
 _POW2 = 2.0 ** np.arange(_DOUBLINGS)[:, None]
-# a warm bracket's half-width past its predictor's last term, in the last
-# solve's cold end widths: over the lambda* roots of the 46 pinned configs and
-# the 34 property cases, 306 predictions missed by at most 0.74 beyond that term
-_WARM_WIDTHS = 2.0
-_WARM_GRID = 1 << BISECT_DEPTH  # cells of a warm bracket's grid: one bisection batch
-_GRID_T = np.arange(_WARM_GRID + 1)[:, None, None] / _WARM_GRID
 
 
 class MCEstimate(NamedTuple):
@@ -192,35 +180,7 @@ def direct_branch(lam: float, scale, weights, tau1: float) -> np.ndarray:
                      -tau1 * float(weights @ np.exp(-c / capped))])
 
 
-def _warm_bracket(lam: float, trail, h_cross: float):
-    """The warm brackets (lo, up) at lam, (2, K) arrays with zeta's row then
-    eta's, or None before trail holds two solves at a positive price. Each
-    is centred on the Newton interpolating polynomial through the roots of
-    the last two or three such solves, a secant or a quadratic, with a
-    half-width of its last term plus _WARM_WIDTHS of the last solve's cold
-    end widths; and it is cut to its cold bracket, [0, h_cross] for zeta and
-    above h_cross for eta. Where a solve left a column unsolved, its ends
-    are NaN, which no sign check passes."""
-    last = [s for s in trail if s[0] > 0.0][-3:]
-    if len(last) < 2 or last[-2][0] == last[-1][0]:
-        return None
-    (l1, r1, _), (l2, r2, w2) = last[-2:]
-    slope = (r2 - r1) / (l2 - l1)
-    term = slope * (lam - l2)
-    centre = r2 + term
-    if len({s[0] for s in last}) == 3:
-        l0, r0, _ = last[0]
-        term = (slope - (r1 - r0) / (l1 - l0)) / (l2 - l0) * (lam - l2) * (lam - l1)
-        centre = centre + term
-    if np.isnan(centre).all():
-        return None
-    half = np.abs(term) + _WARM_WIDTHS * w2
-    lb, ub = np.array([[0.0], [h_cross]]), np.array([[h_cross], [np.inf]])
-    return (np.minimum(np.maximum(centre - half, lb), ub),
-            np.minimum(np.maximum(centre + half, lb), ub))
-
-
-def pair_thresholds(lam: float, cfg: NetworkConfig, pv, steps: int, trail=None):
+def pair_thresholds(lam: float, cfg: NetworkConfig, pv, steps: int):
     """Every pair's give-up and direct-stop magnitudes (zeta, eta) at lam, as
     K-length arrays; zeta = eta = h_cross where probing is dominated. pv is
     probe_form(lam, cfg), which the caller evaluates again.
@@ -233,28 +193,14 @@ def pair_thresholds(lam: float, cfg: NetworkConfig, pv, steps: int, trail=None):
     One evaluation of pv over all K pairs makes the three set-up probes: the
     probe-worthy test at h_cross, the give-up test at h = 0 and the first
     _DOUBLINGS doublings of eta's upper end; the bisection then takes one per
-    BISECT_DEPTH steps, so a cold solve is 1 + ceil(steps / BISECT_DEPTH)
+    BISECT_DEPTH steps, so a solve is 1 + ceil(steps / BISECT_DEPTH)
     evaluations where no upper end needs more doublings. The bisection runs
     over every pair's zeta and eta columns, an unsolved one (a dominated
     pair's, or the zeta of a pair that gives up) on an empty bracket.
-
-    trail, if given, is the list of earlier solves along a root, and this
-    solve appends its record (lam, roots, cold end widths) to it; it serves
-    the 18-step solves of the lambda* root. Once it holds two at a positive
-    price, the solve is warm (predictor-corrector continuation): the set-up
-    evaluation also evaluates each column's gap on a grid of _WARM_GRID
-    cells across the narrow bracket _warm_bracket predicts, and a column
-    whose gap is negative at the grid's lower end and not at its upper end
-    is held in the cell where it first stops being negative; a column
-    without a prediction, or whose signs fail, is cold. The held columns
-    bisect from their cells, and the bisection takes the whole batches of
-    steps that bring every column to the width the cold solve ends at
-    (`steps` whenever a column is cold).
     """
     rho, _, mu, sigma, _, _ = pair_tables(cfg)
     h_cross = direct_cross(lam, rho)
     tau1 = cfg.tau1
-    warm = None if trail is None else _warm_bracket(lam, trail, h_cross)
 
     def lead(h, p):
         # the direct stop value's lead over probe value p at h
@@ -264,30 +210,15 @@ def pair_thresholds(lam: float, cfg: NetworkConfig, pv, steps: int, trail=None):
     # value leads, as doubling once per evaluation finds it; one evaluation
     # tries the next _DOUBLINGS values of j on the rows not yet led
     hi = np.maximum(2.0 * h_cross, h_cross + 8.0 * (mu + 6.0 * sigma))
-    h = np.empty((2 + _DOUBLINGS + (0 if warm is None else 2 * _WARM_GRID + 2), cfg.K))
-    h[0], h[1], h[2:2 + _DOUBLINGS] = h_cross, 0.0, hi * _POW2
-    if warm is not None:
-        span = warm[1] - warm[0]
-        grid = h[2 + _DOUBLINGS:].reshape(-1, 2, cfg.K)
-        grid[...] = warm[0] + span * _GRID_T
+    h = np.empty((2 + _DOUBLINGS, cfg.K))
+    h[0], h[1], h[2:] = h_cross, 0.0, hi * _POW2
     p = pv(h)
     worthy = p[0] > 0.0
     if not worthy.any():
-        if trail is not None:
-            unsolved = np.full((2, cfg.K), np.nan)
-            trail.append((lam, unsolved, unsolved))
         return np.full(cfg.K, h_cross), np.full(cfg.K, h_cross)
     gives_up = worthy & (p[1] >= 0.0)
-    solved = np.array((worthy & ~gives_up, worthy))
-    if warm is not None:
-        # the gap (see gap below) on the grid, and the cell where it first
-        # stops being negative
-        on_grid = p[2 + _DOUBLINGS:].reshape(grid.shape)
-        on_grid[:, 1] = lead(grid[:, 1], on_grid[:, 1])
-        neg = on_grid < 0.0
-        held, cell = neg[0] & ~neg[-1], neg.argmin(axis=0)
     todo = np.flatnonzero(worthy)
-    h, p = h[2:2 + _DOUBLINGS, todo], p[2:2 + _DOUBLINGS, todo]
+    h, p = h[2:, todo], p[2:, todo]
     for j in range(0, 60, _DOUBLINGS):
         if j:
             h = hi[todo] * _POW2[:min(_DOUBLINGS, 60 - j)]
@@ -308,23 +239,11 @@ def pair_thresholds(lam: float, cfg: NetworkConfig, pv, steps: int, trail=None):
         out[:, 1] = lead(h[:, cfg.K:], out[:, 1])
         return out.reshape(h.shape)
 
-    lo, up = np.empty((2, cfg.K)), np.empty((2, cfg.K))
-    lo[0], lo[1], up[0], up[1] = 0.0, h_cross, h_cross, hi
-    end_width = (up - lo) * 2.0 ** -steps  # each column's width after the cold solve
-    if warm is not None:
-        # bisect from the cells, whose ends are grid points by the grid's own
-        # expression, to the cold solve's end width in whole batches: a batch
-        # costs one evaluation at any depth
-        lo = np.where(held, warm[0] + span * ((cell - 1) / _WARM_GRID), lo)
-        up = np.where(held, warm[0] + span * (cell / _WARM_GRID), up)
-        if (held | ~solved).all():
-            halvings = max(0, math.frexp(float(((up - lo) / end_width)[solved].max()))[1])
-            steps = min(steps, -(-halvings // BISECT_DEPTH) * BISECT_DEPTH)
-    # an unsolved column bisects the empty bracket at h_cross, and keeps it
-    lo, up = np.where(solved, lo, h_cross), np.where(solved, up, h_cross)
+    # zeta on [0, h_cross] and eta on [h_cross, hi]; an unsolved column
+    # bisects the empty bracket at h_cross, and keeps it
+    lo = np.array((np.where(worthy & ~gives_up, 0.0, h_cross), np.full(cfg.K, h_cross)))
+    up = np.array((np.full(cfg.K, h_cross), np.where(worthy, hi, h_cross)))
     found = vec_bisect(gap, lo.ravel(), up.ravel(), steps).reshape(2, cfg.K)
-    if trail is not None:
-        trail.append((lam, np.where(solved, found, np.nan), end_width))
     return np.where(gives_up, 0.0, found[0]), found[1]
 
 
@@ -364,11 +283,10 @@ def attempt_value(lam: float, cfg: NetworkConfig) -> float:
     return attempt_value_and_slope(lam, cfg)[0]
 
 
-def attempt_value_and_slope(lam: float, cfg: NetworkConfig, trail=None) -> tuple[float, float]:
+def attempt_value_and_slope(lam: float, cfg: NetworkConfig) -> tuple[float, float]:
     """attempt_value at lam and its exact lam-slope, from the same integral:
     the slope row is each branch's own slope where that branch is best, on
-    the value's nodes and panels (envelope theorem). trail is passed on to
-    pair_thresholds, whose solves along a root it warms."""
+    the value's nodes and panels (envelope theorem)."""
     lam = float(lam)
     rho, v = pair_tables(cfg)[:2]
     tau1 = cfg.tau1
@@ -376,7 +294,7 @@ def attempt_value_and_slope(lam: float, cfg: NetworkConfig, trail=None) -> tuple
     h_cross = direct_cross(lam, rho)
     pv = probe_form(lam, cfg)
     # 18 steps' width suffices here: the roots only place panel edges
-    zeta, eta = pair_thresholds(lam, cfg, pv, 18, trail)
+    zeta, eta = pair_thresholds(lam, cfg, pv, 18)
     if (zeta < eta).any():  # else no pair is probe-worthy: the probe correction is 0
 
         def gain(rows, h):
@@ -412,10 +330,8 @@ def solve_max_throughput(cfg: NetworkConfig) -> float:
     to a precision relative to lam*. attempt_value is convex in lam (each
     branch is, and max and expectation keep it), so bracket_root's Newton
     steps from below stay below lam*; its curvature steps, on the secant of
-    two slopes, close the gap in fewer value calls. Each call's threshold
-    solve warms from the iterates before it."""
-    trail = []
-    return bracket_root(lambda lam: attempt_value_and_slope(lam, cfg, trail),
+    two slopes, close the gap in fewer value calls."""
+    return bracket_root(lambda lam: attempt_value_and_slope(lam, cfg),
                         expected_contention_time(cfg))
 
 

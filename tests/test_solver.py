@@ -694,22 +694,20 @@ def test_solve_grid_root_call_count(cfg, monkeypatch):
 def test_solve_grid_threshold_evaluation_count(cfg, monkeypatch):
     """Cost guard over a build_threshold_table pass of the 20 solve-grid
     configs, in probe-value evaluations of the threshold solves and in
-    integrand evaluations of the quadrature. Each threshold solve of the
-    lambda* root warms from the iterates before it: 449 evaluations, where
-    cold solves took 673. The table's 64-step solve is cold, within its own
-    bound of 1 + ceil(64 / BISECT_DEPTH) evaluations per config: 267. The
-    quadrature does not grow: 182 integrand evaluations, as with cold
-    solves."""
+    integrand evaluations of the quadrature. The 18-step threshold solves
+    of the lambda* roots take 673 evaluations. The table's 64-step solves
+    stay within their bound of 1 + ceil(64 / BISECT_DEPTH) evaluations per
+    config: 267. The quadrature takes 182 integrand evaluations."""
     evaluations = {18: 0, 64: 0}
     integrand = []
     thresholds, panels = solver.pair_thresholds, solver.adaptive_panels
 
-    def counted_thresholds(lam, c, pv, steps, *args):
+    def counted_thresholds(lam, c, pv, steps):
         def counted(h, rows=None, **kwargs):
             evaluations[steps] += 1
             return pv(h, rows, **kwargs)
 
-        return thresholds(lam, c, counted, steps, *args)
+        return thresholds(lam, c, counted, steps)
 
     def counted_panels(fvec, edges):
         def f(rows, h):
@@ -722,81 +720,9 @@ def test_solve_grid_threshold_evaluation_count(cfg, monkeypatch):
     monkeypatch.setattr(solver, "adaptive_panels", counted_panels)
     for overrides in _SOLVE_GRID:
         assert build_threshold_table(apply_overrides(cfg, overrides)).lambda_star > 0.0
-    assert 0 < evaluations[18] <= 540
+    assert 0 < evaluations[18] <= 673
     assert 0 < evaluations[64] <= len(_SOLVE_GRID) * (1 + -(-64 // BISECT_DEPTH))
     assert 0 < len(integrand) <= 182
-
-
-def _cold_widths(lam, c, steps):
-    """The cold solve at lam and the record it leaves in a trail: (lam,
-    roots, cold end widths), roots NaN where a column is not solved."""
-    trail = []
-    zeta, eta = pair_thresholds(lam, c, probe_form(lam, c), steps, trail)
-    return zeta, eta, trail[0]
-
-
-@pytest.mark.parametrize("steps", [18, 64])
-def test_warm_solve_falls_back_to_the_cold_bits(cfg, table, steps):
-    """A warm solve whose predicted brackets miss the roots sends those
-    columns to their cold brackets, which return the cold solve's bits. The
-    prediction is the trail's roots when its last two records agree: the
-    roots at lam shifted by 100 cold end widths, on every pair or on every
-    other one. Where some column falls back, the bisection takes all its
-    steps, and a column that holds stays within one cold end width of the
-    cold root."""
-    lam = table.lambda_star
-    zeta, eta, (_, roots, width) = _cold_widths(lam, cfg, steps)
-    pv = probe_form(lam, cfg)
-    for missed in (np.ones(cfg.K, dtype=bool), np.arange(cfg.K) % 2 == 0):
-        guess = roots + np.where(missed, 100.0 * width, 0.0)
-        trail = [(0.8 * lam, guess, width), (0.9 * lam, guess, width)]
-        warm_zeta, warm_eta = pair_thresholds(lam, cfg, pv, steps, trail)
-        assert (warm_zeta[missed] == zeta[missed]).all()
-        assert (warm_eta[missed] == eta[missed]).all()
-        assert (np.abs(warm_zeta - zeta) <= width[0]).all()
-        assert (np.abs(warm_eta - eta) <= width[1]).all()
-
-
-def test_warm_root_solves_stay_within_a_cold_width(cfg):
-    """Every threshold solve along the lambda* root of the 20 solve-grid
-    configs solves the same columns as the cold solve at its lam, and each
-    root lies within one cold 18-step width of the cold one."""
-    for overrides in _SOLVE_GRID:
-        c = apply_overrides(cfg, overrides)
-        trail = []
-        assert bracket_root(lambda lam: attempt_value_and_slope(lam, c, trail),
-                            expected_contention_time(c)) > 0.0
-        assert len(trail) >= 2
-        for lam, roots, _ in trail:
-            zeta, eta, (_, cold, width) = _cold_widths(lam, c, 18)
-            assert (np.isnan(roots) == np.isnan(cold)).all()
-            solved = ~np.isnan(cold)
-            assert (np.abs(roots - cold)[solved] <= width[solved]).all()
-
-
-def test_warm_solve_of_a_pair_that_changes_state_is_cold(cfg):
-    """At 80 dBm / 5 ms the probe-worthy pairs and those that give up at
-    h = 0 change between 0.8 and 1.0 lambda*. Along that price path, up and
-    down, each solve warms from the two before it. A column the last solve
-    left unsolved has no prediction: a pair new to the probe-worthy set, or
-    the zeta of a pair that gave up, takes the cold solve's bits. A pair
-    that gives up now has zeta = 0, and every other column stays within one
-    cold width."""
-    c = apply_overrides(cfg, ["pt=80 dBm", "tau_d=5 ms"])
-    lam = float.fromhex(load_pins()["pt=80 dBm, tau_d=5 ms"]["lambda_star"])
-    fresh = 0
-    for path in ([0.8, 0.85, 0.9, 0.95, 1.0], [1.0, 0.95, 0.9, 0.85, 0.8]):
-        trail = []
-        for f in path:
-            zeta, eta, (_, cold, width) = _cold_widths(f * lam, c, 18)
-            warm = pair_thresholds(f * lam, c, probe_form(f * lam, c), 18, trail)
-            new = ~np.isnan(cold) & np.isnan(trail[-2][1]) if len(trail) > 1 else ~np.isnan(cold)
-            fresh += new.sum() if len(trail) > 2 else 0  # in a solve that warms up
-            for got, want, w, n in zip(warm, (zeta, eta), width, new):
-                assert (got[n] == want[n]).all()
-                assert (np.abs(got - want) <= np.nan_to_num(w)).all()
-            assert (warm[0][zeta == 0.0] == 0.0).all()
-    assert fresh > 0
 
 
 @pytest.mark.parametrize("overrides", [o for o in _SOLVE_GRID if not o[0].startswith("pt=-")],
