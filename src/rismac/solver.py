@@ -193,7 +193,7 @@ def pair_thresholds(lam: float, cfg: NetworkConfig, pv, steps: int):
     One evaluation of pv over all K pairs makes the three set-up probes: the
     probe-worthy test at h_cross, the give-up test at h = 0 and the first
     _DOUBLINGS doublings of eta's upper end; the bisection then takes one per
-    BISECT_DEPTH steps, so a solve is 1 + ceil(steps / BISECT_DEPTH)
+    numerics.BISECT_DEPTH steps, so a solve is 1 + ceil(steps / BISECT_DEPTH)
     evaluations where no upper end needs more doublings. The bisection runs
     over every pair's zeta and eta columns, an unsolved one (a dominated
     pair's, or the zeta of a pair that gives up) on an empty bracket.
