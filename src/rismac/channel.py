@@ -138,15 +138,18 @@ def pair_tables(cfg: NetworkConfig) -> PairTables:
     return PairTables(rho, *(_frozen(np.array(col)) for col in zip(*rows)))
 
 
-def _row(cfg: NetworkConfig, k: int) -> int:
-    if not 1 <= k <= cfg.K:
-        raise ConfigError(f"pair index {k} outside 1..{cfg.K}")
+def pair_row(k, n_pairs: int):
+    """k - 1, the 0-based row of pair index k (an int or an integer array)
+    among n_pairs pairs; an index outside 1..n_pairs raises ConfigError."""
+    ks = np.asarray(k)
+    if ((ks < 1) | (ks > n_pairs)).any():
+        raise ConfigError(f"pair index {k} outside 1..{n_pairs}")
     return k - 1
 
 
 def draw_direct(rng: np.random.Generator, cfg: NetworkConfig, k: int, n: int | None = None):
     """Direct fading magnitude(s) for pair k: scalar, or shape (n,)."""
-    v = pair_tables(cfg).v[_row(cfg, k)]
+    v = pair_tables(cfg).v[pair_row(k, cfg.K)]
     if n is None:
         return float(rayleigh(rng, v))
     return rayleigh(rng, v, n)
@@ -159,7 +162,7 @@ def draw_cascaded(rng: np.random.Generator, cfg: NetworkConfig, k: int, n: int |
     states it. The engine draws the row sums through cascaded_sums instead.
     """
     tab = pair_tables(cfg)
-    i = _row(cfg, k)
+    i = pair_row(k, cfg.K)
     shape = (cfg.M,) if n is None else (n, cfg.M)
     return rayleigh(rng, tab.ms1[i], shape) * rayleigh(rng, tab.ms2[i], shape)
 

@@ -1,7 +1,7 @@
 """Numerical building blocks shared by the solver, the baseline analytics
 and the simulator's draws.
 
-Adaptive Gauss-Legendre panels, vector bisection, the safeguarded Newton
+Adaptive Gauss-Legendre panels, vector multisection, the safeguarded Newton
 root of a balance value(lam) = lam * tau_o on the value's own slope, the SNR
 floor 2^lam - 1 and an overflow-safe exp(a) * E1(x); for the draws, the
 guide-table inverse of a tabulated CDF, whole-array geometric counts and
@@ -29,7 +29,7 @@ _ORDERS = (16, 32)   # Gauss-Legendre orders compared on each panel
 _OFFSETS = np.concatenate([_X1, _X2])  # both orders' nodes on [-1, 1], fused
 _MAX_ROUNDS = 40     # panel-halving rounds before the quadrature gives up
 _MAX_PANELS = 1 << 18  # panels one integral evaluates before it gives up
-BISECT_DEPTH = 5     # bisection steps one evaluation covers (vec_bisect)
+BISECT_DEPTH = 5     # halvings one evaluation covers (vec_bisect)
 _INT64_CAP = 2.0 ** 63  # the smallest double above INT64_MAX, where numpy caps a geometric
 
 
@@ -125,39 +125,30 @@ def adaptive_panels(fvec, edges):
 
 
 def vec_bisect(f, lo, hi, iters: int):
-    """Vector bisection for an increasing sign change on each [lo_i, hi_i].
+    """Vector multisection for an increasing sign change on each [lo_i, hi_i].
 
-    One call of f covers up to BISECT_DEPTH = d steps: f gets, as one
-    (2^d - 1, n) array, every midpoint those steps could take, each
-    0.5 * (lo + hi) of the bracket its ancestors leave, and the signs then
-    walk the steps one by one. The walk takes the one-step loop's own
-    midpoints, so the result is that loop's to the bit; the first sign
-    change in a batch would not be, where rounding noise makes f change
-    sign many times near the root.
+    One call of f covers up to BISECT_DEPTH = d halvings: f gets, as one
+    (2^d - 1, n) array, each column's grid lo + (hi - lo) j / 2^d, j = 1..2^d
+    - 1, capped at hi, and each column keeps the grid cell left of its first
+    point where f is not negative (NaN is not; hi counts as a last such
+    point). Where rounding noise makes f change sign many times near the
+    root, that first sign change is the one kept. Returns each bracket's
+    middle after `iters` halvings.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    n = lo.size
+    cols = np.arange(lo.size)
     while iters > 0:
         d = min(iters, BISECT_DEPTH)
         iters -= d
         size = 1 << d
-        # in-order tree: row 0 is lo, row size is hi, and the node at row
-        # r = half * (2j + 1) halves the bracket of rows r - half, r + half
-        pts = np.empty((size + 1, n))
-        pts[0], pts[size] = lo, hi
-        half = size >> 1
-        while half:
-            pts[half::2 * half] = 0.5 * (pts[:-1:2 * half] + pts[2 * half::2 * half])
-            half >>= 1
-        neg = (f(pts[1:size]) < 0.0).ravel()
-        at = np.arange(n)  # flat index into pts of each column's lower end
-        half = size >> 1
-        while half:
-            at += neg[at + (half - 1) * n] * (half * n)
-            half >>= 1
-        pts = pts.ravel()
-        lo, hi = pts[at], pts[at + n]
+        grid = np.empty((size + 1, lo.size))
+        grid[0], grid[size] = lo, hi
+        np.minimum(lo + (hi - lo) * (np.arange(1, size)[:, None] / size), hi, out=grid[1:size])
+        neg = np.zeros((size, lo.size), dtype=bool)  # the last row, hi's, stays False
+        np.less(f(grid[1:size]), 0.0, out=neg[:-1])
+        first = neg.argmin(axis=0)
+        lo, hi = grid[first, cols], grid[first + 1, cols]
     return 0.5 * (lo + hi)
 
 

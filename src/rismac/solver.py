@@ -18,8 +18,8 @@ E[max(rho*(h+X)^2, 2^lam - 1)] (worse draws fall back to the continue
 branch), one erfc and a Gaussian density; its log2 is Jensen's bound on the
 mean rate. probe_form(lam, cfg) binds it to one price: the terms that depend
 only on lam or only on the pair are built once, so that the threshold
-bisection (pair_thresholds), attempt_value and probe_value evaluate only the
-terms in h.
+multisection (pair_thresholds), attempt_value and probe_value evaluate only
+the terms in h.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .channel import (direct_cross, draw_cascaded, pair_tables, rate_direct, rayleigh_pdf,
-                      surface_pdf)
+from .channel import (direct_cross, draw_cascaded, pair_row, pair_tables, rate_direct,
+                      rayleigh_pdf, surface_pdf)
 from .config import ConfigError, NetworkConfig, config_hash, read_key_values
 from .contention import expected_contention_time, winner_weights
 from .numerics import (
@@ -113,8 +113,8 @@ def probe_form(lam, cfg: NetworkConfig):
     pv(h, rows) is probe_value(lam, h, rows + 1, cfg), rows being 0-based
     pair indices that broadcast with h (every pair if None); with slope=True
     it is stacked on its exact lam-slope, tau2 2^lam P(floor) / (1 + snr) -
-    tau1. Only the terms in h are evaluated per call, so bisection steps and
-    quadrature rounds share the rest."""
+    tau1. Only the terms in h are evaluated per call, so multisection batches
+    and quadrature rounds share the rest."""
     tab = pair_tables(cfg)
     snr = _snr_form(lam, tab.mu, tab.sigma, tab.rho)
     tau1, tau2, lam_tau1 = cfg.tau1, cfg.tau2, lam * cfg.tau1
@@ -136,9 +136,9 @@ def probe_value(lam, h_s, k, cfg: NetworkConfig):
     Best of {stop on the boosted rate, give the channel back} with channel
     time priced at lam, for pair k observing direct magnitude h_s. Positive
     means probing beats releasing the channel. k may be an integer array
-    that broadcasts with h_s.
+    that broadcasts with h_s; an index outside 1..K raises ConfigError.
     """
-    return probe_form(lam, cfg)(h_s, k - 1)
+    return probe_form(lam, cfg)(h_s, pair_row(k, cfg.K))
 
 
 def probe_value_mc(lam, h_s, k: int, cfg: NetworkConfig, n_samples: int,
@@ -189,13 +189,14 @@ def pair_thresholds(lam: float, cfg: NetworkConfig, pv, steps: int):
     direct stop value crosses zero. Elsewhere zeta is where the probe value
     turns positive on [0, h_cross] (0 if it already is at h = 0), and eta is
     where the direct stop value overtakes the probe value above h_cross,
-    bracketed by doubling. Each root takes `steps` vector bisection steps.
-    One evaluation of pv over all K pairs makes the three set-up probes: the
-    probe-worthy test at h_cross, the give-up test at h = 0 and the first
-    _DOUBLINGS doublings of eta's upper end; the bisection then takes one per
-    numerics.BISECT_DEPTH steps, so a solve is 1 + ceil(steps / BISECT_DEPTH)
-    evaluations where no upper end needs more doublings. The bisection runs
-    over every pair's zeta and eta columns, an unsolved one (a dominated
+    bracketed by doubling. Each root takes `steps` halvings of its bracket
+    (numerics.vec_bisect's multisection, which keeps a grid's first sign
+    change). One evaluation of pv over all K pairs makes the three set-up
+    probes: the probe-worthy test at h_cross, the give-up test at h = 0 and
+    the first _DOUBLINGS doublings of eta's upper end; the multisection then
+    takes one per numerics.BISECT_DEPTH halvings, so a solve is 1 + ceil(steps
+    / BISECT_DEPTH) evaluations where no upper end needs more doublings. It
+    runs over every pair's zeta and eta columns, an unsolved one (a dominated
     pair's, or the zeta of a pair that gives up) on an empty bracket.
     """
     rho, _, mu, sigma, _, _ = pair_tables(cfg)
@@ -233,14 +234,14 @@ def pair_thresholds(lam: float, cfg: NetworkConfig, pv, steps: int):
         raise SolverError("direct value never overtakes the probe value")
 
     def gap(h):
-        # both roots in one vector bisection, zeta's columns first, then eta's:
+        # both roots in one multisection, zeta's columns first, then eta's:
         # the probe value on zeta's, the direct stop value's lead on eta's
         out = pv(h.reshape(-1, 2, cfg.K))
         out[:, 1] = lead(h[:, cfg.K:], out[:, 1])
         return out.reshape(h.shape)
 
     # zeta on [0, h_cross] and eta on [h_cross, hi]; an unsolved column
-    # bisects the empty bracket at h_cross, and keeps it
+    # keeps the empty bracket at h_cross
     lo = np.array((np.where(worthy & ~gives_up, 0.0, h_cross), np.full(cfg.K, h_cross)))
     up = np.array((np.full(cfg.K, h_cross), np.where(worthy, hi, h_cross)))
     found = vec_bisect(gap, lo.ravel(), up.ravel(), steps).reshape(2, cfg.K)

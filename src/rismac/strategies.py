@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import direct_cross, linear_budget, pair_tables, rate_direct
+from .channel import direct_cross, linear_budget, pair_row, pair_tables, rate_direct
 from .config import ConfigError, NetworkConfig, config_hash
 from .contention import expected_contention_time, winner_weights
 from .numerics import LOG2E, bracket_root, snr_floor
@@ -64,6 +64,7 @@ def decide_level1_reference(h_mag: float, k: int, lam_star: float,
 
     Stop when transmitting now is worth at least as much as both probing and
     releasing; release when neither action has positive worth; probe otherwise.
+    A pair index outside 1..K raises ConfigError (from probe_value).
     """
     rho = linear_budget(cfg)
     a = cfg.tau1 * (rate_direct(rho, h_mag) - lam_star)
@@ -78,10 +79,11 @@ def decide_level1_reference(h_mag: float, k: int, lam_star: float,
 def decide_level1_threshold(h_mag: float, k: int, policy: Policy) -> Decision:
     """First-level choice of pair k by the policy's magnitude thresholds:
     transmit directly at or above eta_k, release at or below zeta_k, probe
-    in between."""
-    if h_mag >= policy.eta[k - 1]:
+    in between. A pair index outside 1..K raises ConfigError."""
+    i = pair_row(k, policy.eta.size)
+    if h_mag >= policy.eta[i]:
         return Decision.STOP_DIRECT
-    if h_mag <= policy.zeta[k - 1]:
+    if h_mag <= policy.zeta[i]:
         return Decision.CONTINUE
     return Decision.ASSIST_RIS
 

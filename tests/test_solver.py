@@ -468,31 +468,46 @@ def test_newton_root_finds_sign_change_of_smooth_kinked_and_step():
         assert len(calls) <= max_calls
 
 
-def one_step_bisect(f, lo, hi, iters):
-    """vec_bisect's model: one halving per call of f."""
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        neg = f(mid) < 0.0
-        lo, hi = np.where(neg, mid, lo), np.where(neg, hi, mid)
-    return 0.5 * (lo + hi)
+def grid_scan(f, lo, hi, iters):
+    """vec_bisect's model, one column and one grid point at a time: each batch
+    of d <= BISECT_DEPTH halvings steps j = 1, 2, ... through a + (b - a) j /
+    2^d, capped at b, until f(point, column) is not negative, and keeps the
+    cell left of that point (the top cell if there is none)."""
+    out = []
+    for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+        left = iters
+        while left > 0:
+            d = min(left, BISECT_DEPTH)
+            left -= d
+            size = 2 ** d
+            grid = [a] + [min(a + (b - a) * (j / size), b) for j in range(1, size)] + [b]
+            j = 1
+            while j < size and f(grid[j], i) < 0.0:
+                j += 1
+            a, b = grid[j - 1], grid[j]
+        out.append(0.5 * (a + b))
+    return np.array(out)
 
 
 @pytest.mark.parametrize("steps", sorted({0, 1, BISECT_DEPTH - 1, BISECT_DEPTH, 18, 64}))
 @pytest.mark.parametrize("noisy", [False, True], ids=["monotone", "noisy"])
 def test_vec_bisect_is_the_one_step_loop_bitwise(steps, noisy):
-    """Each call of f covers BISECT_DEPTH halvings on the one-step loop's own
-    midpoints. The noisy f changes sign over 2,000 times within 5e-7 of
-    each root, as the overtake residual does at low power, so only that
-    path, not the first sign change of a batch, gives the loop's bits."""
+    """Each call of f covers BISECT_DEPTH halvings on one grid per column, and
+    the result is the one-step loop's to the bit: grid_scan, which steps one
+    grid point at a time. The noisy f changes sign over 2,000 times within
+    5e-7 of each root, as the overtake residual does at low power, so the
+    bits also fix which sign change the grid keeps: its first. The last four
+    columns have zero width, as pair_thresholds' unsolved columns do, and
+    return their end whatever the sign of f there."""
     rng = np.random.default_rng(3)
     root = rng.uniform(0.2, 0.8, 16)
     lo, hi = root - rng.uniform(0.01, 1.0, 16), root + rng.uniform(0.01, 1.0, 16)
+    lo[12:] = hi[12:] = root[12:] + np.array([-0.1, 0.0, 0.1, 0.3])
 
-    def f(h):
+    def f(h, cols=slice(None)):
         # the sawtooth in h * 2^30 is exact, so both loops see the same signs
         noise = 1e-6 * (np.mod(h * 2.0 ** 30, 1.0) - 0.5) if noisy else 0.0
-        return h - root + noise
+        return h - root[cols] + noise
 
     calls = []
 
@@ -501,17 +516,18 @@ def test_vec_bisect_is_the_one_step_loop_bitwise(steps, noisy):
         return f(h)
 
     got = vec_bisect(counted, lo, hi, steps)
-    want = one_step_bisect(f, lo, hi, steps)
-    assert (got == want).all()
+    assert (got == grid_scan(f, lo, hi, steps)).all()
+    assert (got[12:] == lo[12:]).all()
     assert len(calls) == -(-steps // BISECT_DEPTH)
     if noisy and steps == 64:
-        h = root + np.linspace(-5e-7, 5e-7, 100_001)[:, None]
-        assert (np.diff(f(h) < 0.0, axis=0).sum(axis=0) > 2000).all()
+        h = root[:12] + np.linspace(-5e-7, 5e-7, 100_001)[:, None]
+        assert (np.diff(f(h, slice(12)) < 0.0, axis=0).sum(axis=0) > 2000).all()
 
 
 def one_step_thresholds(lam, cfg, pv, steps):
-    """pair_thresholds as one doubling or one halving per evaluation of pv;
-    also returns each probe-worthy pair's number of doublings."""
+    """pair_thresholds as one doubling per evaluation of pv, over the
+    probe-worthy pairs only, with its roots from vec_bisect; also returns
+    each probe-worthy pair's number of doublings."""
     rho, _, mu, sigma, _, _ = pair_tables(cfg)
     tau1 = cfg.tau1
     h_cross = direct_cross(lam, rho)
@@ -522,8 +538,8 @@ def one_step_thresholds(lam, cfg, pv, steps):
 
     def gap(h):
         out = pv(h, rows)
-        hu = h[n:]
-        out[n:] = tau1 * (np.log2(1.0 + rho * hu * hu) - lam) - out[n:]
+        hu = h[..., n:]
+        out[..., n:] = tau1 * (np.log2(1.0 + rho * hu * hu) - lam) - out[..., n:]
         return out
 
     lo = np.concatenate([np.zeros(n), np.full(n, h_cross)])
@@ -538,7 +554,7 @@ def one_step_thresholds(lam, cfg, pv, steps):
         doublings += pending
     else:
         raise SolverError("direct value never overtakes the probe value")
-    roots = one_step_bisect(gap, lo, hi, steps)
+    roots = vec_bisect(gap, lo, hi, steps)
     zeta[act] = np.where(pv(0.0, act) >= 0.0, 0.0, roots[:n])
     eta[act] = roots[n:]
     return zeta, eta, doublings
@@ -576,7 +592,7 @@ def test_eta_doubling_keeps_each_pairs_first_lead(cfg, table):
             thresholds(lam, cfg, held_back([0, 60, 1, 2, 3, 4, 5, 6]), 18)
     # at 0.9 lambda* of 80 dBm / 5 ms, pairs 1 and 2 are not probe-worthy and
     # pairs 7 and 8 give up at h = 0: the set-up evaluation serves all three
-    # tests over every pair, and keeps the one-step loop's bits
+    # tests over every pair, and keeps one_step_thresholds' bits
     c = apply_overrides(cfg, ["pt=80 dBm", "tau_d=5 ms"])
     lam = 0.9 * float.fromhex(load_pins()["pt=80 dBm, tau_d=5 ms"]["lambda_star"])
     pv = probe_form(lam, c)

@@ -51,6 +51,23 @@ def test_reference_rule_matches_regions(cfg, table):
             assert decide_level1_reference(h, k, lam, cfg) is expect
 
 
+def test_pair_index_outside_1_to_K_raises(cfg, table):
+    """Index 0 must not wrap to pair K through row -1, and K + 1 must not end
+    in a bare IndexError: both are a ConfigError, for scalar and array k."""
+    policy = make_policy(PolicyKind.PROPOSED, cfg, table)
+    lam, h = table.lambda_star, 0.5
+    for k in (0, cfg.K + 1, np.array([1, 0]), np.array([cfg.K, cfg.K + 1])):
+        with pytest.raises(ConfigError, match=r"pair index .* outside 1\.\.8"):
+            probe_value(lam, h, k, cfg)
+    for k in (0, -1, cfg.K + 1):
+        with pytest.raises(ConfigError, match="outside 1..8"):
+            decide_level1_reference(h, k, lam, cfg)
+        with pytest.raises(ConfigError, match="outside 1..8"):
+            decide_level1_threshold(h, k, policy)
+    assert probe_value(lam, h, np.array([1, cfg.K]), cfg).tolist() == [
+        probe_value(lam, h, 1, cfg), probe_value(lam, h, cfg.K, cfg)]
+
+
 def test_level2_tie_is_stop():
     assert decide_level2(5.0, 5.0) is Decision.STOP_RIS
     assert decide_level2(5.0 - 1e-12, 5.0) is Decision.CONTINUE
